@@ -246,7 +246,7 @@ fn render_json(
              \"window_rebuild_rows\": {}, \"peak_survivors\": {}, \
              \"scan_sets_dense\": {}, \"scan_sets_runs\": {}, \
              \"shard_busy_seconds\": {:.6}, \"shard_longest_seconds\": {:.6}, \
-             \"shard_steals\": {}, \"merge_seconds\": {:.6}, \
+             \"merge_seconds\": {:.6}, \
              \"stage_seconds\": {{\"lower\": {:.6}, \"reuse\": {:.6}, \
              \"solve\": {:.6}, \"cascade\": {:.6}, \"classify\": {:.6}}}}},\n",
             st.scan_points,
@@ -259,7 +259,6 @@ fn render_json(
             st.scan_sets_runs,
             st.time_scan_shards.as_secs_f64(),
             st.time_scan_longest_shard.as_secs_f64(),
-            st.scan_steals,
             st.time_scan_merge.as_secs_f64(),
             st.time_lower.as_secs_f64(),
             st.time_reuse.as_secs_f64(),

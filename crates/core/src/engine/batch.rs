@@ -41,75 +41,46 @@ pub(crate) fn coalesce_scan_slots(
     (executors, role)
 }
 
-/// Merges two outcomes of *adjacent* block ranges (`a` before `b`).
-/// Counters add; miss runs concatenate wholesale, fusing only at the seam
+/// Appends the outcome of the block range right after `a`'s to `a`.
+/// Counters add; `b`'s miss runs are appended, fusing only at the seam
 /// when `b`'s first run abuts `a`'s last (a miss cluster split by the
 /// block boundary). Because each side's run list is already maximal, this
-/// seam rule is exactly [`push_miss_span`]'s fusion rule, so adjacent
-/// merges are associative and any merge order yields the same bytes.
+/// seam rule is exactly [`push_miss_span`]'s fusion rule, so the merged
+/// list is maximal again. Each step touches only `b`'s runs, so a left
+/// fold over a scan's blocks is linear in its total run count.
 ///
 /// [`push_miss_span`]: super::stages::cascade::push_miss_span
-fn merge_adjacent(mut a: CascadeResult, mut b: CascadeResult) -> CascadeResult {
+fn merge_adjacent(a: &mut CascadeResult, b: CascadeResult) {
     a.replacement_misses += b.replacement_misses;
     for (acc, c) in a.contentions.iter_mut().zip(&b.contentions) {
         *acc += c;
     }
     a.truncated += b.truncated;
-    let mut skip = 0;
-    if let (Some(last), Some(&(b_lo, b_hi))) = (a.miss_runs.last_mut(), b.miss_runs.first()) {
+    let mut runs = b.miss_runs.into_iter();
+    if let (Some(last), Some(&(b_lo, b_hi))) = (a.miss_runs.last_mut(), runs.as_slice().first()) {
         if last.1 + 1 == b_lo {
             last.1 = b_hi;
-            skip = 1;
+            runs.next();
         }
     }
-    a.miss_runs.extend(b.miss_runs.drain(skip..));
-    a
-}
-
-/// Pairwise tree reduction over one round item's block outcomes, in block
-/// order. A tree of adjacent merges moves whole run vectors at each level
-/// instead of re-pushing every run through a single accumulator, so the
-/// merge cost is governed by the tree depth rather than re-traversing the
-/// growing fold accumulator once per block.
-fn reduce_tree(mut level: Vec<CascadeResult>) -> Option<CascadeResult> {
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut pairs = level.into_iter();
-        while let Some(a) = pairs.next() {
-            match pairs.next() {
-                Some(b) => next.push(merge_adjacent(a, b)),
-                None => next.push(a),
-            }
-        }
-        level = next;
-    }
-    level.pop()
+    a.miss_runs.extend(runs);
 }
 
 /// Merges pooled per-block scan results into one outcome per round item.
-/// `jobs[j].0` names the round item block `j` belongs to; blocks cover
-/// run ranges in order, so a tree of adjacent merges per item rebuilds
-/// the canonical maximal-run list and associative counter sums — the
-/// merged outcome is byte-identical to an unsharded scan.
+/// `jobs[j].0` names the round item block `j` belongs to; each item's
+/// blocks cover its run ranges in order, so folding them left to right
+/// onto the item's empty outcome rebuilds the canonical maximal-run list
+/// and the counter sums — the merged outcome is byte-identical to an
+/// unsharded scan.
 pub(crate) fn merge_scan_blocks(
-    empties: Vec<CascadeResult>,
+    mut merged: Vec<CascadeResult>,
     jobs: Vec<(usize, usize, usize)>,
     partials: Vec<CascadeResult>,
 ) -> Vec<Arc<CascadeResult>> {
-    let mut groups: Vec<Vec<CascadeResult>> = (0..empties.len()).map(|_| Vec::new()).collect();
     for ((ri, _, _), part) in jobs.into_iter().zip(partials) {
-        groups[ri].push(part);
+        merge_adjacent(&mut merged[ri], part);
     }
-    empties
-        .into_iter()
-        .zip(groups)
-        .map(|(base, group)| {
-            Arc::new(match reduce_tree(group) {
-                Some(part) => merge_adjacent(base, part),
-                None => base,
-            })
-        })
-        .collect()
+    merged.into_iter().map(Arc::new).collect()
 }
 
 #[cfg(test)]
@@ -144,8 +115,8 @@ mod tests {
     fn merge_tree_fuses_seams_across_odd_block_counts() {
         // Five blocks of one round item whose boundary runs chain: the
         // cluster 3..=9 is split across blocks 0-2, and 20..=25 across
-        // blocks 3-4. The tree (pairs, then a leftover odd block) must
-        // fuse every seam exactly as a sequential fold would.
+        // blocks 3-4. The fold must fuse every seam exactly as one
+        // unsharded scan would have pushed the runs.
         let empties = vec![CascadeResult::empty(2)];
         let jobs = vec![(0, 0, 2), (0, 2, 4), (0, 4, 6), (0, 6, 8), (0, 8, 10)];
         let partials = vec![

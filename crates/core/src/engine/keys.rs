@@ -56,14 +56,8 @@ pub(crate) fn prefix_key(cache: &CacheConfig, options: &AnalysisOptions, structu
 
 /// Key of one reference's solve set (cold/indeterminate cascade): the
 /// prefix plus the reference index, its own array's line offset
-/// `B_D mod Ls`, the `ε` early-stop threshold (which truncates the
-/// vector sequence), and the survivor-representation policy — the
-/// memoized `SolveSet` *embeds* its scan sets in the chosen
-/// representation, so a `ForceDense` session must not be handed a
-/// run-compressed artifact cached by an earlier `Auto` run (the verdicts
-/// would still be bit-identical, but the policy and its stats counters
-/// would silently lie). Scan outcomes are representation-independent, so
-/// [`scan_key`] deliberately does *not* key the policy.
+/// `B_D mod Ls`, and the `ε` early-stop threshold (which truncates the
+/// vector sequence).
 pub(crate) fn cascade_key(
     prefix: u128,
     nest: &LoopNest,
@@ -73,10 +67,7 @@ pub(crate) fn cascade_key(
 ) -> u128 {
     let base = nest.array(nest.references()[dest].array()).base();
     let mut h = KeyHasher::from_prefix(0xca5c, prefix);
-    h.feed(&dest)
-        .feed(&modulo(base, ls))
-        .feed(&options.epsilon)
-        .feed(&options.survivor_repr);
+    h.feed(&dest).feed(&modulo(base, ls)).feed(&options.epsilon);
     h.finish()
 }
 
@@ -200,31 +191,6 @@ mod tests {
             cascade_key(p, &n1, &opts, 0, ls),
             cascade_key(p, &n1, &exact, 0, ls)
         );
-    }
-
-    #[test]
-    fn survivor_repr_keys_solve_sets_but_not_scan_outcomes() {
-        let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
-        let ls = cache.line_elems();
-        let n = nest_with_bases([0, 100]);
-        let opts = AnalysisOptions::default();
-        let p = prefix_of(&cache, &opts, &n);
-        for forced in [
-            crate::SurvivorRepr::ForceRuns,
-            crate::SurvivorRepr::ForceDense,
-        ] {
-            let alt = AnalysisOptions::builder().survivor_repr(forced).build();
-            // The memoized SolveSet embeds its representation: key it.
-            assert_ne!(
-                cascade_key(p, &n, &opts, 0, ls),
-                cascade_key(p, &n, &alt, 0, ls)
-            );
-            // Scan verdicts are representation-independent: share them.
-            assert_eq!(
-                scan_key(p, &n, &opts, 0, 1, ls),
-                scan_key(p, &n, &alt, 0, 1, ls)
-            );
-        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ use cme_cache::{CacheConfig, CacheModel};
 use cme_ir::{LoopNest, NestId, ProgramDb, RefId};
 use cme_math::SolveMemo;
 use cme_reuse::ReuseVector;
-use stages::cascade::{scan_run_block, shard_weight, split_blocks, CascadeResult};
+use stages::cascade::{scan_run_block, split_blocks, CascadeResult};
 use stages::classify::Classification;
 use stages::lower::LoweredNest;
 use stages::reuse::ReusePlan;
@@ -507,11 +507,10 @@ impl Engine {
             let mut jobs: Vec<(usize, usize, usize)> = Vec::new(); // (round idx, run_lo, run_hi)
             for (ri, &ti) in tis.iter().enumerate() {
                 let (pi, vi, _) = todo[ti];
-                let Plan::Cached { rvs, solve, .. } = &plans[pi] else {
+                let Plan::Cached { solve, .. } = &plans[pi] else {
                     unreachable!("todo items only come from cached plans");
                 };
-                let weight = shard_weight(rvs[vi].vector());
-                for (run_lo, run_hi) in split_blocks(&solve.vectors[vi].scan_set, threads, weight) {
+                for (run_lo, run_hi) in split_blocks(&solve.vectors[vi].scan_set, threads) {
                     jobs.push((ri, run_lo, run_hi));
                 }
             }

@@ -2,15 +2,12 @@
 //!
 //! The engine's parallelism is a flat bag of independent work items —
 //! whole-reference passthroughs and per-`(reference, reuse-vector)` window
-//! scans. The item range is partitioned into one contiguous lane per
-//! worker, each lane owning a cache-line-padded claim cursor ([`Lane`]) so
-//! the hot claim path never bounces a shared line between cores; a worker
-//! that drains its lane *steals* from the fullest remaining lane, so an
-//! expensive item never serializes the cheap ones behind it. Results land
-//! in their item's slot, keeping the output order deterministic regardless
-//! of scheduling, and every claim is timed — [`PoolStats`] reports the
-//! per-shard busy time, the critical path, and the steal count that the
-//! perf artifacts and `EngineStats` surface.
+//! scans. Workers claim items from one shared cursor, so an expensive item
+//! never serializes the cheap ones behind it. Results land in their item's
+//! slot, keeping the output order deterministic regardless of scheduling,
+//! and every worker is timed — [`PoolStats`] reports the per-shard busy
+//! time and the critical path that the perf artifacts and `EngineStats`
+//! surface.
 //!
 //! The pool is also the engine's **panic boundary**: every `work` call
 //! runs under `catch_unwind`, so a panicking item (inline or pooled)
@@ -19,7 +16,7 @@
 //! workers stop claiming items; the caller loses only this query.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -40,45 +37,12 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Scheduling telemetry from one pooled run: how many shards (workers)
 /// actually ran, how much wall time they spent inside work items in total,
-/// the busiest single shard (the run's critical path), and how many items
-/// were claimed from another worker's lane.
+/// and the busiest single shard (the run's critical path).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PoolStats {
     pub(crate) shards: usize,
     pub(crate) busy: Duration,
     pub(crate) longest: Duration,
-    pub(crate) steals: u64,
-}
-
-/// One worker's contiguous slice of the item range, padded to a cache line
-/// so claim traffic on one lane never invalidates a neighbour's cursor.
-#[repr(align(64))]
-struct Lane {
-    /// Next unclaimed index in `lo..hi`; claims past `hi` mean "drained".
-    cursor: AtomicUsize,
-    hi: usize,
-}
-
-impl Lane {
-    /// Claims the next item of this lane, if any.
-    fn claim(&self) -> Option<usize> {
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
-        (idx < self.hi).then_some(idx)
-    }
-
-    /// Items still unclaimed — racy by nature, used only to pick a victim.
-    fn remaining(&self) -> usize {
-        self.hi.saturating_sub(self.cursor.load(Ordering::Relaxed))
-    }
-}
-
-/// Per-worker timing accumulators, padded like the lanes: `busy_ns` is hot
-/// (one store per item) and must not share a line with another worker's.
-#[repr(align(64))]
-#[derive(Default)]
-struct LaneClock {
-    busy_ns: AtomicU64,
-    steals: AtomicU64,
 }
 
 /// Runs `work(index, item)` over every item and returns the results in
@@ -114,104 +78,74 @@ where
             shards: usize::from(!out.is_empty()),
             busy,
             longest: busy,
-            steals: 0,
         };
         return Ok((out, stats));
     }
     let n = items.len();
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let workers = threads.min(n);
-    // Partition `0..n` into one contiguous lane per worker, front-loading
-    // the remainder so lane sizes differ by at most one.
-    let lanes: Vec<Lane> = {
-        let (base, extra) = (n / workers, n % workers);
-        let mut lo = 0;
-        (0..workers)
-            .map(|w| {
-                let len = base + usize::from(w < extra);
-                let lane = Lane {
-                    cursor: AtomicUsize::new(lo),
-                    hi: lo + len,
-                };
-                lo += len;
-                lane
-            })
-            .collect()
-    };
-    let clocks: Vec<LaneClock> = (0..workers).map(|_| LaneClock::default()).collect();
+    let next = AtomicUsize::new(0);
     let aborted = AtomicBool::new(false);
     let first_panic: Mutex<Option<String>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let lanes = &lanes;
-            let clocks = &clocks;
-            let aborted = &aborted;
-            let first_panic = &first_panic;
-            let guarded = &guarded;
-            let slots = &slots;
-            let results = &results;
-            scope.spawn(move || {
-                let start = Instant::now();
-                loop {
-                    if aborted.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // Own lane first; once drained, raid the fullest lane.
-                    let idx = lanes[w].claim().or_else(|| {
-                        let victim = (0..workers)
-                            .filter(|&v| v != w)
-                            .max_by_key(|&v| lanes[v].remaining())?;
-                        let idx = lanes[victim].claim()?;
-                        clocks[w].steals.fetch_add(1, Ordering::Relaxed);
-                        Some(idx)
-                    });
-                    let Some(idx) = idx else { break };
-                    // A poisoned slot can only mean another worker panicked
-                    // while holding it mid-claim; treat its item as consumed.
-                    let item = slots[idx].lock().unwrap_or_else(|e| e.into_inner()).take();
-                    let Some(item) = item else { continue };
-                    match guarded(idx, item) {
-                        Ok(out) => {
-                            *results[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                        }
-                        Err(payload) => {
-                            aborted.store(true, Ordering::Relaxed);
-                            first_panic
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .get_or_insert_with(|| payload_message(payload));
+    // Each worker returns its busy time and the `(index, result)` pairs it
+    // produced; the caller scatters them back into item order.
+    let shards: Vec<(Duration, Vec<(usize, R)>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let start = Instant::now();
+                    let mut done = Vec::new();
+                    while !aborted.load(Ordering::Relaxed) {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
                             break;
                         }
+                        // A poisoned slot can only mean another worker
+                        // panicked while holding it; treat its item as consumed.
+                        let item = slots[idx].lock().unwrap_or_else(|e| e.into_inner()).take();
+                        let Some(item) = item else { continue };
+                        match guarded(idx, item) {
+                            Ok(out) => done.push((idx, out)),
+                            Err(payload) => {
+                                aborted.store(true, Ordering::Relaxed);
+                                first_panic
+                                    .lock()
+                                    .unwrap_or_else(|e| e.into_inner())
+                                    .get_or_insert_with(|| payload_message(payload));
+                                break;
+                            }
+                        }
                     }
-                }
-                clocks[w]
-                    .busy_ns
-                    .store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            });
-        }
+                    (start.elapsed(), done)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|_| (Duration::ZERO, Vec::new())))
+            .collect()
     });
     if let Some(message) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
         return Err(WorkerPanic(message));
     }
-    let mut out = Vec::with_capacity(n);
-    for m in results {
-        match m.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(r) => out.push(r),
-            // Unreachable without a recorded panic, but stay panic-free.
-            None => return Err(WorkerPanic("worker skipped an item".to_string())),
-        }
-    }
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut stats = PoolStats {
         shards: workers,
         ..PoolStats::default()
     };
-    for clock in &clocks {
-        let busy = Duration::from_nanos(clock.busy_ns.load(Ordering::Relaxed));
+    for (busy, done) in shards {
         stats.busy += busy;
         stats.longest = stats.longest.max(busy);
-        stats.steals += clock.steals.load(Ordering::Relaxed);
+        for (idx, r) in done {
+            results[idx] = Some(r);
+        }
     }
+    // A missing result is unreachable without a recorded panic, but stay
+    // panic-free.
+    let out = results
+        .into_iter()
+        .map(|r| r.ok_or_else(|| WorkerPanic("worker skipped an item".to_string())))
+        .collect::<Result<Vec<R>, _>>()?;
     Ok((out, stats))
 }
 
@@ -294,30 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn slow_lane_is_raided() {
-        // Lane 0 owns the first half of the items; making its first item
-        // slow forces the other workers to drain their lanes and then
-        // steal the rest of lane 0's work.
-        let items: Vec<u64> = (0..64).collect();
-        let (out, stats) = run_pool_stats(items, 4, |i, x| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-            }
-            x
-        })
-        .unwrap();
-        assert_eq!(out, (0..64).collect::<Vec<_>>());
-        if std::thread::available_parallelism().map_or(1, usize::from) >= 2 {
-            assert!(stats.steals > 0, "expected steals, got {stats:?}");
-        }
-    }
-
-    #[test]
     fn inline_stats_report_single_shard() {
         let (out, stats) = run_pool_stats(vec![1u8, 2, 3], 1, |_, x| x).unwrap();
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(stats.shards, 1);
-        assert_eq!(stats.steals, 0);
         assert_eq!(stats.busy, stats.longest);
     }
 

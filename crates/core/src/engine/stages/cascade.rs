@@ -89,30 +89,13 @@ fn line_span(addr: i64, stride: i64, line: i64, ls: i64) -> i64 {
 /// the parallelism.
 const MIN_BLOCK_POINTS: u64 = 4096;
 
-/// Reuse-plan-aware shard weight for [`split_blocks`]: a stepping vector
-/// (any component besides a gap-one innermost) drags the window across
-/// whole array rows per point, so its per-point scan cost dwarfs gap-one
-/// and intra-iteration vectors — its scans split 16× finer so the pool
-/// can balance them.
-pub(crate) fn shard_weight(r: &[i64]) -> u64 {
-    let inner = r.len() - 1;
-    let intra = r.iter().all(|&c| c == 0);
-    let gap_one = r[inner] == 1 && r[..inner].iter().all(|&c| c == 0);
-    if intra || gap_one {
-        1
-    } else {
-        16
-    }
-}
-
 /// Shards a scan set into contiguous blocks of whole chunks (runs of a
 /// [`RunSet`], rows of a dense set), sized so every worker gets a few
-/// blocks. `weight` is the reuse plan's relative per-point cost estimate
-/// (stepping vectors touch far more window state per point than gap-one
-/// or intra vectors), so expensive scans split into proportionally
-/// smaller blocks and the pool can balance them. A single oversized
+/// blocks but none falls under [`MIN_BLOCK_POINTS`]. A single oversized
 /// chunk still forms one block (chunks are the sharding granularity).
-pub(crate) fn split_blocks(set: &SurvivorSet, threads: usize, weight: u64) -> Vec<(usize, usize)> {
+///
+/// [`RunSet`]: crate::pointset::RunSet
+pub(crate) fn split_blocks(set: &SurvivorSet, threads: usize) -> Vec<(usize, usize)> {
     let nchunks = set.chunk_count();
     if nchunks == 0 {
         return Vec::new();
@@ -120,8 +103,7 @@ pub(crate) fn split_blocks(set: &SurvivorSet, threads: usize, weight: u64) -> Ve
     if threads <= 1 {
         return vec![(0, nchunks)];
     }
-    let floor = MIN_BLOCK_POINTS / weight.clamp(1, MIN_BLOCK_POINTS);
-    let target = (set.len() / (threads as u64 * 4)).max(floor.max(1));
+    let target = (set.len() / (threads as u64 * 4)).max(MIN_BLOCK_POINTS);
     let mut blocks = Vec::new();
     let mut start = 0usize;
     for ci in 0..nchunks {
@@ -537,4 +519,54 @@ fn degrade_tail(
     let n = g_end - g_from;
     *replacement_misses += n;
     n
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A 2-D set with `rows` rows of `runs_per_row` runs of `run_len`
+    /// points each, spaced two points apart.
+    fn fragmented(dense: bool, rows: i64, runs_per_row: i64, run_len: i64) -> SurvivorSet {
+        let mut set = SurvivorSet::new(2, dense);
+        for row in 0..rows {
+            for r in 0..runs_per_row {
+                let lo = r * (run_len + 2);
+                set.push_run(&[row], lo, lo + run_len - 1);
+            }
+        }
+        set
+    }
+
+    #[test]
+    fn split_blocks_tiles_every_chunk_in_order() {
+        // 40 000 points as 4 000 short runs (run-compressed) and as 100
+        // rows (dense): both split well above the 4096-point floor.
+        let sets = [
+            fragmented(false, 100, 40, 10),
+            fragmented(true, 100, 40, 10),
+        ];
+        for set in &sets {
+            let nchunks = set.chunk_count();
+            assert_eq!(nchunks, if set.is_dense() { 100 } else { 4000 });
+            for threads in [1, 2, 4, 8] {
+                let blocks = split_blocks(set, threads);
+                if threads <= 1 {
+                    assert_eq!(blocks, vec![(0, nchunks)]);
+                }
+                let target = (set.len() / (threads as u64 * 4)).max(MIN_BLOCK_POINTS);
+                assert_eq!(blocks.first().map(|b| b.0), Some(0));
+                assert_eq!(blocks.last().map(|b| b.1), Some(nchunks));
+                for (i, &(lo, hi)) in blocks.iter().enumerate() {
+                    assert!(lo < hi, "empty block {i} at {threads} threads");
+                    if let Some(&(next_lo, _)) = blocks.get(i + 1) {
+                        assert_eq!(hi, next_lo, "gap after block {i}");
+                        let points = set.chunk_start(hi) - set.chunk_start(lo);
+                        assert!(points >= target, "block {i} short: {points} < {target}");
+                    }
+                }
+            }
+        }
+        assert!(split_blocks(&SurvivorSet::new(2, false), 4).is_empty());
+    }
 }

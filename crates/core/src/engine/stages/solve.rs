@@ -4,10 +4,9 @@
 //! scanned inline.
 //!
 //! Survivor sets are [`SurvivorSet`]s — run-compressed or flat dense,
-//! picked per scan by a density estimate from the reuse plan (or forced
-//! via [`SurvivorRepr`]); both enumerate points in the same
-//! lexicographic order, so the classification is bit-identical either
-//! way. Sets are classified segment-wise, never point by point: along an
+//! picked per scan by a density estimate from the reuse plan; both
+//! enumerate points in the same lexicographic order, so the
+//! classification is bit-identical either way. Sets are classified segment-wise, never point by point: along an
 //! innermost run the destination and source lines are floors of affine
 //! functions of the innermost index, so the verdict can only flip at
 //! computable line-boundary crossings — and when the stride divides the
@@ -28,7 +27,7 @@ use cme_math::{Affine, Interval};
 use cme_reuse::ReuseVector;
 
 use crate::governor::QueryGovernor;
-use crate::pointset::{SurvivorRepr, SurvivorSet};
+use crate::pointset::SurvivorSet;
 use crate::solve::AnalysisOptions;
 
 use super::lower::LoweredNest;
@@ -36,7 +35,7 @@ use super::lower::LoweredNest;
 /// One reuse vector's slice of a reference's refinement: how many points
 /// entered, how many stayed indeterminate (cold-CME solutions), and the
 /// set of points whose reuse windows must be scanned (run-compressed or
-/// dense per the representation policy).
+/// dense per the density estimate).
 #[derive(Debug, Clone)]
 pub(crate) struct SolvedVector {
     pub(crate) examined: u64,
@@ -440,13 +439,7 @@ pub(crate) fn build(
         // once the incoming survivors are at least a 1/Ls fraction of the
         // space — below that, run compression stores the same set in less
         // memory than one bit per space point.
-        let dense = match options.survivor_repr {
-            SurvivorRepr::ForceRuns => false,
-            SurvivorRepr::ForceDense => true,
-            SurvivorRepr::Auto => {
-                examined.saturating_mul(cache.line_elems() as u64) >= total_points
-            }
-        };
+        let dense = examined.saturating_mul(cache.line_elems() as u64) >= total_points;
         let mut cls = RunClassifier {
             space: nest.space(),
             ls: cache.line_elems(),

@@ -54,7 +54,6 @@ pub(crate) struct Counters {
     pub(crate) scan_sets_runs: AtomicU64,
     pub(crate) scan_shard_busy_ns: AtomicU64,
     pub(crate) scan_shard_longest_ns: AtomicU64,
-    pub(crate) scan_steals: AtomicU64,
     pub(crate) scan_merge_ns: AtomicU64,
     pub(crate) truncated_points: AtomicU64,
     pub(crate) exhausted_analyses: AtomicU64,
@@ -106,7 +105,7 @@ impl Counters {
         slot.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one pooled scan round's lane clocks into the session totals.
+    /// Folds one pooled scan round's worker clocks into the session totals.
     pub(crate) fn note_shard_stats(&self, stats: &super::pool::PoolStats) {
         self.scan_shard_busy_ns.fetch_add(
             u64::try_from(stats.busy.as_nanos()).unwrap_or(u64::MAX),
@@ -116,7 +115,6 @@ impl Counters {
             u64::try_from(stats.longest.as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
-        self.scan_steals.fetch_add(stats.steals, Ordering::Relaxed);
     }
 }
 
@@ -163,8 +161,7 @@ pub struct EngineStats {
     /// Largest indeterminate set entering any single reuse vector.
     pub peak_survivors: u64,
     /// Survivor scan sets held in the flat dense representation (picked
-    /// by the density heuristic or forced via
-    /// [`crate::SurvivorRepr::ForceDense`]).
+    /// by the density heuristic).
     pub scan_sets_dense: u64,
     /// Survivor scan sets held run-compressed.
     pub scan_sets_runs: u64,
@@ -173,8 +170,6 @@ pub struct EngineStats {
     /// Busiest single shard pass of any scan round — the cascade stage's
     /// parallel critical path.
     pub time_scan_longest_shard: Duration,
-    /// Scan blocks a worker claimed from another worker's lane.
-    pub scan_steals: u64,
     /// Wall time merging per-block scan outcomes back into per-slot
     /// results.
     pub time_scan_merge: Duration,
@@ -305,11 +300,8 @@ impl fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "  scan shards:   {:.1?} busy (longest {:.1?}), {} steals, merge {:.1?}",
-            self.time_scan_shards,
-            self.time_scan_longest_shard,
-            self.scan_steals,
-            self.time_scan_merge
+            "  scan shards:   {:.1?} busy (longest {:.1?}), merge {:.1?}",
+            self.time_scan_shards, self.time_scan_longest_shard, self.time_scan_merge
         )?;
         writeln!(
             f,
@@ -383,7 +375,6 @@ impl Engine {
             scan_sets_runs: c.scan_sets_runs.load(Ordering::Relaxed),
             time_scan_shards: ns(&c.scan_shard_busy_ns),
             time_scan_longest_shard: ns(&c.scan_shard_longest_ns),
-            scan_steals: c.scan_steals.load(Ordering::Relaxed),
             time_scan_merge: ns(&c.scan_merge_ns),
             truncated_points: c.truncated_points.load(Ordering::Relaxed),
             exhausted_analyses: c.exhausted_analyses.load(Ordering::Relaxed),

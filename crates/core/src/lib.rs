@@ -100,7 +100,7 @@ pub use engine::{
 pub use equations::{CmeSystem, ColdEquation, EquationGroup, RefEquations, ReplacementEquation};
 pub use faults::{FaultPlan, InjectedFaults, ReadFault, WriteFault};
 pub use governor::{AnalysisError, Budget, CancelToken, ExhaustReason, GovernedAnalysis, Outcome};
-pub use pointset::{DenseSet, PointSet, Run, RunSet, SurvivorRepr, SurvivorRuns, SurvivorSet};
+pub use pointset::{DenseSet, PointSet, Run, RunSet, SurvivorRuns, SurvivorSet};
 pub use sequence::{analyze_sequence, SequenceAnalysis};
 pub use solve::{
     AnalysisOptions, AnalysisOptionsBuilder, InvalidOptions, NestAnalysis, RefAnalysis,

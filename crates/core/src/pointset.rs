@@ -622,22 +622,6 @@ impl<'a> Iterator for DenseRuns<'a> {
     }
 }
 
-/// How the engine stores survivor and scan sets
-/// ([`AnalysisOptions::survivor_repr`](crate::AnalysisOptions)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SurvivorRepr {
-    /// Pick per scan from a density estimate: dense when the incoming
-    /// survivor count is at least a `1/Ls` fraction of the iteration
-    /// space (run compression cannot beat ~`Ls`-points-per-run packing
-    /// at that density), run-compressed otherwise.
-    #[default]
-    Auto,
-    /// Always run-compressed ([`RunSet`]).
-    ForceRuns,
-    /// Always dense bitmap rows ([`DenseSet`]).
-    ForceDense,
-}
-
 /// A survivor/scan point set in either representation. Both sides share
 /// the push contract, the lexicographic point order, and the decoded
 /// maximal-run stream, so every consumer — classification walks, window

@@ -51,11 +51,6 @@ pub struct AnalysisOptions {
     /// lines in O(conflicts) per innermost row via modular arithmetic;
     /// this flag restores the naive O(points·refs) walk for comparison).
     pub pointwise_windows: bool,
-    /// How the engine stores survivor and scan sets: run-compressed,
-    /// dense bitmap rows, or (default) an automatic per-scan choice from
-    /// a density estimate. Either representation produces bit-identical
-    /// results; this knob only moves the time/memory trade.
-    pub survivor_repr: crate::pointset::SurvivorRepr,
 }
 
 impl AnalysisOptions {
@@ -132,12 +127,6 @@ impl AnalysisOptionsBuilder {
     /// Scans reuse windows point by point (ablation knob).
     pub fn pointwise_windows(mut self, on: bool) -> Self {
         self.options.pointwise_windows = on;
-        self
-    }
-
-    /// Sets the survivor/scan set representation policy.
-    pub fn survivor_repr(mut self, repr: crate::pointset::SurvivorRepr) -> Self {
-        self.options.survivor_repr = repr;
         self
     }
 

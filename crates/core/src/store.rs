@@ -158,11 +158,7 @@ impl ArtifactKey {
 
 /// Hashes every analysis-relevant field of [`AnalysisOptions`] into the
 /// store key. Any option that can change the result (or its recorded
-/// side data, like collected miss points) must land here. Pure
-/// performance knobs stay out: `survivor_repr` only moves the
-/// time/memory trade of the in-memory scan sets, and both
-/// representations produce bit-identical results, so a persisted
-/// artifact is valid under any representation policy.
+/// side data, like collected miss points) must land here.
 pub fn options_fingerprint(options: &AnalysisOptions) -> u128 {
     let mut h = KeyHasher::new(0x09f5);
     h.feed(&options.epsilon)
@@ -1264,20 +1260,5 @@ mod tests {
         assert_eq!(store.entry_count(), 1, "temp files are not entries");
         assert_eq!(store.get(&key).unwrap(), analysis);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn survivor_repr_does_not_split_the_store() {
-        // The representation policy is a pure performance knob — both
-        // sides produce bit-identical artifacts, so forcing either must
-        // hit entries persisted under the other.
-        let base = AnalysisOptions::default();
-        for repr in [
-            crate::SurvivorRepr::ForceRuns,
-            crate::SurvivorRepr::ForceDense,
-        ] {
-            let forced = AnalysisOptions::builder().survivor_repr(repr).build();
-            assert_eq!(options_fingerprint(&base), options_fingerprint(&forced));
-        }
     }
 }

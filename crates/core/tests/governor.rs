@@ -1,29 +1,37 @@
 //! Governor behaviour on the dense cascade path: a tiny budget must
-//! degrade a forced-dense analysis to a sound bound (never panic, never
-//! undercount), and truncated outcomes must never leak into the memo
-//! tables or the persistent artifact store.
+//! degrade an analysis whose scan sets go dense to a sound bound (never
+//! panic, never undercount), and truncated outcomes must never leak into
+//! the memo tables or the persistent artifact store.
+//!
+//! mmult N=16 on the 2048 B 4-way cache puts some of its scan sets on the
+//! dense side of the density heuristic under default options; every test
+//! checks that on its exact run, so the dense path stays covered.
 
 use std::sync::Arc;
 
 use cme_cache::CacheConfig;
-use cme_core::solve::AnalysisOptions;
-use cme_core::{Analyzer, ArtifactStore, Budget, SurvivorRepr};
+use cme_core::{Analyzer, ArtifactStore, Budget};
 use cme_kernels::mmult;
 
-fn dense_opts() -> AnalysisOptions {
-    AnalysisOptions::builder()
-        .survivor_repr(SurvivorRepr::ForceDense)
-        .build()
+fn cache() -> CacheConfig {
+    CacheConfig::new(2048, 4, 32, 4).unwrap()
+}
+
+/// Asserts that `analyzer`'s runs so far held at least one scan set in
+/// the dense representation.
+fn assert_took_dense_path(analyzer: &Analyzer) {
+    let stats = analyzer.stats();
+    assert!(stats.scan_sets_dense > 0, "no dense scan set: {stats}");
 }
 
 #[test]
 fn tiny_budget_truncates_the_dense_path_to_a_sound_bound() {
-    let cache = CacheConfig::new(2048, 4, 32, 4).unwrap();
     let nest = mmult(16);
-    let exact = Analyzer::new(cache).options(dense_opts()).analyze(&nest);
+    let mut exact_session = Analyzer::new(cache());
+    let exact = exact_session.analyze(&nest);
+    assert_took_dense_path(&exact_session);
 
-    let governed = Analyzer::new(cache)
-        .options(dense_opts())
+    let governed = Analyzer::new(cache())
         .budget(Budget::unlimited().with_max_solves(50))
         .try_analyze(&nest)
         .unwrap();
@@ -41,15 +49,17 @@ fn tiny_budget_truncates_the_dense_path_to_a_sound_bound() {
 
 #[test]
 fn truncated_dense_scans_are_never_memoized() {
-    let cache = CacheConfig::new(2048, 4, 32, 4).unwrap();
     let nest = mmult(16);
+    let mut exact_session = Analyzer::new(cache());
+    let exact = exact_session.analyze(&nest);
+    assert_took_dense_path(&exact_session);
+
     // A solve budget (not a point ceiling) trips *mid-pipeline*: the
     // first reference's scans still run, truncated by the dead governor.
-    let mut analyzer = Analyzer::new(cache)
-        .options(dense_opts())
-        .budget(Budget::unlimited().with_max_solves(50));
+    let mut analyzer = Analyzer::new(cache()).budget(Budget::unlimited().with_max_solves(50));
     let first = analyzer.try_analyze(&nest).unwrap();
     assert!(first.outcome.is_exhausted(), "{:?}", first.outcome);
+    assert!(first.analysis.total_misses() >= exact.total_misses());
     let after_first = analyzer.stats();
 
     // A second identical query must redo the truncated work — nothing of
@@ -73,18 +83,13 @@ fn truncated_dense_scans_are_never_memoized() {
 
 #[test]
 fn truncated_dense_analyses_are_never_persisted() {
-    let dir = std::env::temp_dir().join(format!(
-        "cme-governor-test-{}-{:x}",
-        std::process::id(),
-        std::ptr::from_ref(&dense_opts) as usize
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("cme-governor-dense-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-    let cache = CacheConfig::new(2048, 4, 32, 4).unwrap();
     let nest = mmult(16);
 
-    let mut truncated = Analyzer::new(cache)
-        .options(dense_opts())
+    let mut truncated = Analyzer::new(cache())
         .budget(Budget::unlimited().with_max_solves(50))
         .store(store.clone());
     let g = truncated.try_analyze(&nest).unwrap();
@@ -97,10 +102,9 @@ fn truncated_dense_analyses_are_never_persisted() {
     assert_eq!(store.entry_count(), 0);
 
     // The same session shape with no budget persists normally.
-    let mut complete = Analyzer::new(cache)
-        .options(dense_opts())
-        .store(store.clone());
+    let mut complete = Analyzer::new(cache()).store(store.clone());
     let full = complete.analyze(&nest);
+    assert_took_dense_path(&complete);
     assert!(complete.stats().store_writes > 0);
     assert!(store.entry_count() > 0);
     // And the degraded run's overcount brackets the persisted truth.

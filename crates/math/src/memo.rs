@@ -7,7 +7,7 @@
 //! exact counts keyed by the full `(coefficients, rhs, bounds)` tuple, with
 //! hit/miss counters so callers can report memo effectiveness.
 //!
-//! The memo is safe to share across threads (a work-stealing analysis pool
+//! The memo is safe to share across threads (a pooled analysis
 //! consults it concurrently): lookups and inserts go through an internal
 //! mutex, and the counters are atomic.
 

@@ -9,7 +9,7 @@
 //! the uncached reference path (an `Analyzer` session with memoization
 //! disabled) on the paper's Table-1 matmul, the Figure-8
 //! configuration, and a proptest corpus, for associativities
-//! k ∈ {1, 2, 4, 8, full}.
+//! k ∈ {1, 2, 4, 8, full}, plus the whole Table-1 suite on a 4-way cache.
 //!
 //! Equality is on whole [`cme::core::NestAnalysis`] values, so it covers
 //! total and per-reference miss counts, every per-vector report
@@ -19,7 +19,7 @@
 use cme::cache::CacheConfig;
 use cme::core::{AnalysisOptions, Analyzer, NestAnalysis};
 use cme::ir::LoopNest;
-use cme::kernels::mmult_with_bases;
+use cme::kernels::{mmult_with_bases, table1_suite};
 use cme_testgen::{arb_cache, arb_nest, NestDistribution};
 use proptest::prelude::*;
 
@@ -130,6 +130,17 @@ fn fig8_configuration_bit_identical_across_associativities() {
                 &format!("fig-8 configuration, k={}, {opts:?}", cache.assoc()),
             );
         }
+    }
+}
+
+#[test]
+fn table1_suite_bit_identical_on_a_4way_cache() {
+    // Every Table-1 kernel on a small k-way cache, where the density
+    // heuristic sends some scan sets dense and others run-compressed.
+    let cache = CacheConfig::new(2048, 4, 32, 4).unwrap();
+    let opts = AnalysisOptions::builder().collect_miss_points(true).build();
+    for nest in table1_suite(16) {
+        assert_cascade_matches_reference(&nest, cache, &opts, nest.name());
     }
 }
 
