@@ -1,28 +1,19 @@
 //! Criterion benches of the analysis pipeline (the Section 5.3 cost story:
 //! "CME generation always executes in less than 10s per program").
-// These benches time the uncached reference path (a one-shot session with
-// memoization disabled); the memoized-engine comparison lives in
-// `benches/engine.rs`.
+// These benches time the `solve` reference oracle; the engine comparisons
+// live in `benches/engine.rs` and `benches/cascade.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use cme_cache::{simulate_nest, CacheConfig};
-use cme_core::{AnalysisOptions, Analyzer, CmeSystem, NestAnalysis};
-use cme_ir::LoopNest;
+use cme_core::solve::{reference_analysis, reference_analysis_pointwise};
+use cme_core::{AnalysisOptions, CmeSystem};
 use cme_kernels::{adi, gauss, mmult, sor, tom, trans};
 use cme_reuse::{reuse_vectors, ReuseOptions};
 
 fn table1_cache() -> CacheConfig {
     CacheConfig::new(8192, 1, 32, 4).unwrap()
-}
-
-/// One uncached analysis — the monolithic miss-finding pass, no memo tables.
-fn baseline(nest: &LoopNest, cache: CacheConfig, options: &AnalysisOptions) -> NestAnalysis {
-    Analyzer::new(cache)
-        .options(options.clone())
-        .caching(false)
-        .analyze(nest)
 }
 
 /// Reuse-vector computation + symbolic equation generation per kernel
@@ -73,13 +64,14 @@ fn bench_reuse(c: &mut Criterion) {
 /// The miss-finding algorithm (Figure 6) at a bench-friendly size.
 fn bench_solve(c: &mut Criterion) {
     let cache = table1_cache();
+    let opts = AnalysisOptions::default();
     let mut g = c.benchmark_group("miss-finding");
     g.sample_size(10);
     for nest in [mmult(32), sor(64), adi(64), tom(64)] {
         g.bench_with_input(
             BenchmarkId::from_parameter(nest.name().to_string()),
             &nest,
-            |b, nest| b.iter(|| black_box(baseline(nest, cache, &AnalysisOptions::default()))),
+            |b, nest| b.iter(|| black_box(reference_analysis(nest, cache, &opts))),
         );
     }
     g.finish();
@@ -107,15 +99,12 @@ fn bench_window_scan_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("window-scan-ablation");
     g.sample_size(10);
     let nest = mmult(32);
+    let opts = AnalysisOptions::default();
     g.bench_function("row-summarized", |b| {
-        b.iter(|| black_box(baseline(&nest, cache, &AnalysisOptions::default())))
+        b.iter(|| black_box(reference_analysis(&nest, cache, &opts)))
     });
     g.bench_function("pointwise", |b| {
-        let opts = AnalysisOptions {
-            pointwise_windows: true,
-            ..AnalysisOptions::default()
-        };
-        b.iter(|| black_box(baseline(&nest, cache, &opts)))
+        b.iter(|| black_box(reference_analysis_pointwise(&nest, cache, &opts)))
     });
     g.finish();
 }
@@ -140,7 +129,7 @@ fn bench_reuse_scope_ablation(c: &mut Criterion) {
                 },
                 ..AnalysisOptions::default()
             };
-            b.iter(|| black_box(baseline(&nest, cache, &opts)))
+            b.iter(|| black_box(reference_analysis(&nest, cache, &opts)))
         });
     }
     g.finish();

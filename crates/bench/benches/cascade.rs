@@ -2,8 +2,8 @@
 //!
 //! Unlike `benches/engine.rs`, which measures memoized *re*-analysis
 //! across an optimizer search, this bench times one full cold analysis of
-//! the Table-1 matmul: the reference per-point solver (an uncached
-//! session) against the engine's cascade (all-cold certificates +
+//! the Table-1 matmul: the reference per-point solver (the `solve`
+//! oracle) against the engine's cascade (all-cold certificates +
 //! adaptive survivor sets + word-parallel delta window scans), sequential
 //! and sharded. Equivalence is asserted before timing; the final checks
 //! enforce the ≥3× bar at N=64, the ≥10× bar at N=96, the parallel win
@@ -14,6 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cme_cache::CacheConfig;
+use cme_core::solve::reference_analysis;
 use cme_core::{AnalysisOptions, Analyzer, Budget};
 
 fn table1_cache() -> CacheConfig {
@@ -41,10 +42,7 @@ fn bench_full_analysis(c: &mut Criterion) {
 
     // Equivalence first: the cascade must reproduce the reference
     // implementation bit for bit before its speed means anything.
-    let reference = Analyzer::new(cache)
-        .options(opts.clone())
-        .caching(false)
-        .analyze(&nest);
+    let reference = reference_analysis(&nest, cache, &opts);
     let mut cascade = Analyzer::new(cache).options(opts.clone());
     assert_eq!(
         reference,
@@ -103,12 +101,9 @@ fn bench_full_analysis(c: &mut Criterion) {
         })
     });
     g.bench_function("reference", |b| {
-        b.iter(|| {
-            // Memoization off: a passthrough to the monolithic per-point
-            // solver, the paper-faithful reference implementation.
-            let mut a = Analyzer::new(cache).options(opts.clone()).caching(false);
-            black_box(a.analyze(&nest))
-        })
+        // The monolithic per-point solver, the paper-faithful reference
+        // implementation.
+        b.iter(|| black_box(reference_analysis(&nest, cache, &opts)))
     });
     g.finish();
 }
@@ -123,10 +118,7 @@ fn bench_table1_n96(c: &mut Criterion) {
 
     // Bit-identity of sequential and sharded cascades against the
     // reference, at full budget, before any timing.
-    let reference = Analyzer::new(cache)
-        .options(opts.clone())
-        .caching(false)
-        .analyze(&nest);
+    let reference = reference_analysis(&nest, cache, &opts);
     assert_eq!(
         reference,
         Analyzer::new(cache).options(opts.clone()).analyze(&nest),
@@ -160,10 +152,7 @@ fn bench_table1_n96(c: &mut Criterion) {
         })
     });
     g.bench_function("reference", |b| {
-        b.iter(|| {
-            let mut a = Analyzer::new(cache).options(opts.clone()).caching(false);
-            black_box(a.analyze(&nest))
-        })
+        b.iter(|| black_box(reference_analysis(&nest, cache, &opts)))
     });
     g.finish();
 }

@@ -1,15 +1,15 @@
-//! Engine-vs-reference benches for the optimizer searches, plus the
+//! Warm-vs-uncached benches for the optimizer searches, plus the
 //! batch-vs-loop bench for `analyze_batch`.
 //!
 //! Both search benches run the *same* search code (`optimize_padding_with`,
-//! `select_tile_and_layout_with`); the only difference is the `Analyzer`'s
-//! caching switch. With caching off every candidate layout is re-analyzed
-//! from scratch through the reference per-reference solver — the
-//! pre-engine cost model. With caching on, candidates that only move base
-//! addresses or restride one array re-solve from the engine's memo tables.
-//! Each bench first proves the two paths produce bit-identical
+//! `select_tile_and_layout_with`) through the *same* staged pipeline; the
+//! only difference is the `Analyzer`'s caching switch. With caching off
+//! every candidate layout is re-analyzed from scratch, with no memo
+//! tables and no sweep memo. With caching on, candidates that only move
+//! base addresses or restride one array re-solve from the engine's memo
+//! tables. Each bench first proves the two sessions produce bit-identical
 //! transformations and miss counts, then times them; a final check asserts
-//! the ≥2× engine speedup on the Table-1 matmul configuration and the
+//! the ≥2× memo speedup on the Table-1 matmul configuration and the
 //! ≥1.5× batch speedup over a sequential per-nest loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -37,15 +37,12 @@ fn bench_padding_search(c: &mut Criterion) {
     let nest = matmul();
 
     // Equivalence first: the memoized search must land on the same layout
-    // with the same counts as the per-candidate reference path.
+    // with the same counts as an uncached session.
     let mut engine = Analyzer::new(cache);
-    let mut reference = Analyzer::new(cache).caching(false);
+    let mut uncached = Analyzer::new(cache).caching(false);
     let (nest_e, out_e) = optimize_padding_with(&mut engine, &nest);
-    let (nest_r, out_r) = optimize_padding_with(&mut reference, &nest);
-    assert_eq!(
-        nest_e, nest_r,
-        "padding: engine and reference layouts differ"
-    );
+    let (nest_r, out_r) = optimize_padding_with(&mut uncached, &nest);
+    assert_eq!(nest_e, nest_r, "padding: warm and uncached layouts differ");
     assert_eq!(out_e.method, out_r.method);
     assert_eq!(out_e.total_before, out_r.total_before);
     assert_eq!(out_e.total_after, out_r.total_after);
@@ -62,8 +59,8 @@ fn bench_padding_search(c: &mut Criterion) {
     g.bench_function("engine", |b| {
         b.iter(|| black_box(optimize_padding_with(&mut engine, &nest)))
     });
-    g.bench_function("reference", |b| {
-        b.iter(|| black_box(optimize_padding_with(&mut reference, &nest)))
+    g.bench_function("uncached", |b| {
+        b.iter(|| black_box(optimize_padding_with(&mut uncached, &nest)))
     });
     g.finish();
 }
@@ -74,25 +71,22 @@ fn bench_tile_search(c: &mut Criterion) {
     let n = 32;
 
     let mut engine = Analyzer::new(cache);
-    let mut reference = Analyzer::new(cache).caching(false);
+    let mut uncached = Analyzer::new(cache).caching(false);
     let pick_e = select_tile_and_layout_with(&mut engine, &nest, 1, 2, n, n)
         .expect("tiling applies to matmul");
-    let pick_r = select_tile_and_layout_with(&mut reference, &nest, 1, 2, n, n)
+    let pick_r = select_tile_and_layout_with(&mut uncached, &nest, 1, 2, n, n)
         .expect("tiling applies to matmul");
-    assert_eq!(
-        pick_e, pick_r,
-        "tiling: engine and reference choices differ"
-    );
+    assert_eq!(pick_e, pick_r, "tiling: warm and uncached choices differ");
 
     let mut g = c.benchmark_group("select-tile-and-layout");
     g.sample_size(3);
     g.bench_function("engine", |b| {
         b.iter(|| black_box(select_tile_and_layout_with(&mut engine, &nest, 1, 2, n, n)))
     });
-    g.bench_function("reference", |b| {
+    g.bench_function("uncached", |b| {
         b.iter(|| {
             black_box(select_tile_and_layout_with(
-                &mut reference,
+                &mut uncached,
                 &nest,
                 1,
                 2,
@@ -397,14 +391,15 @@ fn check_batch_speedup(c: &mut Criterion) {
     );
 }
 
-/// Reads the recorded means and enforces the acceptance bar: the engine
-/// path must be at least 2× faster than per-candidate reference analysis.
+/// Reads the recorded means and enforces the acceptance bar: a memo-warm
+/// search must be at least 2× faster than the same search on an uncached
+/// session of the same pipeline.
 fn check_speedup(c: &mut Criterion) {
     for pair in [
-        ("optimize-padding/engine", "optimize-padding/reference"),
+        ("optimize-padding/engine", "optimize-padding/uncached"),
         (
             "select-tile-and-layout/engine",
-            "select-tile-and-layout/reference",
+            "select-tile-and-layout/uncached",
         ),
     ] {
         let mean = |label: &str| {

@@ -16,10 +16,11 @@
 //!   Definite Misses  2236416 2561600 2569792
 
 // Figure 8 prescribes the paper's hand-picked reuse vectors, so this bin
-// stays on the low-level per-reference entry point by design.
+// runs the `solve` reference oracle's per-reference entry point by design.
 
 use cme_bench::BenchArgs;
-use cme_core::{AnalysisOptions, Analyzer};
+use cme_core::solve::solve_reference;
+use cme_core::AnalysisOptions;
 use cme_kernels::mmult_with_bases;
 use cme_reuse::{ReuseKind, ReuseVector};
 
@@ -39,9 +40,7 @@ fn main() {
         exact_equation_counts: true,
         ..AnalysisOptions::default()
     };
-    let analysis = Analyzer::new(cache)
-        .options(opts)
-        .analyze_reference_with_vectors(&nest, z_load, &rvs);
+    let analysis = solve_reference(&nest, cache, z_load, &rvs, &opts);
 
     println!("# Figure 8: miss-finding progress for the Z(j,i) load, N = {n}");
     println!("# cache: {cache}");

@@ -1,7 +1,7 @@
 //! Sliding-window cascade performance dump (`BENCH_cascade.json`).
 //!
 //! Runs one full Table-1 matmul analysis through the reference per-point
-//! solver (an uncached session) and through the engine's run-compressed
+//! solver (the `solve` oracle) and through the engine's run-compressed
 //! sliding-window cascade (sequential and sharded), checks the miss counts
 //! are bit-identical, and writes a machine-readable JSON report: wall
 //! times, speedups, per-stage times, points scanned, rows covered
@@ -20,6 +20,7 @@
 use std::time::Instant;
 
 use cme_bench::BenchArgs;
+use cme_core::solve::reference_analysis;
 use cme_core::{
     AnalysisOptions, Analyzer, EngineStats, NestAnalysis, SweepParameter, SweepRequest,
 };
@@ -46,10 +47,7 @@ fn main() {
     eprintln!("perfdump: table-1 matmul, N = {n}, {threads} threads");
 
     let t = Instant::now();
-    let reference = Analyzer::new(cache)
-        .options(opts.clone())
-        .caching(false)
-        .analyze(&nest);
+    let reference = reference_analysis(&nest, cache, &opts);
     let reference_s = t.elapsed().as_secs_f64();
     eprintln!(
         "  reference:       {reference_s:>8.3}s  ({} misses)",

@@ -49,9 +49,10 @@
 //! in one batched call ([`core::Analyzer::analyze_batch`]) that shares the
 //! memo tables and worker pool across the whole batch.
 //! `analyzer.stats()` reports what was reused, stage by stage; the
-//! invalidation keys are derived in `docs/ENGINE.md`. There is no separate
-//! monolithic entry point: `.caching(false)` turns a session into the
-//! uncached reference path.
+//! invalidation keys are derived in `docs/ENGINE.md`. Every session runs
+//! the one staged pipeline; `.caching(false)` runs it without memos. The
+//! monolithic reference solver is a test oracle only
+//! ([`core::solve::reference_analysis`]).
 //!
 //! Sessions can also be **governed**: install a [`core::Budget`]
 //! (wall-clock deadline, solve cap, point ceiling) and/or a

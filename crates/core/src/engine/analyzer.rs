@@ -4,10 +4,9 @@
 use super::{Engine, EngineStats};
 use crate::equations::CmeSystem;
 use crate::governor::{AnalysisError, Budget, CancelToken, GovernedAnalysis};
-use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis};
+use crate::solve::{AnalysisOptions, NestAnalysis};
 use cme_cache::{CacheConfig, CacheModel};
-use cme_ir::{LoopNest, NestId, RefId};
-use cme_reuse::ReuseVector;
+use cme_ir::{LoopNest, NestId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -117,7 +116,9 @@ impl Analyzer {
         self
     }
 
-    /// Enables or disables the engine's memoization.
+    /// Enables or disables the engine's memoization. An uncached session
+    /// runs the same staged pipeline without memo tables, artifact store,
+    /// or sweep memo (see [`Engine::set_caching`]).
     pub fn caching(mut self, on: bool) -> Self {
         self.engine.set_caching(on);
         self
@@ -150,8 +151,8 @@ impl Analyzer {
 
     /// Analyzes a nest with the session defaults, interning it first. At
     /// the default unlimited budget, results are bit-identical to the
-    /// uncached reference path, warm or cold; under a session budget or
-    /// cancellation the counts degrade to a sound overcount (use
+    /// reference oracle in [`crate::solve`], warm or cold; under a session
+    /// budget or cancellation the counts degrade to a sound overcount (use
     /// [`Analyzer::try_analyze`] to observe the [`crate::Outcome`] tag).
     /// Panics on [`AnalysisError`] — worker panic or address overflow.
     pub fn analyze(&mut self, nest: &LoopNest) -> NestAnalysis {
@@ -267,19 +268,6 @@ impl Analyzer {
             ..self.options.clone()
         };
         self.analyze_with_options(nest, &options)
-    }
-
-    /// Analyzes a single reference against caller-supplied reuse vectors
-    /// (e.g. the hand-built vectors of the paper's Figure 8 walkthrough),
-    /// bypassing reuse-vector generation and the memo tables entirely —
-    /// the artifacts would be keyed by inputs the caller overrode.
-    pub fn analyze_reference_with_vectors(
-        &mut self,
-        nest: &LoopNest,
-        dest: RefId,
-        rvs: &[ReuseVector],
-    ) -> RefAnalysis {
-        crate::solve::solve_reference(nest, *self.engine.cache(), dest, rvs, &self.options)
     }
 
     /// The symbolic CME system for a nest (generated, rebased, or reused).

@@ -16,7 +16,8 @@ use super::stages::cascade::CascadeResult;
 
 /// Assigns every scan slot an executor: the first slot with each distinct
 /// key executes; later slots with the same key alias it. Unkeyed slots
-/// (caching off / oversized nests) always execute their own scan. Returns
+/// (nests not memoized: caching off, or above the memo size cap) always
+/// execute their own scan. Returns
 /// `(executors, role)`: `executors[ei]` is the todo index that scans, and
 /// `role[ti]` is the executor index whose outcome slot `ti` consumes.
 pub(crate) fn coalesce_scan_slots(

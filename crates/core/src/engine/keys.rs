@@ -37,7 +37,7 @@ use crate::solve::AnalysisOptions;
 /// Hashes everything *every* engine memo depends on: cache geometry,
 /// reuse-vector options, and the interned base-invariant structural hash.
 /// Analysis-mode options are keyed only where they matter — `ε` into the
-/// solve-set key (it truncates the vector sequence), the scan-mode flags
+/// solve-set key (it truncates the vector sequence), the exact-count flag
 /// into the scan key — so a plain pass and an exact-counting pass share
 /// solve sets. `collect_miss_points` is keyed nowhere: it only controls
 /// result assembly, never verdicts.
@@ -72,7 +72,7 @@ pub(crate) fn cascade_key(
 }
 
 /// Key of one `(reference, reuse-vector)` window-scan result: the prefix
-/// plus the reference and vector indices, the scan-mode flags, and the
+/// plus the reference and vector indices, the exact-count flag, and the
 /// full relative layout — per array, `(B_A mod Ls, ⌊B_A/Ls⌋ − ⌊B_D/Ls⌋)`.
 /// The `ε` threshold is *not* keyed: a vector's scan set is the same under
 /// any `ε` that lets the vector run at all.
@@ -88,8 +88,7 @@ pub(crate) fn scan_key(
     let mut h = KeyHasher::from_prefix(0x5ca9, prefix);
     h.feed(&dest)
         .feed(&vector_index)
-        .feed(&options.exact_equation_counts)
-        .feed(&options.pointwise_windows);
+        .feed(&options.exact_equation_counts);
     for a in nest.arrays() {
         h.feed(&modulo(a.base(), ls));
         h.feed(&(floor_div(a.base(), ls) - dest_q));
@@ -217,7 +216,7 @@ mod tests {
             scan_key(p, &n1, &opts, 0, 1, ls),
             scan_key(p, &n1, &opts, 0, 2, ls)
         );
-        // Scan-mode flags change the outcome shape, so they are keyed.
+        // Exact-count mode changes the outcome shape, so it is keyed.
         let exact = AnalysisOptions::builder()
             .exact_equation_counts(true)
             .build();

@@ -73,13 +73,22 @@ impl Engine {
         Ok(l)
     }
 
-    pub(crate) fn lookup_reuse(&self, key: u128, build: impl FnOnce() -> ReusePlan) -> ReusePlan {
-        if let Some(v) = relock(&self.reuse_memo).get(&key) {
+    /// The reuse plan under `key`, built (and stored) on a miss; `None`
+    /// (nest not memoized) always builds and stores nothing.
+    pub(crate) fn lookup_reuse(
+        &self,
+        key: Option<u128>,
+        build: impl FnOnce() -> ReusePlan,
+    ) -> ReusePlan {
+        if let Some(v) = key.and_then(|k| relock(&self.reuse_memo).get(&k).cloned()) {
             self.counters.reuse_reused.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
+            return v;
         }
         let v = build();
         self.counters.reuse_built.fetch_add(1, Ordering::Relaxed);
+        let Some(key) = key else {
+            return v;
+        };
         let mut map = relock(&self.reuse_memo);
         if map.len() >= REUSE_CAP {
             map.clear();
@@ -88,24 +97,26 @@ impl Engine {
         v
     }
 
+    /// The solve set under `key`, like [`Engine::lookup_reuse`]; a
+    /// truncated set is never stored.
     pub(crate) fn lookup_cascade(
         &self,
-        key: u128,
+        key: Option<u128>,
         build: impl FnOnce() -> SolveSet,
     ) -> Arc<SolveSet> {
-        if let Some(c) = relock(&self.cascade_memo).get(&key) {
+        if let Some(c) = key.and_then(|k| relock(&self.cascade_memo).get(&k).cloned()) {
             self.counters
                 .cascades_reused
                 .fetch_add(1, Ordering::Relaxed);
-            return c.clone();
+            return c;
         }
         let c = Arc::new(build());
         self.counters.cascades_built.fetch_add(1, Ordering::Relaxed);
-        if c.truncated {
-            // A truncated solve set is a sound overcount for *this* query
-            // only; memoizing it would degrade future full-budget runs.
+        // A truncated solve set is a sound overcount for *this* query
+        // only; memoizing it would degrade future full-budget runs.
+        let Some(key) = key.filter(|_| !c.truncated) else {
             return c;
-        }
+        };
         let mut map = relock(&self.cascade_memo);
         if map.len() >= CASCADE_CAP {
             map.clear();

@@ -37,12 +37,15 @@
 //! — the single-nest path *is* a batch of one.
 //!
 //! Every cached artifact is an exact analysis result: an [`Analyzer`] is
-//! bit-identical to the uncached reference path (session with
-//! `.caching(false)`) whether its memos are warm or cold, sequential or
-//! pooled (property-tested in `tests/engine_equivalence.rs`).
+//! bit-identical to the reference oracle in [`crate::solve`] whether its
+//! memos are warm or cold, sequential or pooled (property-tested in
+//! `tests/engine_equivalence.rs`). The oracle is a test baseline only;
+//! nothing in the engine calls it.
 //!
-//! Nests whose iteration space exceeds the memo size cap run through the
-//! very same pipeline, just without storing the artifacts.
+//! There is one pipeline. An uncached session (`.caching(false)`: no memo
+//! tables, store, or sweep memo) and a nest whose iteration space exceeds
+//! the memo size cap (no memo tables) run the very same governed stage
+//! code; their artifacts are just never stored.
 
 mod analyzer;
 mod batch;
@@ -54,7 +57,10 @@ mod pool;
 mod stages;
 mod stats;
 pub mod sweep;
+// The unit tests check the engine against the `solve` oracle, which no
+// file under `engine/` names (`tests/architecture.rs`).
 #[cfg(test)]
+#[path = "../engine_tests.rs"]
 mod tests;
 
 pub use analyzer::Analyzer;
@@ -110,13 +116,13 @@ pub struct Engine {
 enum ScanSlot {
     Ready(Arc<CascadeResult>),
     /// Needs scanning; `Some(key)` stores the merged outcome in the memo,
-    /// `None` (nest too large to cache) scans without storing.
+    /// `None` (nest not memoized) scans without storing.
     Todo(Option<u128>),
 }
 
 enum Plan {
     Done(Classification),
-    Cached {
+    Staged {
         rvs: Arc<Vec<ReuseVector>>,
         solve: Arc<SolveSet>,
         scans: Vec<ScanSlot>,
@@ -124,11 +130,11 @@ enum Plan {
 }
 
 /// One nest's slice of a batch: its lowered artifact plus the derived
-/// memo-key prefix.
+/// memo-key prefix, `None` when the nest is not memoized (caching off, or
+/// an iteration space above the memo size cap).
 struct NestCtx {
     lowered: Arc<LoweredNest>,
-    prefix: u128,
-    fits_memo: bool,
+    prefix: Option<u128>,
 }
 
 impl Engine {
@@ -190,8 +196,9 @@ impl Engine {
         &self.db
     }
 
-    /// Enables or disables memoization (disabled = every analysis rebuilds
-    /// every stage artifact — the uncached reference path).
+    /// Enables or disables memoization. Disabled, every analysis runs the
+    /// same staged pipeline but rebuilds every stage artifact, and the
+    /// artifact store and the sweep memo are bypassed.
     pub fn set_caching(&mut self, on: bool) {
         self.caching = on;
     }
@@ -362,17 +369,9 @@ impl Engine {
         let mut ctxs: Vec<NestCtx> = Vec::with_capacity(ids.len());
         for &id in ids {
             let lowered = self.lookup_lowered(id)?;
-            let fits_memo = lowered.nest.space().count() <= self.max_cached_points;
-            let prefix = if self.caching && fits_memo {
-                keys::prefix_key(&cache, options, lowered.structural)
-            } else {
-                0
-            };
-            ctxs.push(NestCtx {
-                lowered,
-                prefix,
-                fits_memo,
-            });
+            let memoized = self.caching && lowered.nest.space().count() <= self.max_cached_points;
+            let prefix = memoized.then(|| keys::prefix_key(&cache, options, lowered.structural));
+            ctxs.push(NestCtx { lowered, prefix });
         }
         Counters::add_time(&self.counters.lower_ns, t_lower.elapsed());
 
@@ -401,53 +400,20 @@ impl Engine {
                 // indeterminate-treated-as-miss.
                 return Plan::Done(stages::classify::truncated(nest, id, options, gov));
             }
-            if !eng.caching {
-                // True passthrough: the uncached reference implementation
-                // (governed only at reference granularity).
+            if ctx.prefix.is_none() {
                 eng.counters.passthroughs.fetch_add(1, Ordering::Relaxed);
-                let t = Instant::now();
-                let plan = stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse);
-                Counters::add_time(&eng.counters.reuse_ns, t.elapsed());
-                let t = Instant::now();
-                let done = crate::solve::solve_reference(nest, cache, id, &plan.rvs, options);
-                Counters::add_time(&eng.counters.solve_ns, t.elapsed());
-                return Plan::Done(Classification { result: done });
             }
-            if !ctx.fits_memo {
-                // Too large for the memo tables: run the fast pipeline,
-                // but store nothing.
-                eng.counters.passthroughs.fetch_add(1, Ordering::Relaxed);
-                eng.counters.reuse_built.fetch_add(1, Ordering::Relaxed);
-                let t = Instant::now();
-                let plan = stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse);
-                Counters::add_time(&eng.counters.reuse_ns, t.elapsed());
-                eng.counters.cascades_built.fetch_add(1, Ordering::Relaxed);
-                let t = Instant::now();
-                let solve = Arc::new(stages::solve::build(
-                    &ctx.lowered,
-                    &cache,
-                    ridx,
-                    &plan.rvs,
-                    options,
-                    gov,
-                ));
-                Counters::add_time(&eng.counters.solve_ns, t.elapsed());
-                let scans = solve.vectors.iter().map(|_| ScanSlot::Todo(None)).collect();
-                return Plan::Cached {
-                    rvs: plan.rvs,
-                    solve,
-                    scans,
-                };
-            }
-            let rkey = keys::KeyHasher::from_prefix(0x4e5e, ctx.prefix)
-                .feed(&ridx)
-                .finish();
+            let rkey = ctx
+                .prefix
+                .map(|p| keys::KeyHasher::from_prefix(0x4e5e, p).feed(&ridx).finish());
             let t = Instant::now();
             let plan = eng.lookup_reuse(rkey, || {
                 stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse)
             });
             Counters::add_time(&eng.counters.reuse_ns, t.elapsed());
-            let ckey = keys::cascade_key(ctx.prefix, nest, options, ridx, ls);
+            let ckey = ctx
+                .prefix
+                .map(|p| keys::cascade_key(p, nest, options, ridx, ls));
             let t = Instant::now();
             let solve = eng.lookup_cascade(ckey, || {
                 stages::solve::build(&ctx.lowered, &cache, ridx, &plan.rvs, options, gov)
@@ -455,14 +421,16 @@ impl Engine {
             Counters::add_time(&eng.counters.solve_ns, t.elapsed());
             let scans = (0..solve.vectors.len())
                 .map(|vi| {
-                    let skey = keys::scan_key(ctx.prefix, nest, options, ridx, vi, ls);
-                    match eng.peek_scan(skey) {
+                    let skey = ctx
+                        .prefix
+                        .map(|p| keys::scan_key(p, nest, options, ridx, vi, ls));
+                    match skey.and_then(|k| eng.peek_scan(k)) {
                         Some(o) => ScanSlot::Ready(o),
-                        None => ScanSlot::Todo(Some(skey)),
+                        None => ScanSlot::Todo(skey),
                     }
                 })
                 .collect();
-            Plan::Cached {
+            Plan::Staged {
                 rvs: plan.rvs,
                 solve,
                 scans,
@@ -470,7 +438,7 @@ impl Engine {
         })
         .map_err(|p| eng.note_worker_panic(p))?;
         for plan in &plans {
-            if let Plan::Cached { solve, .. } = plan {
+            if let Plan::Staged { solve, .. } = plan {
                 for sv in &solve.vectors {
                     eng.counters
                         .note_solved_vector(sv.examined, sv.scan_set.is_dense());
@@ -494,7 +462,7 @@ impl Engine {
         let t_cascade = Instant::now();
         let mut todo: Vec<(usize, usize, Option<u128>)> = Vec::new(); // (item, vector, key)
         for (pi, plan) in plans.iter().enumerate() {
-            if let Plan::Cached { scans, .. } = plan {
+            if let Plan::Staged { scans, .. } = plan {
                 for (vi, slot) in scans.iter().enumerate() {
                     if let ScanSlot::Todo(key) = slot {
                         todo.push((pi, vi, *key));
@@ -507,8 +475,8 @@ impl Engine {
             let mut jobs: Vec<(usize, usize, usize)> = Vec::new(); // (round idx, run_lo, run_hi)
             for (ri, &ti) in tis.iter().enumerate() {
                 let (pi, vi, _) = todo[ti];
-                let Plan::Cached { solve, .. } = &plans[pi] else {
-                    unreachable!("todo items only come from cached plans");
+                let Plan::Staged { solve, .. } = &plans[pi] else {
+                    unreachable!("todo items only come from staged plans");
                 };
                 for (run_lo, run_hi) in split_blocks(&solve.vectors[vi].scan_set, threads) {
                     jobs.push((ri, run_lo, run_hi));
@@ -519,8 +487,8 @@ impl Engine {
                     eng.maybe_inject_panic();
                     let (pi, vi, _) = todo[tis[ri]];
                     let (ni, ridx) = item_of[pi];
-                    let Plan::Cached { rvs, solve, .. } = &plans[pi] else {
-                        unreachable!("todo items only come from cached plans");
+                    let Plan::Staged { rvs, solve, .. } = &plans[pi] else {
+                        unreachable!("todo items only come from staged plans");
                     };
                     scan_run_block(
                         &ctxs[ni].lowered,
@@ -607,7 +575,7 @@ impl Engine {
             let (ni, ridx) = item_of[pi];
             let result = match plan {
                 Plan::Done(c) => c.result,
-                Plan::Cached { rvs, solve, scans } => {
+                Plan::Staged { rvs, solve, scans } => {
                     let resolved: Vec<Arc<CascadeResult>> = scans
                         .into_iter()
                         .enumerate()

@@ -17,8 +17,8 @@ impl Engine {
     /// analyses are written through to disk and later queries for the
     /// same `(structure, layout, geometry, options)` are answered from
     /// the store before any pipeline stage runs. The store is only
-    /// consulted while caching is on ([`Engine::set_caching`]) — the
-    /// uncached reference path stays a true recompute. Exhausted
+    /// consulted while caching is on ([`Engine::set_caching`]) — an
+    /// uncached session stays a true recompute. Exhausted
     /// (budget-truncated) results are never persisted.
     pub fn set_store(&mut self, store: Arc<ArtifactStore>) {
         self.store = Some(store);

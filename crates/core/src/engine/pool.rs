@@ -1,8 +1,8 @@
 //! A scoped work pool for independent analysis items.
 //!
 //! The engine's parallelism is a flat bag of independent work items —
-//! whole-reference passthroughs and per-`(reference, reuse-vector)` window
-//! scans. Workers claim items from one shared cursor, so an expensive item
+//! per-reference reuse + solve plans and per-`(reference, reuse-vector)`
+//! window scans. Workers claim items from one shared cursor, so an expensive item
 //! never serializes the cheap ones behind it. Results land in their item's
 //! slot, keeping the output order deterministic regardless of scheduling,
 //! and every worker is timed — [`PoolStats`] reports the per-shard busy

@@ -10,17 +10,17 @@
 //! tables is independent of the sharding.
 //!
 //! The default mode slides a [`SlidingWindow`] along each run, paying
-//! O(references) per point instead of O(window); exact-count and
-//! pointwise modes fall back to the per-point [`Scanner`] (their verdicts
-//! need per-perpetrator detail the window multiset does not keep), which
-//! still shards fine — contentions are per-point sums.
+//! O(references) per point instead of O(window); exact-count mode falls
+//! back to the per-point [`Scanner`] (its verdicts need per-perpetrator
+//! detail the window multiset does not keep), which still shards fine —
+//! contentions are per-point sums.
 
 use cme_cache::CacheConfig;
 use cme_reuse::ReuseVector;
 
 use crate::governor::QueryGovernor;
 use crate::pointset::SurvivorSet;
-use crate::solve::{scan_interior, scan_interior_pointwise, AnalysisOptions, Scanner};
+use crate::solve::{scan_interior, AnalysisOptions, Scanner};
 use crate::window::{Geom, SlidingWindow, WindowStats};
 
 use super::super::stats::Counters;
@@ -161,11 +161,11 @@ pub(crate) fn scan_run_block(
     // exactly as before (one extra comparison per run).
     let chunk: i64 = if gov.unlimited() { i64::MAX } else { 4096 };
 
-    if options.exact_equation_counts || options.pointwise_windows {
+    if options.exact_equation_counts {
         // Per-point scan.
-        let mut scanner = Scanner::new(cache, addrs, k, options.exact_equation_counts);
+        let mut scanner = Scanner::new(cache, addrs, k, true);
         let mut p = vec![0i64; depth];
-        'runs_pointwise: for run in points.runs_in(chunk_lo, chunk_hi) {
+        'runs_exact: for run in points.runs_in(chunk_lo, chunk_hi) {
             i_buf[..inner].copy_from_slice(run.prefix);
             let mut seg = run.lo;
             while seg <= run.hi {
@@ -177,7 +177,7 @@ pub(crate) fn scan_run_block(
                         &mut miss_runs,
                         &mut replacement_misses,
                     );
-                    break 'runs_pointwise;
+                    break 'runs_exact;
                 }
                 block_points += (seg_hi - seg + 1) as u64;
                 gov.charge((seg_hi - seg + 1) as u64);
@@ -208,11 +208,7 @@ pub(crate) fn scan_run_block(
                         }
                         // Whole iterations strictly between, row by row.
                         if go {
-                            go = if options.pointwise_windows {
-                                scan_interior_pointwise(&mut scanner, &space, &p, i)
-                            } else {
-                                scan_interior(&mut scanner, &space, &p, i)
-                            };
+                            go = scan_interior(&mut scanner, &space, &p, i);
                         }
                         // Head of the destination iteration (statements before
                         // dest).
@@ -224,10 +220,8 @@ pub(crate) fn scan_run_block(
                             }
                         }
                     }
-                    if options.exact_equation_counts {
-                        for (s, v) in scanner.per_perp.iter().enumerate() {
-                            contentions[s] += v.len() as u64;
-                        }
+                    for (s, v) in scanner.per_perp.iter().enumerate() {
+                        contentions[s] += v.len() as u64;
                     }
                     if scanner.distinct.len() >= k {
                         replacement_misses += 1;

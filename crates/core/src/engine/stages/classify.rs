@@ -1,6 +1,6 @@
 //! Stage 5 — **classify**: stitch a solve set and its scan outcomes into
 //! the public [`RefAnalysis`] — the composition step of Figure 6, byte
-//! for byte what the uncached reference path emits.
+//! for byte what the reference oracle in [`crate::solve`] emits.
 //!
 //! Classification is pure assembly: it computes nothing new and is never
 //! memoized. ε early stopping and governor truncation surface here as

@@ -118,7 +118,7 @@ impl RunClassifier<'_> {
             }
             // Innermost interval where the source p⃗ = i⃗ − r⃗ is in the
             // space (intra-iteration reuse skips the membership test,
-            // matching the reference implementation).
+            // matching the reference oracle).
             self.src_live = if self.intra {
                 None
             } else if self.space.contains_prefix(&self.p_prefix) {

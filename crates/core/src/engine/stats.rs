@@ -124,7 +124,9 @@ impl Counters {
 pub struct EngineStats {
     /// Nest analyses run through the engine.
     pub analyses: u64,
-    /// References analyzed uncached (caching off or nest too large).
+    /// References analyzed without the memo tables (caching off, or a
+    /// nest above the memo size cap): the same staged pipeline, every
+    /// artifact rebuilt and none stored.
     pub passthroughs: u64,
     /// Lower-stage artifacts (`LoweredNest`) computed.
     pub lowered_built: u64,
@@ -218,7 +220,7 @@ pub struct EngineStats {
     /// Worker-summed time in the reuse stage (vector generation/lookup).
     pub time_reuse: Duration,
     /// Worker-summed time in the solve stage (cold/indeterminate
-    /// refinement; uncached passthrough references are charged here).
+    /// refinement).
     pub time_solve: Duration,
     /// Wall time in the cascade stage (sharded window scans).
     pub time_cascade: Duration,

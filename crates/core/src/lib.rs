@@ -23,11 +23,11 @@
 //! - [`equations`] — symbolic equation objects ([`ColdEquation`],
 //!   [`ReplacementEquation`], [`CmeSystem`]) mirroring the paper's Figure 3
 //!   generation algorithm; these are what the optimizers manipulate.
-//! - [`solve`] — the miss-finding algorithm of Figure 6, generalized to
-//!   arbitrary associativity (Section 4.2), evaluating the equations
-//!   exactly over the iteration space with per-reuse-vector accounting
-//!   (reproducing Figure 8's progress table) and the `ε` precision/time
-//!   knob.
+//! - [`solve`] — the options and result types of the miss-finding
+//!   algorithm of Figure 6, generalized to arbitrary associativity
+//!   (Section 4.2), with per-reuse-vector accounting (reproducing Figure
+//!   8's progress table) and the `ε` precision/time knob; plus its
+//!   monolithic reference implementation, kept as a test oracle.
 //! - [`engine`] — the staged analysis pipeline behind [`Analyzer`]:
 //!   nests are interned into a program database
 //!   ([`cme_ir::ProgramDb`], re-exported here as [`ProgramDb`]) and run

@@ -19,14 +19,20 @@
 //! `ε` option stops early once the indeterminate set is small enough,
 //! trading precision for time exactly as in the paper (remaining points are
 //! conservatively counted as misses, per line 20 of Figure 6).
+//!
+//! This module holds the options and result types every [`crate::Analyzer`]
+//! speaks, and the **reference oracle**: [`reference_analysis`],
+//! [`reference_analysis_pointwise`] and [`solve_reference`] run Figure 6
+//! as one monolithic pass per reuse vector, uncached and ungoverned. No
+//! analysis path calls them — every session, cached or not, runs the
+//! staged engine. Tests, benches and the Figure 8 reproduction call them
+//! by name, as the independent baseline the engine must match bit for bit.
 
 use crate::pointset::PointSet;
 use cme_cache::CacheConfig;
 use cme_ir::{LoopNest, RefId};
 use cme_math::Affine;
-#[cfg(test)]
-use cme_reuse::reuse_vectors;
-use cme_reuse::{ReuseOptions, ReuseVector};
+use cme_reuse::{reuse_vectors, ReuseOptions, ReuseVector};
 use std::fmt;
 
 /// Options controlling the miss-finding algorithm (used by every
@@ -46,11 +52,6 @@ pub struct AnalysisOptions {
     /// [`RefAnalysis`] — the raw material for interactive analysis
     /// (Section 5.2). Memory-heavy for big nests.
     pub collect_miss_points: bool,
-    /// Scan reuse windows point by point instead of row-summarized
-    /// (an ablation knob: the row-summarized scanner finds conflicting
-    /// lines in O(conflicts) per innermost row via modular arithmetic;
-    /// this flag restores the naive O(points·refs) walk for comparison).
-    pub pointwise_windows: bool,
 }
 
 impl AnalysisOptions {
@@ -121,12 +122,6 @@ impl AnalysisOptionsBuilder {
     /// Records concrete miss points in the result.
     pub fn collect_miss_points(mut self, on: bool) -> Self {
         self.options.collect_miss_points = on;
-        self
-    }
-
-    /// Scans reuse windows point by point (ablation knob).
-    pub fn pointwise_windows(mut self, on: bool) -> Self {
-        self.options.pointwise_windows = on;
         self
     }
 
@@ -435,7 +430,8 @@ impl<'a> Scanner<'a> {
 }
 
 /// Naive interior scan: visits every point and every reference — the
-/// baseline the row-summarized scanner is measured against.
+/// independent check of the row-summarized scanner
+/// ([`reference_analysis_pointwise`]).
 pub(crate) fn scan_interior_pointwise(
     scanner: &mut Scanner<'_>,
     space: &cme_ir::IterationSpace<'_>,
@@ -517,19 +513,72 @@ pub(crate) fn scan_interior(
     true
 }
 
-/// Analyzes one reference with an explicit reuse-vector list (already in
-/// processing order) — the *reference implementation* of the miss-finding
-/// algorithm: one monolithic pass per reuse vector, no caching. The
-/// staged engine ([`crate::Analyzer`]) is validated against it bit for
-/// bit, runs it verbatim when caching is off, and exposes it publicly as
-/// [`crate::Analyzer::analyze_reference_with_vectors`] (the Figure 8
-/// entry point with exactly the paper's three vectors).
-pub(crate) fn solve_reference(
+/// Reference oracle for one reference with an explicit reuse-vector list
+/// (already in processing order) — e.g. the paper's three hand-picked
+/// vectors of Figure 8. Generated vectors are what
+/// [`reference_analysis`] uses instead.
+pub fn solve_reference(
     nest: &LoopNest,
     cache: CacheConfig,
     dest: RefId,
     rvs: &[ReuseVector],
     options: &AnalysisOptions,
+) -> RefAnalysis {
+    solve_reference_with(nest, cache, dest, rvs, options, false)
+}
+
+/// Reference oracle for a whole nest: generates each reference's reuse
+/// vectors (Figure 3) and runs the miss-finding algorithm (Figure 6) as
+/// one monolithic pass per vector. Every [`crate::Analyzer`] result must
+/// equal this one bit for bit.
+pub fn reference_analysis(
+    nest: &LoopNest,
+    cache: CacheConfig,
+    options: &AnalysisOptions,
+) -> NestAnalysis {
+    reference_analysis_with(nest, cache, options, false)
+}
+
+/// [`reference_analysis`] with every reuse-window interior walked point by
+/// point instead of row-summarized: O(points·refs) per window instead of
+/// O(conflicts) per innermost row. The two must agree exactly, so this is
+/// the row scanner's independent check.
+pub fn reference_analysis_pointwise(
+    nest: &LoopNest,
+    cache: CacheConfig,
+    options: &AnalysisOptions,
+) -> NestAnalysis {
+    reference_analysis_with(nest, cache, options, true)
+}
+
+fn reference_analysis_with(
+    nest: &LoopNest,
+    cache: CacheConfig,
+    options: &AnalysisOptions,
+    pointwise: bool,
+) -> NestAnalysis {
+    let per_ref = nest
+        .references()
+        .iter()
+        .map(|r| {
+            let rvs = reuse_vectors(nest, &cache, r.id(), &options.reuse);
+            solve_reference_with(nest, cache, r.id(), &rvs, options, pointwise)
+        })
+        .collect();
+    NestAnalysis {
+        nest_name: nest.name().to_string(),
+        cache,
+        per_ref,
+    }
+}
+
+fn solve_reference_with(
+    nest: &LoopNest,
+    cache: CacheConfig,
+    dest: RefId,
+    rvs: &[ReuseVector],
+    options: &AnalysisOptions,
+    pointwise: bool,
 ) -> RefAnalysis {
     let depth = nest.depth();
     let space = nest.space();
@@ -601,9 +650,9 @@ pub(crate) fn solve_reference(
                     }
                 }
                 // Whole iterations strictly between, scanned row by row
-                // (or point by point under the ablation flag).
+                // (or point by point for the pointwise oracle).
                 if go {
-                    go = if options.pointwise_windows {
+                    go = if pointwise {
                         scan_interior_pointwise(&mut scanner, &space, &p, i)
                     } else {
                         scan_interior(&mut scanner, &space, &p, i)
@@ -689,34 +738,6 @@ pub(crate) fn solve_reference(
     }
 }
 
-/// Analyzes every reference of a nest: generates its reuse vectors
-/// (Figure 3) and runs the miss-finding algorithm (Figure 6).
-///
-/// The uncached *reference implementation* — equivalent to a one-shot
-/// [`crate::Analyzer`] session with `.caching(false)`, which is the
-/// public spelling. Kept test-only as the bit-for-bit baseline of the
-/// engine's unit tests.
-#[cfg(test)]
-pub(crate) fn solve_nest(
-    nest: &LoopNest,
-    cache: CacheConfig,
-    options: &AnalysisOptions,
-) -> NestAnalysis {
-    let per_ref = nest
-        .references()
-        .iter()
-        .map(|r| {
-            let rvs = reuse_vectors(nest, &cache, r.id(), &options.reuse);
-            solve_reference(nest, cache, r.id(), &rvs, options)
-        })
-        .collect();
-    NestAnalysis {
-        nest_name: nest.name().to_string(),
-        cache,
-        per_ref,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,7 +769,7 @@ mod tests {
         let a = b.array("A", &[256], 0);
         b.reference(a, AccessKind::Read, &[("i", 0)]);
         let nest = b.build().unwrap();
-        let analysis = solve_nest(&nest, table1_cache(), &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, table1_cache(), &AnalysisOptions::default());
         assert_eq!(analysis.total_misses(), 32);
         assert_eq!(analysis.total_cold(), 32);
         assert_eq!(analysis.total_replacement(), 0);
@@ -758,7 +779,7 @@ mod tests {
     fn matches_simulator_on_small_matmul_direct_mapped() {
         let nest = matmul(16, 4192, 2136, 96);
         let cache = table1_cache();
-        let analysis = solve_nest(&nest, cache, &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, cache, &AnalysisOptions::default());
         let sim = simulate_nest(&nest, cache);
         assert_eq!(
             analysis.total_misses(),
@@ -804,7 +825,7 @@ mod tests {
             collect_miss_points: true,
             ..AnalysisOptions::default()
         };
-        let analysis = solve_nest(nest, cache, &opts);
+        let analysis = reference_analysis(nest, cache, &opts);
         for (r, ra) in analysis.per_ref.iter().enumerate() {
             let mut cme_points: std::collections::HashSet<Vec<i64>> =
                 ra.cold_miss_points.iter().cloned().collect();
@@ -842,7 +863,7 @@ mod tests {
     fn matches_simulator_on_small_matmul_two_way() {
         let nest = matmul(16, 4192, 2136, 96);
         let cache = CacheConfig::new(2048, 2, 32, 4).unwrap();
-        let analysis = solve_nest(&nest, cache, &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, cache, &AnalysisOptions::default());
         let sim = simulate_nest(&nest, cache);
         assert_eq!(analysis.total_misses(), sim.total().misses());
     }
@@ -858,7 +879,7 @@ mod tests {
         b.reference(c, AccessKind::Write, &[("i", 0)]);
         let nest = b.build().unwrap();
         let cache = table1_cache();
-        let analysis = solve_nest(&nest, cache, &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, cache, &AnalysisOptions::default());
         let sim = simulate_nest(&nest, cache);
         assert_eq!(analysis.total_misses(), sim.total().misses());
         assert_eq!(analysis.total_replacement(), sim.total().replacement);
@@ -876,7 +897,7 @@ mod tests {
         b.reference(c, AccessKind::Write, &[("i", 0)]);
         let nest = b.build().unwrap();
         let cache = CacheConfig::new(16384, 2, 32, 4).unwrap(); // 256 sets, 2-way
-        let analysis = solve_nest(&nest, cache, &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, cache, &AnalysisOptions::default());
         let sim = simulate_nest(&nest, cache);
         assert_eq!(analysis.total_replacement(), 0);
         assert_eq!(analysis.total_misses(), sim.total().misses());
@@ -886,8 +907,8 @@ mod tests {
     fn epsilon_stops_early_and_overcounts_conservatively() {
         let nest = matmul(8, 0, 4096, 8192);
         let cache = table1_cache();
-        let exact = solve_nest(&nest, cache, &AnalysisOptions::default());
-        let loose = solve_nest(
+        let exact = reference_analysis(&nest, cache, &AnalysisOptions::default());
+        let loose = reference_analysis(
             &nest,
             cache,
             &AnalysisOptions {
@@ -904,7 +925,7 @@ mod tests {
     fn per_vector_reports_are_consistent() {
         let nest = matmul(8, 0, 4096, 8192);
         let cache = table1_cache();
-        let analysis = solve_nest(
+        let analysis = reference_analysis(
             &nest,
             cache,
             &AnalysisOptions {
@@ -932,7 +953,7 @@ mod tests {
             assert_eq!(r.replacement_misses, cum);
         }
         // Exact-count mode must not change the verdicts.
-        let fast = solve_nest(&nest, cache, &AnalysisOptions::default());
+        let fast = reference_analysis(&nest, cache, &AnalysisOptions::default());
         assert_eq!(fast.total_misses(), analysis.total_misses());
     }
 
@@ -945,7 +966,7 @@ mod tests {
         b.reference(a, AccessKind::Read, &[("i", 0), ("i", 0)]);
         let nest = b.build().unwrap();
         let cache = table1_cache();
-        let analysis = solve_nest(&nest, cache, &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, cache, &AnalysisOptions::default());
         let sim = simulate_nest(&nest, cache);
         assert_eq!(analysis.total_misses(), 8);
         assert_eq!(sim.total().misses(), 8);
@@ -960,7 +981,7 @@ mod tests {
             collect_miss_points: true,
             ..AnalysisOptions::default()
         };
-        let serial = solve_nest(&nest, cache, &opts);
+        let serial = reference_analysis(&nest, cache, &opts);
         let parallel = crate::Analyzer::new(cache)
             .options(opts)
             .parallel(true)
@@ -979,9 +1000,8 @@ mod tests {
         assert!(ok.collect_miss_points);
         let exact = AnalysisOptions::builder()
             .exact_equation_counts(true)
-            .pointwise_windows(true)
             .build();
-        assert!(exact.exact_equation_counts && exact.pointwise_windows);
+        assert!(exact.exact_equation_counts);
         let err = AnalysisOptions::builder()
             .epsilon(1)
             .exact_equation_counts(true)
@@ -1002,7 +1022,7 @@ mod tests {
     #[test]
     fn display_summarizes() {
         let nest = matmul(4, 0, 64, 128);
-        let analysis = solve_nest(&nest, table1_cache(), &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, table1_cache(), &AnalysisOptions::default());
         let s = analysis.to_string();
         assert!(s.contains("mmult"));
         assert!(s.contains("total:"));

@@ -161,10 +161,12 @@ impl ArtifactKey {
 /// side data, like collected miss points) must land here.
 pub fn options_fingerprint(options: &AnalysisOptions) -> u128 {
     let mut h = KeyHasher::new(0x09f5);
+    // The constant `false` fills the slot of a removed option, so every
+    // key persisted before its removal stays valid.
     h.feed(&options.epsilon)
         .feed(&options.exact_equation_counts)
         .feed(&options.collect_miss_points)
-        .feed(&options.pointwise_windows)
+        .feed(&false)
         .feed(&options.reuse.group)
         .feed(&options.reuse.extended)
         .feed(&options.reuse.max_vectors)
@@ -1148,6 +1150,19 @@ mod tests {
         let exact = AnalysisOptions::default();
         let eps = AnalysisOptions::builder().epsilon(100).build();
         assert_ne!(options_fingerprint(&exact), options_fingerprint(&eps));
+        // Pinned values: a changed fingerprint would silently cold-miss
+        // every entry already persisted.
+        assert_eq!(
+            options_fingerprint(&exact),
+            0x7cf77cfcec730233244d384160935e48
+        );
+        let counts = AnalysisOptions::builder()
+            .exact_equation_counts(true)
+            .build();
+        assert_eq!(
+            options_fingerprint(&counts),
+            0xee82955268c69ca5668ac758362f4608
+        );
         let cfg = CacheConfig::new(1024, 2, 32, 4).unwrap();
         let a = ArtifactKey::new(1, 2, &cfg, &exact);
         let b = ArtifactKey::new(1, 2, &cfg, &eps);

@@ -8,7 +8,10 @@
 //! direction is enforced here, against the source tree itself.
 //!
 //! The second guard keeps `engine/mod.rs` a driver rather than a dumping
-//! ground: after the staged split it must stay under 650 lines.
+//! ground: after the staged split it must stay under 650 lines. The third
+//! keeps a second algorithm out of the engine: the monolithic reference
+//! solver in `cme_core::solve` is a test oracle, and no engine file calls
+//! it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -82,4 +85,34 @@ fn engine_mod_stays_a_driver() {
         "engine/mod.rs has grown to {lines} lines (max 650); move logic \
          into a stage, the memo layer, or the Analyzer module"
     );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("read {dir:?}: {e}")) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            out.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+#[test]
+fn engine_never_calls_the_reference_oracle() {
+    let files = rust_files(&engine_dir());
+    assert!(files.len() > 5, "engine sources not found: {files:?}");
+    for path in files {
+        let code = code_of(&path);
+        for oracle in ["solve_reference", "reference_analysis"] {
+            assert!(
+                !code.contains(oracle),
+                "{path:?} names the reference oracle `{oracle}`; the engine \
+                 runs one staged pipeline and must not call the oracle"
+            );
+        }
+    }
 }

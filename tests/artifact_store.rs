@@ -8,6 +8,7 @@
 //! path: exhausted (governor-truncated) analyses are never persisted, and
 //! the LRU size bound actually bounds the directory.
 
+use cme::core::solve::reference_analysis;
 use cme::core::store::{ArtifactKey, ArtifactStore};
 use cme::core::{Analyzer, Budget};
 use cme::ir::codec::{fnv1a64, Encoder};
@@ -23,9 +24,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The uncached, storeless reference result.
+/// The storeless reference result, from the `solve` oracle.
 fn plain(nest: &LoopNest, cache: CacheConfig) -> cme::NestAnalysis {
-    Analyzer::new(cache).caching(false).analyze(nest)
+    reference_analysis(nest, cache, &AnalysisOptions::default())
 }
 
 /// The store key the engine computes for `nest` under default options.

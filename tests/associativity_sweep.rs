@@ -3,25 +3,12 @@
 //! full} on several kernels and compare against the simulator.
 
 use cme::cache::{simulate_nest, CacheConfig};
-use cme::core::{AnalysisOptions, Analyzer};
+use cme::core::solve::reference_analysis;
+use cme::core::AnalysisOptions;
 use cme::kernels;
 
-/// The uncached reference path: a one-shot `Analyzer` session with
-/// memoization disabled — bit-identical semantics to the monolithic
-/// miss-finding pass.
-fn baseline(
-    nest: &cme::ir::LoopNest,
-    cache: cme::cache::CacheConfig,
-    options: &AnalysisOptions,
-) -> cme::core::NestAnalysis {
-    Analyzer::new(cache)
-        .options(options.clone())
-        .caching(false)
-        .analyze(nest)
-}
-
 fn check(nest: &cme::ir::LoopNest, cache: CacheConfig) {
-    let analysis = baseline(nest, cache, &AnalysisOptions::default());
+    let analysis = reference_analysis(nest, cache, &AnalysisOptions::default());
     let sim = simulate_nest(nest, cache);
     assert_eq!(
         analysis.total_misses(),
@@ -76,7 +63,7 @@ fn gauss_sound_across_associativities() {
     let nest = kernels::gauss(12);
     for assoc in [1, 2, 4] {
         let cache = CacheConfig::new(512, assoc, 16, 4).unwrap();
-        let analysis = baseline(&nest, cache, &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, cache, &AnalysisOptions::default());
         let sim = simulate_nest(&nest, cache);
         assert!(
             analysis.total_misses() >= sim.total().misses(),
@@ -95,7 +82,7 @@ fn cme_count_monotone_in_ways_at_fixed_sets() {
         .iter()
         .map(|&(size, k)| {
             let cache = CacheConfig::new(size, k, 16, 4).unwrap();
-            baseline(&nest, cache, &AnalysisOptions::default()).total_misses()
+            reference_analysis(&nest, cache, &AnalysisOptions::default()).total_misses()
         })
         .collect();
     assert!(counts[1] <= counts[0], "{counts:?}");

@@ -5,11 +5,11 @@
 //! instead of being rescanned, and each reference's survivor runs are
 //! sharded into blocks scanned in parallel. None of that may change a
 //! single bit of the result: this suite compares the engine — sequential,
-//! sharded, and on the no-memo fast path taken by oversized nests — against
-//! the uncached reference path (an `Analyzer` session with memoization
-//! disabled) on the paper's Table-1 matmul, the Figure-8
-//! configuration, and a proptest corpus, for associativities
-//! k ∈ {1, 2, 4, 8, full}, plus the whole Table-1 suite on a 4-way cache.
+//! sharded, and on the no-memo path taken by oversized nests — against
+//! the reference oracle (`cme::core::solve::reference_analysis`) on the
+//! paper's Table-1 matmul, the Figure-8 configuration, and a proptest
+//! corpus, for associativities k ∈ {1, 2, 4, 8, full}, plus the whole
+//! Table-1 suite on a 4-way cache.
 //!
 //! Equality is on whole [`cme::core::NestAnalysis`] values, so it covers
 //! total and per-reference miss counts, every per-vector report
@@ -17,25 +17,12 @@
 //! miss-point sets including their order.
 
 use cme::cache::CacheConfig;
+use cme::core::solve::reference_analysis;
 use cme::core::{AnalysisOptions, Analyzer, NestAnalysis};
 use cme::ir::LoopNest;
 use cme::kernels::{mmult_with_bases, table1_suite};
 use cme_testgen::{arb_cache, arb_nest, NestDistribution};
 use proptest::prelude::*;
-
-/// The uncached reference path: a one-shot `Analyzer` session with
-/// memoization disabled — bit-identical semantics to the monolithic
-/// miss-finding pass.
-fn baseline(
-    nest: &cme::ir::LoopNest,
-    cache: cme::cache::CacheConfig,
-    options: &AnalysisOptions,
-) -> cme::core::NestAnalysis {
-    Analyzer::new(cache)
-        .options(options.clone())
-        .caching(false)
-        .analyze(nest)
-}
 
 /// The Table-1 geometry (8 KB, 32-byte lines) at k ∈ {1, 2, 4, 8} plus a
 /// fully-associative variant (every line in one set — the k = Ns·k corner
@@ -50,8 +37,8 @@ fn caches() -> Vec<CacheConfig> {
 }
 
 /// Option sets exercising every cascade path: fast (early-exit) windows,
-/// exact contention counts, ε early stop, and the pointwise ablation —
-/// each with miss-point collection so point sets are compared too.
+/// exact contention counts, and ε early stop — each with miss-point
+/// collection so point sets are compared too.
 fn option_sets() -> Vec<AnalysisOptions> {
     vec![
         AnalysisOptions::builder().collect_miss_points(true).build(),
@@ -62,10 +49,6 @@ fn option_sets() -> Vec<AnalysisOptions> {
         AnalysisOptions::builder()
             .collect_miss_points(true)
             .epsilon(64)
-            .build(),
-        AnalysisOptions::builder()
-            .collect_miss_points(true)
-            .pointwise_windows(true)
             .build(),
     ]
 }
@@ -78,7 +61,7 @@ fn assert_cascade_matches_reference(
     opts: &AnalysisOptions,
     what: &str,
 ) -> NestAnalysis {
-    let reference = baseline(nest, cache, opts);
+    let reference = reference_analysis(nest, cache, opts);
     let seq = Analyzer::new(cache).options(opts.clone()).analyze(nest);
     assert_eq!(reference, seq, "sequential cascade diverged: {what}");
     let sharded = Analyzer::new(cache)
@@ -87,14 +70,14 @@ fn assert_cascade_matches_reference(
         .threads(4)
         .analyze(nest);
     assert_eq!(reference, sharded, "sharded cascade diverged: {what}");
-    // Force the no-memo fast path every Figure-8-scale nest takes.
+    // Force the no-memo path every Figure-8-scale nest takes.
     let mut big = Analyzer::new(cache)
         .options(opts.clone())
         .parallel(true)
         .threads(4);
     big.engine_mut().set_max_cached_points(1);
     let uncached = big.analyze(nest);
-    assert_eq!(reference, uncached, "uncached fast path diverged: {what}");
+    assert_eq!(reference, uncached, "uncached path diverged: {what}");
     reference
 }
 
@@ -160,7 +143,7 @@ proptest! {
             .collect_miss_points(true)
             .exact_equation_counts(exact)
             .build();
-        let reference = baseline(&nest, cache, &opts);
+        let reference = reference_analysis(&nest, cache, &opts);
         let seq = Analyzer::new(cache).options(opts.clone()).analyze(&nest);
         prop_assert_eq!(&reference, &seq, "sequential cascade diverged");
         let sharded = Analyzer::new(cache)

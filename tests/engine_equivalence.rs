@@ -1,30 +1,18 @@
 //! The staged engine's correctness contract: an [`Analyzer`] session
 //! — cold or memo-warm, sequential or parallel, batched or per-nest —
-//! must produce **bit-identical** `NestAnalysis` results to the uncached
-//! reference path, across randomized nests, cache geometries,
-//! and analysis options. Warmth is manufactured the way the optimizers do:
-//! by re-analyzing layout-mutated variants (moved bases, padded columns)
-//! of the same structure before the nest under test.
+//! must produce **bit-identical** `NestAnalysis` results to the reference
+//! oracle (`cme::core::solve::reference_analysis`), across randomized
+//! nests, cache geometries, and analysis options. Warmth is manufactured
+//! the way the optimizers do: by re-analyzing layout-mutated variants
+//! (moved bases, padded columns) of the same structure before the nest
+//! under test.
 
 use cme::cache::CacheConfig;
+use cme::core::solve::reference_analysis;
 use cme::core::{AnalysisOptions, Analyzer};
 use cme::ir::LoopNest;
 use cme_testgen::{arb_cache, arb_nest, NestDistribution};
 use proptest::prelude::*;
-
-/// The uncached reference path: a one-shot `Analyzer` session with
-/// memoization disabled — bit-identical semantics to the monolithic
-/// miss-finding pass.
-fn baseline(
-    nest: &cme::ir::LoopNest,
-    cache: cme::cache::CacheConfig,
-    options: &AnalysisOptions,
-) -> cme::core::NestAnalysis {
-    Analyzer::new(cache)
-        .options(options.clone())
-        .caching(false)
-        .analyze(nest)
-}
 
 /// A spread of option sets covering every verdict-relevant switch.
 fn option_sets() -> Vec<AnalysisOptions> {
@@ -34,10 +22,7 @@ fn option_sets() -> Vec<AnalysisOptions> {
         AnalysisOptions::builder()
             .exact_equation_counts(true)
             .build(),
-        AnalysisOptions::builder()
-            .collect_miss_points(true)
-            .pointwise_windows(true)
-            .build(),
+        AnalysisOptions::builder().collect_miss_points(true).build(),
     ]
 }
 
@@ -75,7 +60,7 @@ proptest! {
         cache in arb_cache(),
     ) {
         for opts in option_sets() {
-            let reference = baseline(&nest, cache, &opts);
+            let reference = reference_analysis(&nest, cache, &opts);
             let seq = Analyzer::new(cache)
                 .options(opts.clone())
                 .analyze(&nest);
@@ -105,7 +90,7 @@ proptest! {
             analyzer.analyze(&mutate_layout(&nest, 2 * shift, 0));
             let warm = analyzer.analyze(&nest);
             prop_assert_eq!(
-                &baseline(&nest, cache, &opts),
+                &reference_analysis(&nest, cache, &opts),
                 &warm,
                 "warm engine diverged (shift {}, pad {})",
                 shift,
@@ -115,15 +100,15 @@ proptest! {
     }
 
     /// Re-analyzing the same nest from a hot memo is a pure cache replay
-    /// and must be idempotent; with caching disabled the session is a
-    /// passthrough to the reference path.
+    /// and must be idempotent; with caching disabled the session runs the
+    /// same pipeline without memos and must match the oracle too.
     #[test]
     fn replay_and_passthrough_match_reference(
         nest in arb_nest(NestDistribution::default()),
         cache in arb_cache(),
     ) {
         let opts = AnalysisOptions::default();
-        let reference = baseline(&nest, cache, &opts);
+        let reference = reference_analysis(&nest, cache, &opts);
         let mut analyzer = Analyzer::new(cache).options(opts.clone());
         let first = analyzer.analyze(&nest);
         let replay = analyzer.analyze(&nest);
@@ -133,7 +118,7 @@ proptest! {
             .options(opts)
             .caching(false)
             .analyze(&nest);
-        prop_assert_eq!(&reference, &off, "passthrough diverged");
+        prop_assert_eq!(&reference, &off, "uncached session diverged");
     }
 }
 

@@ -144,6 +144,32 @@ fn sequential_exhaustion_is_deterministic() {
     assert_eq!(a, b, "same budget, same sequential cut point");
     assert_eq!(oa, ob);
     assert!(oa.is_exhausted(), "300 solves cannot finish mmult(16)");
+    // An uncached session runs the same governed pipeline: it exhausts the
+    // same budget, overcounts soundly, and cuts at the same point.
+    let uncached = Analyzer::new(cache)
+        .threads(1)
+        .budget(budget)
+        .caching(false)
+        .try_analyze(&nest)
+        .expect("governed paths never error");
+    assert!(
+        uncached.outcome.is_exhausted(),
+        "an uncached session must honor the budget: {:?}",
+        uncached.outcome
+    );
+    let counts: Vec<u64> = uncached
+        .analysis
+        .per_ref
+        .iter()
+        .map(|r| r.total_misses())
+        .collect();
+    for (c, e) in counts.iter().zip(&exact_misses(&nest, cache, 1)) {
+        assert!(c >= e, "uncached exhaustion undercounts: {c} < {e}");
+    }
+    assert_eq!(
+        counts, a,
+        "uncached and cold cached sessions cut differently"
+    );
 }
 
 #[test]

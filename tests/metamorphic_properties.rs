@@ -2,24 +2,11 @@
 //! analysis results of a nest and its transformed variants, fuzzed over
 //! the shared random-nest distribution of `cme-testgen`.
 use cme::cache::{simulate_nest, CacheConfig};
+use cme::core::solve::{reference_analysis, reference_analysis_pointwise};
 use cme::core::{AnalysisOptions, Analyzer};
 use cme::ir::transform::{interchange, strip_mine};
 use cme_testgen::{arb_cache, arb_nest, is_uniform, NestDistribution};
 use proptest::prelude::*;
-
-/// The uncached reference path: a one-shot `Analyzer` session with
-/// memoization disabled — bit-identical semantics to the monolithic
-/// miss-finding pass.
-fn baseline(
-    nest: &cme::ir::LoopNest,
-    cache: cme::cache::CacheConfig,
-    options: &AnalysisOptions,
-) -> cme::core::NestAnalysis {
-    Analyzer::new(cache)
-        .options(options.clone())
-        .caching(false)
-        .analyze(nest)
-}
 
 fn opts() -> AnalysisOptions {
     AnalysisOptions::default()
@@ -44,7 +31,7 @@ proptest! {
             (0..nest.depth()).rev().collect()
         };
         if let Ok(swapped) = interchange(&nest, &perm) {
-            let cme = baseline(&swapped, cache, &opts()).total_misses();
+            let cme = reference_analysis(&swapped, cache, &opts()).total_misses();
             let sim = simulate_nest(&swapped, cache).total().misses();
             prop_assert!(cme >= sim, "under-count after interchange:\n{swapped}");
         }
@@ -74,7 +61,7 @@ proptest! {
             simulate_nest(&nest, cache).total().misses(),
             "strip-mining altered the trace:\n{}", stripped
         );
-        let cme = baseline(&stripped, cache, &opts()).total_misses();
+        let cme = reference_analysis(&stripped, cache, &opts()).total_misses();
         let sim = simulate_nest(&stripped, cache).total().misses();
         prop_assert!(cme >= sim);
     }
@@ -87,7 +74,7 @@ proptest! {
         cache in arb_cache(),
     ) {
         prop_assume!(is_uniform(&nest));
-        let cme = baseline(&nest, cache, &opts()).total_misses();
+        let cme = reference_analysis(&nest, cache, &opts()).total_misses();
         let sim = simulate_nest(&nest, cache).total().misses();
         prop_assert_eq!(cme, sim, "inexact on uniform nest:\n{}\n{}", nest, cache);
     }
@@ -99,7 +86,7 @@ proptest! {
         nest in arb_nest(NestDistribution::default()),
         cache in arb_cache(),
     ) {
-        let a = baseline(&nest, cache, &opts());
+        let a = reference_analysis(&nest, cache, &opts());
         let b = Analyzer::new(cache)
             .options(opts())
             .parallel(true)
@@ -145,8 +132,8 @@ proptest! {
         cache in arb_cache(),
         eps in 1u64..4096,
     ) {
-        let exact = baseline(&nest, cache, &opts()).total_misses();
-        let loose = baseline(
+        let exact = reference_analysis(&nest, cache, &opts()).total_misses();
+        let loose = reference_analysis(
             &nest,
             cache,
             &AnalysisOptions { epsilon: eps, ..opts() },
@@ -155,19 +142,15 @@ proptest! {
         prop_assert!(loose >= exact);
     }
 
-    /// The pointwise window-scan ablation is semantics-preserving: both
-    /// scanners produce identical analyses.
+    /// The row-summarized window scanner is semantics-preserving: the
+    /// oracle's pointwise walk produces an identical analysis.
     #[test]
     fn row_scan_equals_pointwise_scan(
         nest in arb_nest(NestDistribution::default()),
         cache in arb_cache(),
     ) {
-        let fast = baseline(&nest, cache, &opts());
-        let slow = baseline(
-            &nest,
-            cache,
-            &AnalysisOptions { pointwise_windows: true, ..opts() },
-        );
+        let fast = reference_analysis(&nest, cache, &opts());
+        let slow = reference_analysis_pointwise(&nest, cache, &opts());
         prop_assert_eq!(fast, slow);
     }
 }
@@ -177,14 +160,15 @@ proptest! {
 /// offline proptest stub does not auto-load regression files, so every
 /// recorded case is reconstructed here and run through the whole
 /// `(nest, cache)` property battery — soundness, uniform exactness,
-/// parallel bit-identity, and scan-ablation identity — on every test run.
+/// parallel bit-identity, and row-vs-pointwise scan identity — on every
+/// test run.
 mod regressions {
     use super::*;
     use cme::core::NestAnalysis;
     use cme::ir::{AccessKind, LoopNest, NestBuilder};
 
     fn battery(nest: &LoopNest, cache: CacheConfig) -> NestAnalysis {
-        let analysis = baseline(nest, cache, &opts());
+        let analysis = reference_analysis(nest, cache, &opts());
         let sim = simulate_nest(nest, cache).total().misses();
         assert!(
             analysis.total_misses() >= sim,
@@ -208,15 +192,8 @@ mod regressions {
         );
         assert_eq!(
             analysis,
-            baseline(
-                nest,
-                cache,
-                &AnalysisOptions {
-                    pointwise_windows: true,
-                    ..opts()
-                },
-            ),
-            "pointwise ablation diverged\n{nest}"
+            reference_analysis_pointwise(nest, cache, &opts()),
+            "pointwise scan diverged\n{nest}"
         );
         analysis
     }

@@ -3,6 +3,7 @@
 //! replacement CME, and the Figure 8 miss-finding progression (at a scaled
 //! size plus spot checks of the full-size structure).
 use cme::cache::CacheConfig;
+use cme::core::solve::solve_reference;
 use cme::core::{AnalysisOptions, Analyzer, CmeSystem};
 use cme::ir::{AccessKind, LoopNest, NestBuilder};
 use cme::kernels::mmult_with_bases;
@@ -79,9 +80,7 @@ fn figure_8_progression_scaled() {
         exact_equation_counts: true,
         ..AnalysisOptions::default()
     };
-    let analysis = Analyzer::new(cache)
-        .options(opts)
-        .analyze_reference_with_vectors(&nest, z_load, &rvs);
+    let analysis = solve_reference(&nest, cache, z_load, &rvs, &opts);
     assert_eq!(analysis.vectors.len(), 3);
     // Cold-CME solution counts: N^3/8 along r1, then N^2/8 along r2 and r3
     // (the paper's 2097152 / 8192 / 8192 at N = 256).
@@ -116,10 +115,10 @@ fn figure_8_vectors_suffice_for_z() {
         ReuseVector::new(vec![0, 1, -7], z_load, ReuseKind::SelfSpatial, -7),
         ReuseVector::new(vec![0, 1, 0], z_load, ReuseKind::SelfTemporal, 0),
     ];
-    let mut analyzer = Analyzer::new(cache);
-    let restricted = analyzer.analyze_reference_with_vectors(&nest, z_load, &three);
-    let auto_rvs = reuse_vectors(&nest, &cache, z_load, &ReuseOptions::default());
-    let full = analyzer.analyze_reference_with_vectors(&nest, z_load, &auto_rvs);
+    let opts = AnalysisOptions::default();
+    let restricted = solve_reference(&nest, cache, z_load, &three, &opts);
+    let auto_rvs = reuse_vectors(&nest, &cache, z_load, &opts.reuse);
+    let full = solve_reference(&nest, cache, z_load, &auto_rvs, &opts);
     assert!(restricted.total_misses() >= full.total_misses());
 }
 

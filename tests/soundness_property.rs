@@ -9,23 +9,10 @@
 //! the count.
 
 use cme::cache::{simulate_nest, CacheConfig};
-use cme::core::{AnalysisOptions, Analyzer};
+use cme::core::solve::reference_analysis;
+use cme::core::AnalysisOptions;
 use cme::ir::{AccessKind, LoopNest, NestBuilder};
 use proptest::prelude::*;
-
-/// The uncached reference path: a one-shot `Analyzer` session with
-/// memoization disabled — bit-identical semantics to the monolithic
-/// miss-finding pass.
-fn baseline(
-    nest: &cme::ir::LoopNest,
-    cache: cme::cache::CacheConfig,
-    options: &AnalysisOptions,
-) -> cme::core::NestAnalysis {
-    Analyzer::new(cache)
-        .options(options.clone())
-        .caching(false)
-        .analyze(nest)
-}
 
 /// A random 2-deep nest with 1–3 arrays and 2–5 references with offset
 /// subscripts — all within the paper's program model.
@@ -92,7 +79,7 @@ proptest! {
     #[test]
     fn cme_never_undercounts(nest in arb_nest(), assoc in prop_oneof![Just(1i64), Just(2), Just(4)]) {
         let cache = CacheConfig::new(512, assoc, 16, 4).unwrap();
-        let analysis = baseline(&nest, cache, &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, cache, &AnalysisOptions::default());
         let sim = simulate_nest(&nest, cache);
         prop_assert!(
             analysis.total_misses() >= sim.total().misses(),
@@ -140,7 +127,7 @@ proptest! {
         b.reference(a, AccessKind::Read, &subs);
         let nest = b.build().unwrap();
         let cache = CacheConfig::new(512, assoc, 16, 4).unwrap();
-        let analysis = baseline(&nest, cache, &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, cache, &AnalysisOptions::default());
         let sim = simulate_nest(&nest, cache);
         prop_assert_eq!(analysis.total_misses(), sim.total().misses(), "\n{}", nest);
     }
@@ -162,7 +149,7 @@ proptest! {
         b.reference(c, AccessKind::Write, &[("i", 0), ("j", 0)]);
         let nest = b.build().unwrap();
         let cache = CacheConfig::new(512, 1, 16, 4).unwrap();
-        let analysis = baseline(&nest, cache, &AnalysisOptions::default());
+        let analysis = reference_analysis(&nest, cache, &AnalysisOptions::default());
         let sim = simulate_nest(&nest, cache);
         prop_assert_eq!(analysis.total_misses(), sim.total().misses(), "\n{}", nest);
     }

@@ -5,7 +5,7 @@
 //! `reuse` the per-reference vector counts, `solve` the per-vector
 //! indeterminate-set refinement (`examined → cold`), `cascade` the
 //! per-vector replacement misses, and `classify` the assembled totals.
-//! The equivalence suites prove the pipeline matches the reference path;
+//! The equivalence suites prove the pipeline matches the reference oracle;
 //! this snapshot pins the *intermediate* numbers, so a regression that
 //! shifts work between stages while keeping the totals (e.g. a solve-stage
 //! bug silently compensated by extra scanning) still fails loudly.

@@ -3,24 +3,11 @@
 //! diagnosis-driven workflow of the paper's Section 7 vision.
 
 use cme::cache::{simulate_nest, CacheConfig};
-use cme::core::{AnalysisOptions, Analyzer};
+use cme::core::solve::reference_analysis;
+use cme::core::AnalysisOptions;
 use cme::ir::transform::{fuse, interchange, strip_mine, tile_nest};
 use cme::kernels;
 use cme::opt::{diagnose, Recommendation};
-
-/// The uncached reference path: a one-shot `Analyzer` session with
-/// memoization disabled — bit-identical semantics to the monolithic
-/// miss-finding pass.
-fn baseline(
-    nest: &cme::ir::LoopNest,
-    cache: cme::cache::CacheConfig,
-    options: &AnalysisOptions,
-) -> cme::core::NestAnalysis {
-    Analyzer::new(cache)
-        .options(options.clone())
-        .caching(false)
-        .analyze(nest)
-}
 
 fn small_cache() -> CacheConfig {
     CacheConfig::new(1024, 1, 32, 4).unwrap()
@@ -40,8 +27,8 @@ fn mechanical_fusion_matches_handwritten_adi() {
     );
     let opts = AnalysisOptions::default();
     assert_eq!(
-        baseline(&mechanical, cache, &opts).total_misses(),
-        baseline(&handwritten, cache, &opts).total_misses()
+        reference_analysis(&mechanical, cache, &opts).total_misses(),
+        reference_analysis(&handwritten, cache, &opts).total_misses()
     );
     assert_eq!(
         simulate_nest(&mechanical, cache).total().misses(),
@@ -58,7 +45,7 @@ fn interchange_fixes_matvec_and_stays_exact() {
     let good = interchange(&bad, &[1, 0]).unwrap();
     let opts = AnalysisOptions::default();
     for nest in [&bad, &good] {
-        let cme = baseline(nest, cache, &opts).total_misses();
+        let cme = reference_analysis(nest, cache, &opts).total_misses();
         let sim = simulate_nest(nest, cache).total().misses();
         assert_eq!(cme, sim, "exactness on `{}`", nest.name());
     }
@@ -78,7 +65,7 @@ fn strip_mined_nest_is_analyzed_exactly() {
     let nest = kernels::matvec(32);
     let stripped = strip_mine(&nest, 0, 8).unwrap();
     let opts = AnalysisOptions::default();
-    let cme = baseline(&stripped, cache, &opts).total_misses();
+    let cme = reference_analysis(&stripped, cache, &opts).total_misses();
     let sim = simulate_nest(&stripped, cache).total().misses();
     assert_eq!(cme, sim);
     // Identical traces => identical misses vs. the original.
@@ -95,7 +82,7 @@ fn tiling_matmul_reduces_capacity_misses() {
     let tiled = tile_nest(&plain, &[(1, 8), (2, 8)]).unwrap();
     let opts = AnalysisOptions::default();
     // Exactness on the 5-deep tiled nest.
-    let cme = baseline(&tiled, cache, &opts).total_misses();
+    let cme = reference_analysis(&tiled, cache, &opts).total_misses();
     let sim = simulate_nest(&tiled, cache).total().misses();
     assert_eq!(cme, sim, "tiled nest must stay exact");
     // And tiling helps the capacity-bound matmul.
@@ -146,7 +133,7 @@ fn extra_kernels_are_analyzed_exactly() {
     let opts = AnalysisOptions::default();
     for name in ["jacobi2d", "matvec", "triad", "stencil3d"] {
         let nest = kernels::kernel_by_name(name, 12).unwrap();
-        let cme = baseline(&nest, cache, &opts).total_misses();
+        let cme = reference_analysis(&nest, cache, &opts).total_misses();
         let sim = simulate_nest(&nest, cache).total().misses();
         assert_eq!(cme, sim, "`{name}` should be exact");
     }
@@ -154,7 +141,7 @@ fn extra_kernels_are_analyzed_exactly() {
     // A(k,j) / A(j,k)), the gauss/trans situation: sound, possibly over.
     for name in ["lu", "syr2k"] {
         let nest = kernels::kernel_by_name(name, 12).unwrap();
-        let cme = baseline(&nest, cache, &opts).total_misses();
+        let cme = reference_analysis(&nest, cache, &opts).total_misses();
         let sim = simulate_nest(&nest, cache).total().misses();
         assert!(cme >= sim, "`{name}` must stay sound");
     }
@@ -177,8 +164,8 @@ fn kernels_roundtrip_through_text_format() {
         let reparsed = cme::ir::parse::parse_nest(&src)
             .unwrap_or_else(|e| panic!("{name} failed to reparse: {e}\n{src}"));
         assert_eq!(
-            baseline(&nest, cache, &opts).total_misses(),
-            baseline(&reparsed, cache, &opts).total_misses(),
+            reference_analysis(&nest, cache, &opts).total_misses(),
+            reference_analysis(&reparsed, cache, &opts).total_misses(),
             "analysis changed across the text roundtrip for {name}"
         );
         roundtripped += 1;
@@ -198,7 +185,7 @@ fn strided_sweeps_miss_once_per_line() {
         } else {
             (64 * stride + 7) / 8
         };
-        let a = baseline(&nest, cache, &opts);
+        let a = reference_analysis(&nest, cache, &opts);
         assert_eq!(a.total_misses(), expected_lines as u64, "stride {stride}");
         assert_eq!(
             simulate_nest(&nest, cache).total().misses(),
