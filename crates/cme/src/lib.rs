@@ -43,7 +43,7 @@
 //!
 //! The [`core::Analyzer`] session is reusable: re-analyzing transformed
 //! variants of the same nest (moved bases, padded columns) re-solves
-//! incrementally from memoized equation work — the engine behind the
+//! incrementally from memoized pipeline artifacts — the engine behind the
 //! `cme::opt` searches. Nests can be interned once into the session's
 //! [`core::ProgramDb`] and analyzed by [`core::NestId`] handle, singly or
 //! in one batched call ([`core::Analyzer::analyze_batch`]) that shares the

@@ -1,6 +1,6 @@
 //! The unified request/response contract every frontend speaks.
 //!
-//! `cmetool`, the `cme-serve` wire protocol, in-process batch callers, and
+//! `cmetool`, the `cme-serve` wire protocol, in-process callers, and
 //! the `cme-diffcheck` corpus replayer all round-trip analyses through one
 //! schema: [`AnalyzeRequest`] in, [`AnalyzeResponse`] out, failures as a
 //! stable [`ErrorCode`] inside [`Error`]. A request carries the program as
@@ -1052,124 +1052,6 @@ impl Analyzer {
             }
         })
     }
-
-    /// [`Analyzer::serve`] over a batch: requests that share options and
-    /// budget are analyzed through one [`Analyzer::try_analyze_batch`]
-    /// pool session (sharing workers and memo tables); the rest fall back
-    /// to per-request serving. Responses are in request order, each
-    /// bit-identical to serving that request alone.
-    pub fn serve_batch(&mut self, requests: &[AnalyzeRequest]) -> Vec<AnalyzeResponse> {
-        // Validate everything first; only uniform, valid requests batch.
-        struct Item {
-            nest_id: cme_ir::NestId,
-            options: AnalysisOptions,
-            budget: Budget,
-            /// Only baseline-model requests join the uniform batch;
-            /// non-baseline ones need the per-request simulator path.
-            baseline: bool,
-        }
-        let mut items: Vec<Result<Item, Error>> = Vec::with_capacity(requests.len());
-        for request in requests {
-            items.push((|| {
-                let cache = request.cache_config()?;
-                if &cache != self.cache() {
-                    return Err(Error::new(
-                        ErrorCode::InvalidCache,
-                        format!(
-                            "request geometry ({cache}) does not match the session ({})",
-                            self.cache()
-                        ),
-                    ));
-                }
-                let model = request.cache_model()?;
-                if &model != self.model() {
-                    return Err(Error::new(
-                        ErrorCode::InvalidCache,
-                        format!(
-                            "request cache model ({model}) does not match the session ({})",
-                            self.model()
-                        ),
-                    ));
-                }
-                let nest = request.parse_program()?;
-                Ok(Item {
-                    nest_id: self.intern(&nest),
-                    options: request.options()?,
-                    budget: request.budget(),
-                    baseline: model.is_baseline(),
-                })
-            })());
-        }
-        let uniform = {
-            let mut ok = items
-                .iter()
-                .filter_map(|i| i.as_ref().ok().filter(|i| i.baseline));
-            match ok.next() {
-                Some(first) => ok.all(|i| i.options == first.options && i.budget == first.budget),
-                None => true,
-            }
-        };
-        let threads = self.thread_count();
-        let mut responses: Vec<Option<AnalyzeResponse>> = requests.iter().map(|_| None).collect();
-        if uniform {
-            let batch: Vec<(usize, &Item)> = items
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| {
-                    r.as_ref()
-                        .ok()
-                        .filter(|item| item.baseline)
-                        .map(|item| (i, item))
-                })
-                .collect();
-            if let Some((_, first)) = batch.first() {
-                let ids: Vec<cme_ir::NestId> = batch.iter().map(|(_, it)| it.nest_id).collect();
-                let options = first.options.clone();
-                let budget = first.budget;
-                let hits_before = self.stats().store_hits;
-                match self
-                    .engine_mut()
-                    .try_analyze_batch(&ids, &options, threads, budget, None)
-                {
-                    Ok(governed) => {
-                        // Per-request hit attribution is coarse for a
-                        // batch: flag all batched results when any hit
-                        // landed only if the whole batch hit.
-                        let hits = self.stats().store_hits - hits_before;
-                        let all_hit = hits >= ids.len() as u64;
-                        for ((i, _), g) in batch.iter().zip(governed) {
-                            responses[*i] = Some(AnalyzeResponse::ok(
-                                &requests[*i].id,
-                                AnalyzeResult::of(&g, all_hit),
-                            ));
-                        }
-                    }
-                    Err(e) => {
-                        let err = Error::from(e);
-                        for (i, _) in &batch {
-                            responses[*i] =
-                                Some(AnalyzeResponse::err(&requests[*i].id, err.clone()));
-                        }
-                    }
-                }
-            }
-        }
-        for (i, request) in requests.iter().enumerate() {
-            if responses[i].is_none() {
-                responses[i] = Some(match &items[i] {
-                    Err(e) => AnalyzeResponse::err(&request.id, e.clone()),
-                    Ok(_) => self.serve(request),
-                });
-            }
-        }
-        responses
-            .into_iter()
-            .map(|r| match r {
-                Some(r) => r,
-                None => unreachable!("every slot is filled above"),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1358,40 +1240,6 @@ mod tests {
         assert!(!result.outcome.reason.is_empty());
         // Sound overcount: never below the exact answer.
         assert!(result.total_misses >= 8);
-    }
-
-    #[test]
-    fn serve_batch_matches_individual_serves() {
-        let cfg = spec().build().unwrap();
-        let reqs: Vec<AnalyzeRequest> = (0..3)
-            .map(|i| {
-                let n = 32 << i;
-                AnalyzeRequest::new(
-                    format!("q{i}"),
-                    format!("REAL A({n}) AT 0\nDO i = 1, {n}\n  s = s + A(i)\nENDDO\n"),
-                    spec(),
-                )
-            })
-            .collect();
-        let batched = Analyzer::new(cfg).serve_batch(&reqs);
-        let mut solo = Analyzer::new(cfg);
-        for (req, resp) in reqs.iter().zip(&batched) {
-            assert_eq!(resp.id, req.id);
-            assert_eq!(
-                resp.result.as_ref().unwrap().total_misses,
-                solo.serve(req).result.unwrap().total_misses
-            );
-        }
-    }
-
-    #[test]
-    fn serve_batch_mixes_errors_and_results() {
-        let cfg = spec().build().unwrap();
-        let good = AnalyzeRequest::new("good", sweep_source(), spec());
-        let bad = AnalyzeRequest::new("bad", "not a program", spec());
-        let resps = Analyzer::new(cfg).serve_batch(&[good, bad]);
-        assert!(resps[0].result.is_ok());
-        assert_eq!(resps[1].result.as_ref().unwrap_err().code, ErrorCode::Parse);
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //! as defaults over the staged incremental [`Engine`].
 
 use super::{Engine, EngineStats};
-use crate::equations::CmeSystem;
 use crate::governor::{AnalysisError, Budget, CancelToken, GovernedAnalysis};
 use crate::solve::{AnalysisOptions, NestAnalysis};
 use cme_cache::{CacheConfig, CacheModel};
 use cme_ir::{LoopNest, NestId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A configured analysis session: cache, options, and threading fixed as
 /// defaults, with the staged incremental [`Engine`] carrying memoized work
@@ -268,12 +266,6 @@ impl Analyzer {
             ..self.options.clone()
         };
         self.analyze_with_options(nest, &options)
-    }
-
-    /// The symbolic CME system for a nest (generated, rebased, or reused).
-    pub fn system(&mut self, nest: &LoopNest) -> Arc<CmeSystem> {
-        let reuse = self.options.reuse.clone();
-        self.engine.system(nest, &reuse)
     }
 
     /// Snapshot of the engine's accounting.

@@ -96,25 +96,6 @@ pub(crate) fn scan_key(
     h.finish()
 }
 
-/// Key of a generated [`crate::CmeSystem`]: cache + reuse options +
-/// structure (no bases — a cached system is rebased on layout changes).
-pub(crate) fn system_key(
-    cache: &CacheConfig,
-    reuse: &cme_reuse::ReuseOptions,
-    structural: u128,
-) -> u128 {
-    let mut h = KeyHasher::new(0x5751);
-    h.feed(cache);
-    h.feed(&reuse.group)
-        .feed(&reuse.extended)
-        .feed(&reuse.max_vectors)
-        .feed(&reuse.candidate_budget)
-        .feed(&reuse.prune_dominated);
-    h.feed(&(structural as u64))
-        .feed(&((structural >> 64) as u64));
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

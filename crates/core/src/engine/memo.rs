@@ -1,15 +1,15 @@
-//! The engine's memo tables: per-stage artifact caches and the
-//! equation-system cache, with their capacity policy.
+//! The engine's four memo tables — lower, reuse, solve set, scan — with
+//! their capacity policy.
 //!
-//! Every table maps a 128-bit invalidation key (see [`super::keys`]) to an
-//! `Arc`-shared, immutable artifact. When a table reaches its cap it is
-//! cleared wholesale — crude, but the values are shared, so in-flight
-//! users are unaffected, and the caps are sized so a full optimizer search
-//! fits: a padding search visits tens of candidate layouts, each
-//! contributing one scan entry per (reference × vector) and one solve set
-//! per distinct destination line offset — the scan table is the big one
-//! (small entries: a few counters plus the miss indices), the others stay
-//! tiny.
+//! The lower table maps a nest handle, every other table a 128-bit
+//! invalidation key (see [`super::keys`]), to a shared, immutable
+//! artifact. When a table reaches its cap it is cleared wholesale —
+//! crude, but the values are shared, so in-flight users are unaffected,
+//! and the caps are sized so a full optimizer search fits: a padding
+//! search visits tens of candidate layouts, each contributing one scan
+//! entry per (reference × vector) and one solve set per distinct
+//! destination line offset — the scan table is the big one (small
+//! entries: a few counters plus the miss indices), the others stay tiny.
 //!
 //! Truncated artifacts (a governor stopped the work early) are sound
 //! overcounts for *one* query, not exact results: they are returned to the
@@ -18,31 +18,19 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use cme_ir::{LoopNest, NestId};
-use cme_reuse::ReuseOptions;
+use cme_ir::NestId;
 
-use crate::equations::CmeSystem;
 use crate::governor::AnalysisError;
 
 use super::stages::cascade::CascadeResult;
 use super::stages::lower::{self, LoweredNest};
 use super::stages::reuse::ReusePlan;
 use super::stages::solve::SolveSet;
-use super::{keys, Engine};
+use super::Engine;
 
 pub(crate) const REUSE_CAP: usize = 4096;
 pub(crate) const CASCADE_CAP: usize = 4096;
 pub(crate) const SCAN_CAP: usize = 1 << 17;
-pub(crate) const SYSTEM_CAP: usize = 256;
-
-/// A cached [`CmeSystem`] together with the layout it is targeted at;
-/// a candidate with the same structure but a moved layout *rebases* the
-/// system (constant terms only) instead of regenerating it.
-#[derive(Debug)]
-pub(crate) struct SystemEntry {
-    pub(crate) layout: u128,
-    pub(crate) system: Arc<CmeSystem>,
-}
 
 /// Locks a mutex, recovering from poisoning: every value behind the
 /// engine's locks is either an `Arc`-shared immutable snapshot or a plain
@@ -142,58 +130,6 @@ impl Engine {
         map.insert(key, outcome);
     }
 
-    /// The symbolic CME system for a nest: generated once per structure,
-    /// *rebased* (address constants only) when only the layout moved, and
-    /// returned verbatim when nothing changed. Interns the nest.
-    pub fn system(&mut self, nest: &LoopNest, reuse: &ReuseOptions) -> Arc<CmeSystem> {
-        let id = self.db.intern(nest);
-        let key = keys::system_key(&self.cache, reuse, self.db.structural_hash(id));
-        let layout = self.db.layout_hash(id);
-        {
-            let mut map = relock(&self.system_memo);
-            if let Some(entry) = map.get_mut(&key) {
-                if entry.layout == layout {
-                    self.counters.systems_reused.fetch_add(1, Ordering::Relaxed);
-                    return entry.system.clone();
-                }
-                let rebased = Arc::new(entry.system.rebase_to(nest));
-                entry.layout = layout;
-                entry.system = rebased.clone();
-                self.counters
-                    .systems_rebased
-                    .fetch_add(1, Ordering::Relaxed);
-                return rebased;
-            }
-        }
-        let system = Arc::new(CmeSystem::generate(nest, self.cache, reuse));
-        self.counters
-            .systems_generated
-            .fetch_add(1, Ordering::Relaxed);
-        let mut map = relock(&self.system_memo);
-        if map.len() >= SYSTEM_CAP {
-            map.clear();
-        }
-        map.insert(
-            key,
-            SystemEntry {
-                layout,
-                system: system.clone(),
-            },
-        );
-        system
-    }
-
-    /// Counts a replacement equation's solutions through the shared solve
-    /// memo (see
-    /// [`crate::equations::ReplacementEquation::count_solutions_memo`]).
-    pub fn count_replacement(
-        &self,
-        eq: &crate::equations::ReplacementEquation,
-        nest: &LoopNest,
-    ) -> u64 {
-        eq.count_solutions_memo(nest, &self.cache, Some(&self.solve_memo))
-    }
-
     /// Drops every cached artifact (including lowered nests; the interned
     /// program database itself is kept — handles stay valid). Counters
     /// keep accumulating.
@@ -202,7 +138,5 @@ impl Engine {
         relock(&self.reuse_memo).clear();
         relock(&self.cascade_memo).clear();
         relock(&self.scan_memo).clear();
-        relock(&self.system_memo).clear();
-        self.solve_memo.clear();
     }
 }

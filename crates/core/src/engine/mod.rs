@@ -22,10 +22,7 @@
 //! - each **`(reference, reuse-vector)` window scan** depends on the full
 //!   layout only through per-array line offsets and exact relative line
 //!   distances, so converged search sweeps and line-aligned translations
-//!   skip the scans entirely;
-//! - generated [`crate::equations::CmeSystem`]s are cached per structure and *rebased*
-//!   (constant terms only) onto candidates with new layouts; their
-//!   polytope counts go through a shared [`cme_math::SolveMemo`].
+//!   skip the scans entirely.
 //!
 //! [`Engine::analyze_batch`] analyzes many interned nests in one call:
 //! every `(nest, reference)` work item and every scan shard of the whole
@@ -73,7 +70,6 @@ use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis};
 use crate::store::ArtifactStore;
 use cme_cache::{CacheConfig, CacheModel};
 use cme_ir::{LoopNest, NestId, ProgramDb, RefId};
-use cme_math::SolveMemo;
 use cme_reuse::ReuseVector;
 use stages::cascade::{scan_run_block, split_blocks, CascadeResult};
 use stages::classify::Classification;
@@ -104,8 +100,6 @@ pub struct Engine {
     reuse_memo: Mutex<HashMap<u128, ReusePlan>>,
     cascade_memo: Mutex<HashMap<u128, Arc<SolveSet>>>,
     scan_memo: Mutex<HashMap<u128, Arc<CascadeResult>>>,
-    system_memo: Mutex<HashMap<u128, memo::SystemEntry>>,
-    solve_memo: Arc<SolveMemo>,
     store: Option<Arc<ArtifactStore>>,
     counters: Counters,
     /// Test hook: worker items left before an injected panic fires
@@ -150,8 +144,6 @@ impl Engine {
             reuse_memo: Mutex::new(HashMap::new()),
             cascade_memo: Mutex::new(HashMap::new()),
             scan_memo: Mutex::new(HashMap::new()),
-            system_memo: Mutex::new(HashMap::new()),
-            solve_memo: Arc::new(SolveMemo::new()),
             store: None,
             counters: Counters::default(),
             panic_countdown: AtomicU64::new(u64::MAX),
@@ -207,11 +199,6 @@ impl Engine {
     /// point sets would dominate memory). Default: 4M points.
     pub fn set_max_cached_points(&mut self, points: u64) {
         self.max_cached_points = points;
-    }
-
-    /// The shared Diophantine/polytope solve memo (for symbolic counting).
-    pub fn solve_memo(&self) -> &Arc<SolveMemo> {
-        &self.solve_memo
     }
 
     /// Interns and analyzes a nest at full budget. Panics (with the

@@ -41,9 +41,6 @@ pub(crate) struct Counters {
     pub(crate) cascades_reused: AtomicU64,
     pub(crate) scans_executed: AtomicU64,
     pub(crate) scans_reused: AtomicU64,
-    pub(crate) systems_generated: AtomicU64,
-    pub(crate) systems_rebased: AtomicU64,
-    pub(crate) systems_reused: AtomicU64,
     pub(crate) scan_points: AtomicU64,
     pub(crate) scan_blocks: AtomicU64,
     pub(crate) window_steps: AtomicU64,
@@ -119,7 +116,7 @@ impl Counters {
 }
 
 /// Snapshot of an [`Engine`]'s work accounting: per-stage artifacts
-/// generated vs reused, solver-memo traffic, and per-stage time.
+/// generated vs reused, scan work, and per-stage time.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Nest analyses run through the engine.
@@ -144,12 +141,6 @@ pub struct EngineStats {
     pub scans_executed: u64,
     /// Scan batches answered from the memo.
     pub scans_reused: u64,
-    /// [`crate::CmeSystem`]s generated from scratch.
-    pub systems_generated: u64,
-    /// Cached systems re-targeted at a new layout (constant terms only).
-    pub systems_rebased: u64,
-    /// Cached systems returned verbatim.
-    pub systems_reused: u64,
     /// Destination points whose reuse windows were scanned.
     pub scan_points: u64,
     /// Contiguous run blocks the scans were sharded into.
@@ -210,10 +201,6 @@ pub struct EngineStats {
     /// Numeric analyses run on behalf of sweeps (samples + fallback
     /// evaluations).
     pub sweep_samples: u64,
-    /// Diophantine/polytope solver memo hits (shared [`cme_math::SolveMemo`]).
-    pub solver_hits: u64,
-    /// Solver memo misses (counts actually computed).
-    pub solver_misses: u64,
     /// Wall time in the lower stage (interning, address affines,
     /// overflow validation).
     pub time_lower: Duration,
@@ -250,11 +237,6 @@ impl EngineStats {
         } else {
             hits as f64 / total as f64
         }
-    }
-
-    /// Total equation-system artifacts served without regeneration.
-    pub fn systems_saved(&self) -> u64 {
-        self.systems_rebased.saturating_add(self.systems_reused)
     }
 }
 
@@ -312,11 +294,6 @@ impl fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "  systems:       {} generated, {} rebased, {} reused",
-            self.systems_generated, self.systems_rebased, self.systems_reused
-        )?;
-        writeln!(
-            f,
             "  artifact store: {} hits, {} misses, {} writes",
             self.store_hits, self.store_misses, self.store_writes
         )?;
@@ -329,11 +306,6 @@ impl fmt::Display for EngineStats {
             f,
             "  sweeps:        {} fitted, {} fallback, {} memo hits, {} samples",
             self.sweeps_fitted, self.sweeps_fallback, self.sweep_memo_hits, self.sweep_samples
-        )?;
-        writeln!(
-            f,
-            "  solver memo:   {} hits, {} misses",
-            self.solver_hits, self.solver_misses
         )?;
         writeln!(f, "  memo hit rate: {:.1}%", self.memo_hit_rate() * 100.0)?;
         write!(
@@ -364,9 +336,6 @@ impl Engine {
             cascades_reused: c.cascades_reused.load(Ordering::Relaxed),
             scans_executed: c.scans_executed.load(Ordering::Relaxed),
             scans_reused: c.scans_reused.load(Ordering::Relaxed),
-            systems_generated: c.systems_generated.load(Ordering::Relaxed),
-            systems_rebased: c.systems_rebased.load(Ordering::Relaxed),
-            systems_reused: c.systems_reused.load(Ordering::Relaxed),
             scan_points: c.scan_points.load(Ordering::Relaxed),
             scan_blocks: c.scan_blocks.load(Ordering::Relaxed),
             window_steps: c.window_steps.load(Ordering::Relaxed),
@@ -392,8 +361,6 @@ impl Engine {
             sweeps_fallback: c.sweeps_fallback.load(Ordering::Relaxed),
             sweep_memo_hits: c.sweep_memo_hits.load(Ordering::Relaxed),
             sweep_samples: c.sweep_samples.load(Ordering::Relaxed),
-            solver_hits: self.solve_memo.hits(),
-            solver_misses: self.solve_memo.misses(),
             time_lower: ns(&c.lower_ns),
             time_reuse: ns(&c.reuse_ns),
             time_solve: ns(&c.solve_ns),

@@ -1,5 +1,4 @@
 use super::*;
-use crate::equations::CmeSystem;
 use crate::governor::Outcome;
 use crate::solve::reference_analysis;
 use cme_ir::{AccessKind, NestBuilder};
@@ -141,9 +140,8 @@ fn caching_off_is_a_passthrough() {
         stats.reuse_reused,
         stats.cascades_reused,
         stats.scans_reused,
-        stats.systems_reused,
     ];
-    assert_eq!(reused, [0; 5], "{stats}");
+    assert_eq!(reused, [0; 4], "{stats}");
 }
 
 #[test]
@@ -159,25 +157,6 @@ fn moving_one_array_reuses_other_cascades() {
     assert_eq!(analyzer.analyze(&n2), reference);
     // Every reference keeps B mod Ls, so no cascade is rebuilt.
     assert_eq!(analyzer.stats().cascades_built, built_before);
-}
-
-#[test]
-fn system_cache_generates_rebases_and_reuses() {
-    let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
-    let reuse = cme_reuse::ReuseOptions::default();
-    let mut engine = Engine::new(cache);
-    let n1 = matmul(8, 0, 128, 256);
-    let s1 = engine.system(&n1, &reuse);
-    let s1b = engine.system(&n1, &reuse);
-    assert!(Arc::ptr_eq(&s1, &s1b));
-    let n2 = matmul(8, 8, 130, 300);
-    let s2 = engine.system(&n2, &reuse);
-    assert_eq!(*s2, CmeSystem::generate(&n2, cache, &reuse));
-    let stats = engine.stats();
-    assert_eq!(stats.systems_generated, 1);
-    assert_eq!(stats.systems_rebased, 1);
-    assert_eq!(stats.systems_reused, 1);
-    assert!(stats.systems_saved() == 2);
 }
 
 #[test]
@@ -211,11 +190,9 @@ fn stage_times_are_populated() {
 fn stats_helpers_on_zero_queries() {
     let stats = EngineStats::default();
     assert_eq!(stats.memo_hit_rate(), 0.0);
-    assert_eq!(stats.systems_saved(), 0);
     // A fresh engine that has answered nothing reports the same.
     let engine = Engine::new(CacheConfig::new(1024, 1, 32, 4).unwrap());
     assert_eq!(engine.stats().memo_hit_rate(), 0.0);
-    assert_eq!(engine.stats().systems_saved(), 0);
 }
 
 #[test]
@@ -229,14 +206,11 @@ fn stats_helpers_saturate_instead_of_overflowing() {
         cascades_reused: u64::MAX,
         scans_executed: u64::MAX,
         scans_reused: u64::MAX,
-        systems_rebased: u64::MAX,
-        systems_reused: u64::MAX,
         ..EngineStats::default()
     };
     let rate = stats.memo_hit_rate();
     assert!(rate.is_finite() && (0.0..=1.0).contains(&rate));
     assert_eq!(rate, 1.0, "hits and total both saturate to u64::MAX");
-    assert_eq!(stats.systems_saved(), u64::MAX);
 }
 
 #[test]

@@ -135,19 +135,6 @@ impl ReplacementEquation {
     /// `j⃗ = i⃗` when it precedes the destination) are added per the
     /// paper's access-order rule.
     pub fn count_solutions(&self, nest: &LoopNest, cache: &CacheConfig) -> u64 {
-        self.count_solutions_memo(nest, cache, None)
-    }
-
-    /// [`ReplacementEquation::count_solutions`] with every polytope count
-    /// routed through a [`cme_math::SolveMemo`], so repeated counts over
-    /// identical `(coefficients, bounds)` inputs — as produced by candidate
-    /// layouts sharing structure — are answered from the memo.
-    pub fn count_solutions_memo(
-        &self,
-        nest: &LoopNest,
-        cache: &CacheConfig,
-        memo: Option<&cme_math::SolveMemo>,
-    ) -> u64 {
         let n = nest.depth();
         let src = self.reuse.source().index();
         let perp = self.perp.index();
@@ -156,46 +143,38 @@ impl ReplacementEquation {
         let mut total = 0u64;
         if self.reuse.is_intra_iteration() {
             if src < perp && perp < dest {
-                total += self.count_with_window(nest, cache, &WindowClass::Equal(Anchor::I), memo);
+                total += self.count_with_window(nest, cache, &WindowClass::Equal(Anchor::I));
             }
             return total;
         }
         // Interior: count(j ≺ i) − count(j ≼ p).
         for l in 0..n {
-            total += self.count_with_window(nest, cache, &WindowClass::Before(Anchor::I, l), memo);
+            total += self.count_with_window(nest, cache, &WindowClass::Before(Anchor::I, l));
         }
         for l in 0..n {
             total = total.saturating_sub(self.count_with_window(
                 nest,
                 cache,
                 &WindowClass::Before(Anchor::P, l),
-                memo,
             ));
         }
         total = total.saturating_sub(self.count_with_window(
             nest,
             cache,
             &WindowClass::Equal(Anchor::P),
-            memo,
         ));
         // Endpoints by statement order.
         if perp > src {
-            total += self.count_with_window(nest, cache, &WindowClass::Equal(Anchor::P), memo);
+            total += self.count_with_window(nest, cache, &WindowClass::Equal(Anchor::P));
         }
         if perp < dest {
-            total += self.count_with_window(nest, cache, &WindowClass::Equal(Anchor::I), memo);
+            total += self.count_with_window(nest, cache, &WindowClass::Equal(Anchor::I));
         }
         total
     }
 
     /// Builds and counts one window-class polytope (both `n` sign branches).
-    fn count_with_window(
-        &self,
-        nest: &LoopNest,
-        cache: &CacheConfig,
-        class: &WindowClass,
-        memo: Option<&cme_math::SolveMemo>,
-    ) -> u64 {
+    fn count_with_window(&self, nest: &LoopNest, cache: &CacheConfig, class: &WindowClass) -> u64 {
         let n = nest.depth();
         let nv = 2 * n + 3; // i.., j.., qa, qb, t
         let (qa, qb, t) = (2 * n, 2 * n + 1, 2 * n + 2);
@@ -321,10 +300,7 @@ impl ReplacementEquation {
             }
             let mut b = bounds.clone();
             b.push(cme_math::Interval::new(t_lo, t_hi));
-            count += match memo {
-                Some(m) => m.count_points(&p, &b),
-                None => p.count_points(&b),
-            };
+            count += p.count_points(&b);
         }
         count
     }
@@ -427,39 +403,6 @@ impl CmeSystem {
             })
             .collect();
         CmeSystem { per_ref, cache }
-    }
-
-    /// Re-targets a generated system at a nest with **identical structure**
-    /// but possibly different array layouts (base addresses and padded
-    /// column sizes are the only things a layout transform may change that
-    /// this method absorbs — loop bounds, subscripts, and reference order
-    /// must match the nest the system was generated for).
-    ///
-    /// Only the address affines (`mem_dest`, `mem_perp`) are recomputed;
-    /// reuse vectors and equation shapes are reused verbatim. Reuse vectors
-    /// are base-invariant (they depend on loop widths, line size, and
-    /// subscript coefficients plus same-array constant *differences*), so
-    /// when the layout change also preserves each array's column strides
-    /// and intra-array offsets the rebased system equals a freshly
-    /// generated one. Callers that change column sizes must re-key on the
-    /// structure hash, which includes subscript/stride coefficients.
-    pub fn rebase_to(&self, nest: &LoopNest) -> CmeSystem {
-        let mut out = self.clone();
-        for re in &mut out.per_ref {
-            let mem_dest = nest.address_affine(re.dest);
-            for g in &mut re.groups {
-                for eq in &mut g.replacements {
-                    debug_assert_eq!(
-                        eq.mem_dest.coeffs(),
-                        mem_dest.coeffs(),
-                        "rebase_to requires identical nest structure"
-                    );
-                    eq.mem_dest = mem_dest.clone();
-                    eq.mem_perp = nest.address_affine(eq.perp);
-                }
-            }
-        }
-        out
     }
 
     /// Total number of equations in the system (cold + replacement).
@@ -730,44 +673,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rebase_matches_fresh_generation_and_memo_counts_agree() {
-        let n = 6;
-        let build = |bases: [i64; 3]| {
-            let mut b = NestBuilder::new();
-            b.ct_loop("i", 1, n).ct_loop("k", 1, n).ct_loop("j", 1, n);
-            let z = b.array("Z", &[n, n], bases[0]);
-            let x = b.array("X", &[n, n], bases[1]);
-            let y = b.array("Y", &[n, n], bases[2]);
-            b.reference(z, AccessKind::Read, &[("j", 0), ("i", 0)]);
-            b.reference(x, AccessKind::Read, &[("k", 0), ("i", 0)]);
-            b.reference(y, AccessKind::Read, &[("j", 0), ("k", 0)]);
-            b.reference(z, AccessKind::Write, &[("j", 0), ("i", 0)]);
-            b.build().unwrap()
-        };
-        let cache = CacheConfig::new(256, 1, 16, 4).unwrap();
-        let nest_a = build([0, 64, 128]);
-        let nest_b = build([8, 77, 160]); // shifted bases, same structure
-        let sys_a = CmeSystem::generate(&nest_a, cache, &ReuseOptions::default());
-        let fresh_b = CmeSystem::generate(&nest_b, cache, &ReuseOptions::default());
-        let rebased_b = sys_a.rebase_to(&nest_b);
-        assert_eq!(rebased_b, fresh_b);
-
-        // Memoized counting is exact, and re-counting the same rebased
-        // system hits the memo.
-        let memo = cme_math::SolveMemo::new();
-        for re in &rebased_b.per_ref {
-            for g in re.groups.iter().take(2) {
-                for eq in &g.replacements {
-                    let plain = eq.count_solutions(&nest_b, &cache);
-                    assert_eq!(eq.count_solutions_memo(&nest_b, &cache, Some(&memo)), plain);
-                    assert_eq!(eq.count_solutions_memo(&nest_b, &cache, Some(&memo)), plain);
-                }
-            }
-        }
-        assert!(memo.hits() >= memo.misses(), "second pass fully memoized");
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! - [`api`] — the unified request/response contract
 //!   ([`api::AnalyzeRequest`], [`api::AnalyzeResponse`],
 //!   [`api::ErrorCode`]) shared by `cmetool`, the `cme-serve` wire
-//!   protocol, and in-process batch callers.
+//!   protocol, and in-process callers.
 //!
 //! # Example
 //!

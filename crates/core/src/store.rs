@@ -392,40 +392,9 @@ impl ArtifactStore {
     /// echo mismatch, or read error — and means "recompute". A hit
     /// touches the entry's mtime, making eviction least-recently-used.
     pub fn get(&self, key: &ArtifactKey) -> Option<NestAnalysis> {
-        let path = self.dir.join(key.file_name());
-        let bytes = match self.read_entry_bytes(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match decode_entry(&bytes, key) {
-            Ok(Some(analysis)) => {
-                // LRU touch; best-effort (a read-only store still serves).
-                if let Ok(f) = fs::File::options().append(true).open(&path) {
-                    let _ = f.set_modified(SystemTime::now());
-                }
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(analysis)
-            }
-            Ok(None) => {
-                // Key echo mismatch: someone else's entry under a
-                // colliding name. Leave it; just miss.
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(kind) => {
-                let slot = match kind {
-                    EntryReject::Corrupt => &self.counters.corrupt_evicted,
-                    EntryReject::Version => &self.counters.version_evicted,
-                };
-                slot.fetch_add(1, Ordering::Relaxed);
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
+        self.get_framed(&key.file_name(), |bytes| {
+            decode_framed(bytes, MAGIC, key, None, decode_analysis)
+        })
     }
 
     /// Persists a **complete** analysis under `key`, then enforces the
@@ -434,13 +403,55 @@ impl ArtifactStore {
     /// could not tell the difference. I/O failures are counted and
     /// swallowed — persistence is an optimization, not a contract.
     pub fn put(&self, key: &ArtifactKey, analysis: &NestAnalysis) {
-        let bytes = encode_entry(key, analysis);
+        let bytes = encode_framed(MAGIC, key, None, |e| encode_analysis(e, analysis));
+        self.put_framed(&key.file_name(), &bytes);
+    }
+
+    /// The read side shared by every entry kind: read the file, `decode`
+    /// it, then LRU-touch a hit, leave a key-echo mismatch alone (someone
+    /// else's entry under a colliding name), and delete a corrupt or
+    /// version-skewed entry. Anything but a hit counts as a miss.
+    fn get_framed<T>(
+        &self,
+        file_name: &str,
+        decode: impl FnOnce(&[u8]) -> Result<Option<T>, EntryReject>,
+    ) -> Option<T> {
+        let path = self.dir.join(file_name);
+        let decoded = match self.read_entry_bytes(&path) {
+            Ok(bytes) => decode(&bytes),
+            Err(_) => Ok(None),
+        };
+        match decoded {
+            Ok(Some(value)) => {
+                // LRU touch; best-effort (a read-only store still serves).
+                if let Ok(f) = fs::File::options().append(true).open(&path) {
+                    let _ = f.set_modified(SystemTime::now());
+                }
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(value);
+            }
+            Ok(None) => {}
+            Err(kind) => {
+                let slot = match kind {
+                    EntryReject::Corrupt => &self.counters.corrupt_evicted,
+                    EntryReject::Version => &self.counters.version_evicted,
+                };
+                slot.fetch_add(1, Ordering::Relaxed);
+                let _ = fs::remove_file(&path);
+            }
+        }
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// The write side shared by every entry kind: skip entries above the
+    /// per-entry cap, write atomically, then enforce the size bound.
+    fn put_framed(&self, file_name: &str, bytes: &[u8]) {
         if bytes.len() as u64 > self.max_entry_bytes {
             self.counters.skipped_large.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let final_path = self.dir.join(key.file_name());
-        if self.write_entry(&final_path, &bytes) {
+        if self.write_entry(&self.dir.join(file_name), bytes) {
             self.counters.writes.fetch_add(1, Ordering::Relaxed);
             self.evict_to_fit();
         }
@@ -570,27 +581,42 @@ enum EntryReject {
     Version,
 }
 
-/// Serializes one entry: header (magic, versions, key echo), payload,
-/// trailing FNV-1a checksum over everything before it.
-fn encode_entry(key: &ArtifactKey, analysis: &NestAnalysis) -> Vec<u8> {
+/// Serializes one entry: header (magic, versions, key echo, and for sweep
+/// entries the sweep fingerprint), payload, trailing FNV-1a checksum over
+/// everything before it.
+fn encode_framed(
+    magic: &[u8; 4],
+    key: &ArtifactKey,
+    param_fp: Option<u128>,
+    payload: impl FnOnce(&mut Encoder),
+) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.raw(MAGIC);
+    e.raw(magic);
     e.u32(STORE_FORMAT_VERSION);
     e.str(ENGINE_VERSION);
     key.encode(&mut e);
-    encode_analysis(&mut e, analysis);
+    if let Some(fp) = param_fp {
+        e.u128(fp);
+    }
+    payload(&mut e);
     let checksum = fnv1a64(e.bytes());
     e.u64(checksum);
     e.into_bytes()
 }
 
-/// Decodes one entry. `Ok(None)` = well-formed entry for a *different*
-/// key (filename collision — not ours to evict). `Err` says whether the
-/// entry is corrupt or merely version-skewed; either way it is safe to
-/// delete.
-fn decode_entry(bytes: &[u8], key: &ArtifactKey) -> Result<Option<NestAnalysis>, EntryReject> {
+/// Decodes one entry framed by [`encode_framed`]. `Ok(None)` = well-formed
+/// entry for a *different* key or fingerprint (filename collision — not
+/// ours to evict). `Err` says whether the entry is corrupt or merely
+/// version-skewed; either way it is safe to delete.
+fn decode_framed<T>(
+    bytes: &[u8],
+    magic: &[u8; 4],
+    key: &ArtifactKey,
+    param_fp: Option<u128>,
+    payload: impl FnOnce(&mut Decoder<'_>) -> Result<T, CodecError>,
+) -> Result<Option<T>, EntryReject> {
     // Checksum first: nothing else in the file is trusted before it.
-    if bytes.len() < MAGIC.len() + 8 {
+    if bytes.len() < magic.len() + 8 {
         return Err(EntryReject::Corrupt);
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
@@ -600,7 +626,7 @@ fn decode_entry(bytes: &[u8], key: &ArtifactKey) -> Result<Option<NestAnalysis>,
         return Err(EntryReject::Corrupt);
     }
     let mut d = Decoder::new(body);
-    if d.raw(MAGIC.len()).map_err(|_| EntryReject::Corrupt)? != MAGIC {
+    if d.raw(magic.len()).map_err(|_| EntryReject::Corrupt)? != magic {
         return Err(EntryReject::Corrupt);
     }
     if d.u32().map_err(|_| EntryReject::Corrupt)? != STORE_FORMAT_VERSION {
@@ -610,14 +636,18 @@ fn decode_entry(bytes: &[u8], key: &ArtifactKey) -> Result<Option<NestAnalysis>,
         return Err(EntryReject::Version);
     }
     let echoed = ArtifactKey::decode(&mut d).map_err(|_| EntryReject::Corrupt)?;
-    if &echoed != key {
+    let echoed_fp = match param_fp {
+        Some(_) => Some(d.u128().map_err(|_| EntryReject::Corrupt)?),
+        None => None,
+    };
+    if &echoed != key || echoed_fp != param_fp {
         return Ok(None);
     }
-    let analysis = decode_analysis(&mut d).map_err(|_| EntryReject::Corrupt)?;
+    let value = payload(&mut d).map_err(|_| EntryReject::Corrupt)?;
     if !d.is_exhausted() {
         return Err(EntryReject::Corrupt);
     }
-    Ok(Some(analysis))
+    Ok(Some(value))
 }
 
 fn encode_analysis(e: &mut Encoder, a: &NestAnalysis) {
@@ -826,13 +856,7 @@ fn sweep_file_name(key: &ArtifactKey, param_fp: u128) -> String {
     format!("{:032x}.{ENTRY_EXT}", h.finish())
 }
 
-fn encode_sweep_entry(key: &ArtifactKey, param_fp: u128, rec: &SweepRecord) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.raw(SWEEP_MAGIC);
-    e.u32(STORE_FORMAT_VERSION);
-    e.str(ENGINE_VERSION);
-    key.encode(&mut e);
-    e.u128(param_fp);
+fn encode_sweep(e: &mut Encoder, rec: &SweepRecord) {
     e.i64s(&rec.head);
     e.u32(rec.coeffs.len() as u32);
     for &(a, b, c) in &rec.coeffs {
@@ -844,61 +868,32 @@ fn encode_sweep_entry(key: &ArtifactKey, param_fp: u128, rec: &SweepRecord) -> V
     e.u64(rec.samples);
     e.u64(rec.margin);
     e.u64(rec.evaluations);
-    let checksum = fnv1a64(e.bytes());
-    e.u64(checksum);
-    e.into_bytes()
 }
 
-fn decode_sweep_entry(
-    bytes: &[u8],
-    key: &ArtifactKey,
-    param_fp: u128,
-) -> Result<Option<SweepRecord>, EntryReject> {
-    if bytes.len() < SWEEP_MAGIC.len() + 8 {
-        return Err(EntryReject::Corrupt);
+fn decode_sweep(d: &mut Decoder<'_>) -> Result<SweepRecord, CodecError> {
+    let head = d.i64s()?;
+    let n = d.u32()? as usize;
+    if n == 0 {
+        // An empty residue table in a checksummed entry is no function at
+        // all, so the entry is corrupt as far as the caller is concerned.
+        return Err(CodecError::BadDiscriminant {
+            at: d.position(),
+            value: 0,
+            what: "sweep residue count",
+        });
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut stored = [0u8; 8];
-    stored.copy_from_slice(tail);
-    if fnv1a64(body) != u64::from_le_bytes(stored) {
-        return Err(EntryReject::Corrupt);
+    let mut coeffs = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        coeffs.push((d.i64()?, d.i64()?, d.i64()?));
     }
-    let mut d = Decoder::new(body);
-    if d.raw(SWEEP_MAGIC.len()).map_err(|_| EntryReject::Corrupt)? != SWEEP_MAGIC {
-        return Err(EntryReject::Corrupt);
-    }
-    if d.u32().map_err(|_| EntryReject::Corrupt)? != STORE_FORMAT_VERSION {
-        return Err(EntryReject::Version);
-    }
-    if d.str().map_err(|_| EntryReject::Corrupt)? != ENGINE_VERSION {
-        return Err(EntryReject::Version);
-    }
-    let echoed = ArtifactKey::decode(&mut d).map_err(|_| EntryReject::Corrupt)?;
-    let echoed_fp = d.u128().map_err(|_| EntryReject::Corrupt)?;
-    if &echoed != key || echoed_fp != param_fp {
-        return Ok(None);
-    }
-    let rec = (|| -> Result<SweepRecord, CodecError> {
-        let head = d.i64s()?;
-        let n = d.u32()? as usize;
-        let mut coeffs = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            coeffs.push((d.i64()?, d.i64()?, d.i64()?));
-        }
-        Ok(SweepRecord {
-            head,
-            coeffs,
-            degree: d.u8()?,
-            samples: d.u64()?,
-            margin: d.u64()?,
-            evaluations: d.u64()?,
-        })
-    })()
-    .map_err(|_| EntryReject::Corrupt)?;
-    if rec.coeffs.is_empty() || !d.is_exhausted() {
-        return Err(EntryReject::Corrupt);
-    }
-    Ok(Some(rec))
+    Ok(SweepRecord {
+        head,
+        coeffs,
+        degree: d.u8()?,
+        samples: d.u64()?,
+        margin: d.u64()?,
+        evaluations: d.u64()?,
+    })
 }
 
 impl ArtifactStore {
@@ -906,53 +901,17 @@ impl ArtifactStore {
     /// miss model as [`ArtifactStore::get`]: any anomaly is a miss, and
     /// corrupt or version-skewed entries are evicted on contact.
     pub fn get_sweep(&self, key: &ArtifactKey, param_fp: u128) -> Option<SweepRecord> {
-        let path = self.dir.join(sweep_file_name(key, param_fp));
-        let bytes = match self.read_entry_bytes(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match decode_sweep_entry(&bytes, key, param_fp) {
-            Ok(Some(rec)) => {
-                if let Ok(f) = fs::File::options().append(true).open(&path) {
-                    let _ = f.set_modified(SystemTime::now());
-                }
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(rec)
-            }
-            Ok(None) => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(kind) => {
-                let slot = match kind {
-                    EntryReject::Corrupt => &self.counters.corrupt_evicted,
-                    EntryReject::Version => &self.counters.version_evicted,
-                };
-                slot.fetch_add(1, Ordering::Relaxed);
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
+        self.get_framed(&sweep_file_name(key, param_fp), |bytes| {
+            decode_framed(bytes, SWEEP_MAGIC, key, Some(param_fp), decode_sweep)
+        })
     }
 
     /// Persists a **fitted, complete** sweep, then enforces the size
     /// bound. The caller contract mirrors [`ArtifactStore::put`]:
     /// fallback or budget-degraded sweeps must never be offered.
     pub fn put_sweep(&self, key: &ArtifactKey, param_fp: u128, rec: &SweepRecord) {
-        let bytes = encode_sweep_entry(key, param_fp, rec);
-        if bytes.len() as u64 > self.max_entry_bytes {
-            self.counters.skipped_large.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let final_path = self.dir.join(sweep_file_name(key, param_fp));
-        if self.write_entry(&final_path, &bytes) {
-            self.counters.writes.fetch_add(1, Ordering::Relaxed);
-            self.evict_to_fit();
-        }
+        let bytes = encode_framed(SWEEP_MAGIC, key, Some(param_fp), |e| encode_sweep(e, rec));
+        self.put_framed(&sweep_file_name(key, param_fp), &bytes);
     }
 }
 
@@ -1122,7 +1081,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cme-store-test-lru-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let analysis = sample_analysis();
-        let one = encode_entry(&sample_key(0), &analysis).len() as u64;
+        let one = encode_framed(MAGIC, &sample_key(0), None, |e| {
+            encode_analysis(e, &analysis)
+        })
+        .len() as u64;
         // Room for about three entries.
         let store = ArtifactStore::open_bounded(&dir, one * 3 + one / 2, u64::MAX).unwrap();
         for salt in 0..6u128 {

@@ -145,17 +145,16 @@ impl LineMultiset {
     }
 }
 
-/// Address→line→set mapping with shift/mask fast paths for power-of-two
-/// geometries (the common case by far); non-power-of-two geometries fall
-/// back to floored division / Euclidean modulo. Hot scan loops perform
-/// this mapping several times per iteration point, where the general
-/// `floor_div`/`modulo` pair costs two hardware divisions.
+/// Address→line→set mapping as a shift and a mask. [`CacheConfig`] only
+/// accepts power-of-two line and element sizes and an associativity that
+/// divides `size/line`, so `line_elems` and `num_sets` are always powers
+/// of two. Hot scan loops perform this mapping several times per
+/// iteration point, where `floor_div`/`modulo` would cost two hardware
+/// divisions.
 #[derive(Clone, Copy)]
 pub(crate) struct Geom {
-    line_elems: i64,
-    num_sets: i64,
-    line_shift: Option<u32>,
-    set_mask: Option<i64>,
+    line_shift: u32,
+    set_mask: i64,
 }
 
 impl Geom {
@@ -163,38 +162,33 @@ impl Geom {
         Self::from_parts(cache.line_elems(), cache.num_sets())
     }
 
-    /// Builds the mapping from raw geometry parts. [`CacheConfig`] only
-    /// produces power-of-two `line_elems`/`num_sets`, so this is the only
-    /// way to reach the floored-division / Euclidean-modulo fallbacks —
-    /// the differential tests use it to pin fast-path/generic agreement.
+    /// Builds the mapping from raw geometry parts, both powers of two.
     pub(crate) fn from_parts(line_elems: i64, num_sets: i64) -> Self {
-        debug_assert!(line_elems > 0 && num_sets > 0);
+        debug_assert!(
+            line_elems > 0
+                && line_elems.count_ones() == 1
+                && num_sets > 0
+                && num_sets.count_ones() == 1,
+            "geometry parts must be powers of two: Ls={line_elems}, Ns={num_sets}"
+        );
         Geom {
-            line_elems,
-            num_sets,
-            line_shift: (line_elems & (line_elems - 1) == 0).then(|| line_elems.trailing_zeros()),
-            set_mask: (num_sets & (num_sets - 1) == 0).then(|| num_sets - 1),
+            line_shift: line_elems.trailing_zeros(),
+            set_mask: num_sets - 1,
         }
     }
 
     /// Memory line of an element address (`⌊addr / Ls⌋`, negatives floored).
     #[inline]
     pub(crate) fn line(&self, addr: i64) -> i64 {
-        match self.line_shift {
-            // Arithmetic right shift is floored division for all signs.
-            Some(s) => addr >> s,
-            None => floor_div(addr, self.line_elems),
-        }
+        // Arithmetic right shift is floored division for all signs.
+        addr >> self.line_shift
     }
 
     /// Cache set of a memory line (Euclidean `line mod num_sets`).
     #[inline]
     pub(crate) fn set_of_line(&self, line: i64) -> i64 {
-        match self.set_mask {
-            // Two's-complement AND yields the non-negative residue.
-            Some(m) => line & m,
-            None => modulo(line, self.num_sets),
-        }
+        // Two's-complement AND yields the non-negative residue.
+        line & self.set_mask
     }
 }
 
@@ -1068,28 +1062,11 @@ mod tests {
     }
 
     #[test]
-    fn geom_fast_paths_engage_exactly_for_powers_of_two() {
-        for (ls, ns) in [(1, 1), (4, 8), (16, 256)] {
-            let g = Geom::from_parts(ls, ns);
-            assert!(g.line_shift.is_some(), "Ls={ls} should use the shift");
-            assert!(g.set_mask.is_some(), "Ns={ns} should use the mask");
-        }
-        for (ls, ns) in [(3, 5), (6, 12), (7, 96), (12, 3)] {
-            let g = Geom::from_parts(ls, ns);
-            assert!(g.line_shift.is_none(), "Ls={ls} must take the generic path");
-            assert!(g.set_mask.is_none(), "Ns={ns} must take the generic path");
-        }
-        // Mixed geometry: each mapping picks its fast path independently.
-        let g = Geom::from_parts(8, 6);
-        assert!(g.line_shift.is_some() && g.set_mask.is_none());
-    }
-
-    #[test]
     fn geom_mappings_agree_with_reference_for_all_signs() {
         // floor_div/modulo are the definition (`CacheConfig::memory_line`
-        // uses them directly); the shift/mask fast paths must agree on
-        // every address, negatives included.
-        for (ls, ns) in [(1, 1), (2, 16), (4, 8), (8, 1), (3, 5), (6, 12), (16, 7)] {
+        // uses them directly); the shift/mask mapping must agree on every
+        // address, negatives included.
+        for (ls, ns) in [(1, 1), (2, 16), (4, 8), (8, 1), (1, 32), (16, 2), (32, 64)] {
             let g = Geom::from_parts(ls, ns);
             for addr in -3 * ls * ns..=3 * ls * ns {
                 let line = g.line(addr);
@@ -1156,23 +1133,21 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// Random geometry parts, power-of-two or not: the mappings
-            /// must agree with the floored-division / Euclidean-modulo
-            /// reference on every address. Power-of-two parts take the
-            /// shift/mask fast path, so this property is exactly the
-            /// fast-vs-generic agreement the cascade relies on.
+            /// Random power-of-two geometry parts (the only ones a
+            /// [`CacheConfig`] yields): the shift/mask mapping must agree
+            /// with the floored-division / Euclidean-modulo reference on
+            /// every address.
             #[test]
             fn geom_agrees_with_generic_reference(
-                ls in 1i64..=96,
-                ns in 1i64..=512,
+                ls_log in 0u32..=6,
+                ns_log in 0u32..=9,
                 addr in -1_000_000i64..=1_000_000,
             ) {
+                let (ls, ns) = (1i64 << ls_log, 1i64 << ns_log);
                 let g = Geom::from_parts(ls, ns);
                 let line = g.line(addr);
                 prop_assert_eq!(line, floor_div(addr, ls));
                 prop_assert_eq!(g.set_of_line(line), modulo(line, ns));
-                prop_assert_eq!(g.line_shift.is_some(), ls.count_ones() == 1);
-                prop_assert_eq!(g.set_mask.is_some(), ns.count_ones() == 1);
             }
 
             /// On random nests, caches, and reuse vectors, the delta

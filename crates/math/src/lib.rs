@@ -19,9 +19,6 @@
 //! - [`lexi`]: lexicographic comparison/successor utilities over integer
 //!   boxes — the iteration-space order `≻` of Section 2.4.
 //! - [`interval`]: closed integer intervals with saturating arithmetic.
-//! - [`memo`]: thread-safe memoization of bounded solve results keyed by
-//!   `(coefficients, bounds)`, with hit/miss counters — the substrate of the
-//!   incremental analysis engine's candidate re-solving.
 //! - [`quasipoly`]: 1-parameter quasi-polynomial (Ehrhart-style) fitting for
 //!   the parametric optimization style of Section 5.1.3.
 //!
@@ -45,12 +42,10 @@ pub mod gcd;
 pub mod interval;
 pub mod lexi;
 pub mod matrix;
-pub mod memo;
 pub mod polytope;
 pub mod quasipoly;
 
 pub use affine::Affine;
 pub use interval::Interval;
 pub use matrix::IntMatrix;
-pub use memo::SolveMemo;
 pub use polytope::Polytope;

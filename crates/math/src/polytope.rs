@@ -64,13 +64,6 @@ impl Polytope {
         self.cons.is_empty()
     }
 
-    /// The stored constraints, each `(coeffs, rhs)` meaning
-    /// `coeffs · x <= rhs`, in insertion order — the exact solve input, used
-    /// by [`crate::memo::SolveMemo`] as a cache key.
-    pub fn rows(&self) -> impl Iterator<Item = (&[i64], i64)> {
-        self.cons.iter().map(|(c, b)| (c.as_slice(), *b))
-    }
-
     /// Adds `coeffs · x <= rhs`.
     ///
     /// # Panics

@@ -775,11 +775,12 @@ mod tests {
             .map(|&n| AnalyzeRequest::new(format!("n{n}"), mmult(n), spec()))
             .collect();
 
-        // In-process reference: a fresh session, no store.
-        let reference: Vec<u64> = Analyzer::new(spec().build().unwrap())
-            .serve_batch(&requests)
-            .into_iter()
-            .map(|r| r.result.unwrap().total_misses)
+        // In-process reference: each request served on one fresh
+        // session, no store.
+        let mut session = Analyzer::new(spec().build().unwrap());
+        let reference: Vec<u64> = requests
+            .iter()
+            .map(|r| session.serve(r).result.unwrap().total_misses)
             .collect();
 
         // Four clients send the same workload concurrently.

@@ -42,12 +42,18 @@ fn workload() -> Vec<AnalyzeRequest> {
         .collect()
 }
 
-/// Ground truth from a storeless in-process session.
+/// Ground truth: each request served on one storeless in-process session.
 fn reference(requests: &[AnalyzeRequest]) -> Vec<u64> {
-    Analyzer::new(spec().build().expect("geometry"))
-        .serve_batch(requests)
-        .into_iter()
-        .map(|r| r.result.expect("reference analysis").total_misses)
+    let mut session = Analyzer::new(spec().build().expect("geometry"));
+    requests
+        .iter()
+        .map(|r| {
+            session
+                .serve(r)
+                .result
+                .expect("reference analysis")
+                .total_misses
+        })
         .collect()
 }
 

@@ -11,7 +11,9 @@
 //! ground: after the staged split it must stay under 650 lines. The third
 //! keeps a second algorithm out of the engine: the monolithic reference
 //! solver in `cme_core::solve` is a test oracle, and no engine file calls
-//! it.
+//! it. The fourth keeps a second memo family out: the engine memoizes the
+//! pipeline's artifacts only, never symbolic equation systems or their
+//! polytope counts.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -112,6 +114,22 @@ fn engine_never_calls_the_reference_oracle() {
                 !code.contains(oracle),
                 "{path:?} names the reference oracle `{oracle}`; the engine \
                  runs one staged pipeline and must not call the oracle"
+            );
+        }
+    }
+}
+
+#[test]
+fn engine_holds_no_symbolic_system_memo() {
+    let files = rust_files(&engine_dir());
+    assert!(files.len() > 5, "engine sources not found: {files:?}");
+    for path in files {
+        let code = code_of(&path);
+        for symbolic in ["CmeSystem", "SolveMemo", "equations::"] {
+            assert!(
+                !code.contains(symbolic),
+                "{path:?} names `{symbolic}`; the engine runs the Figure 6 \
+                 pipeline and memoizes only its stage artifacts"
             );
         }
     }
