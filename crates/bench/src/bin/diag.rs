@@ -4,7 +4,7 @@
 //! Usage: `diag <kernel> [--n N] [--size B] [--assoc K] [--line B]`
 
 use cme_bench::{resolve_kernel, BenchArgs};
-use cme_cache::Simulator;
+use cme_cache::simulate_nest_outcomes;
 use cme_core::{AnalysisOptions, Analyzer};
 use cme_ir::LoopNest;
 use cme_reuse::{reuse_vectors, ReuseOptions};
@@ -26,21 +26,12 @@ fn main() {
     println!("{nest}\ncache {cache}");
 
     // Simulator per-point outcomes.
-    let mut sim = Simulator::new(cache);
-    let addrs: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| nest.address_affine(r.id()))
-        .collect();
-    let mut sim_points: Vec<HashSet<Vec<i64>>> = vec![HashSet::new(); addrs.len()];
-    let mut sp = nest.space();
-    while let Some(p) = sp.next_point() {
-        for (s, af) in addrs.iter().enumerate() {
-            if sim.access(af.eval(&p)).is_miss() {
-                sim_points[s].insert(p.clone());
-            }
+    let mut sim_points: Vec<HashSet<Vec<i64>>> = vec![HashSet::new(); nest.references().len()];
+    let sim = simulate_nest_outcomes(&nest, cache, |r, p, outcome| {
+        if outcome.is_miss() {
+            sim_points[r.index()].insert(p.to_vec());
         }
-    }
+    });
 
     let opts = AnalysisOptions::builder().collect_miss_points(true).build();
     let mut analyzer = Analyzer::new(cache).options(opts.clone());
@@ -81,7 +72,7 @@ fn main() {
     println!(
         "totals: cme {} sim {}",
         analysis.total_misses(),
-        sim.misses()
+        sim.total().misses()
     );
 
     // Engine accounting: a warm re-analysis answers every stage from the

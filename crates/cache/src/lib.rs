@@ -10,15 +10,14 @@
 //! - [`CacheConfig`] — the `(Cs, k, Ls, Ns)` parameters of Section 2.4 and
 //!   the address→memory-line→cache-set maps of Equation 1.
 //! - [`Simulator`] — per-set simulation with cold/replacement miss
-//!   classification; true-LRU/write-back by default, with pluggable
-//!   [`PolicyKind`] (FIFO, tree-PLRU) and [`WritePolicy`]
-//!   (write-through/no-allocate) via [`Simulator::with_policy`].
-//! - [`CacheModel`] / [`Hierarchy`] — the generalized machine description
-//!   (policy × write handling × optional inclusive L2) and its two-level
-//!   trace driver; [`simulate_nest_model`] replays a nest under any model.
-//! - [`simulate_nest`] — replays every access of a nest (references in
-//!   statement order within each iteration) and reports per-reference
-//!   [`MissStats`].
+//!   classification; true-LRU/write-back by default.
+//! - [`CacheModel`] — the generalized machine description: a
+//!   [`PolicyKind`] (LRU, FIFO, tree-PLRU) × a [`WritePolicy`]
+//!   (write-back/allocate or write-through/no-allocate) × an optional
+//!   inclusive L2, replayed by [`Simulator::for_model`].
+//! - [`simulate_nest`] / [`simulate_nest_model`] — replay every access of
+//!   a nest (references in statement order within each iteration) and
+//!   report per-reference [`MissStats`] in one [`NestSimResult`].
 //!
 //! # Example
 //!
@@ -41,7 +40,6 @@
 #![deny(unsafe_code)]
 
 pub mod config;
-pub mod hierarchy;
 pub mod model;
 pub mod policy;
 pub mod sim;
@@ -49,13 +47,12 @@ pub mod stats;
 pub mod trace;
 
 pub use config::{CacheConfig, CacheConfigError};
-pub use hierarchy::Hierarchy;
-pub use model::{CacheModel, CacheModelError, ModelSimulator};
-pub use policy::{Fifo, Lru, Plru, PolicyKind, ReplacementPolicy, WritePolicy};
-pub use sim::{AccessOutcome, Eviction, Simulator};
+pub use model::{CacheModel, CacheModelError};
+pub use policy::{PolicyKind, WritePolicy};
+pub use sim::{AccessOutcome, Simulator};
 pub use stats::MissStats;
 pub use trace::{
-    export_din, for_each_access, miss_histogram_by_set, simulate_nest, simulate_nest_model,
-    simulate_nest_model_governed, simulate_nest_outcomes, simulate_sequence, ModelSimResult,
-    NestSimResult, GOVERNED_SIM_CHECK_INTERVAL,
+    export_din, miss_histogram_by_set, simulate_nest, simulate_nest_model,
+    simulate_nest_model_governed, simulate_nest_outcomes, simulate_sequence, NestSimResult,
+    GOVERNED_SIM_CHECK_INTERVAL,
 };

@@ -9,9 +9,7 @@
 //! so every pre-model call site keeps its behavior.
 
 use crate::config::{CacheConfig, CacheConfigError};
-use crate::hierarchy::Hierarchy;
 use crate::policy::{PolicyKind, WritePolicy};
-use crate::sim::{AccessOutcome, Simulator};
 use std::fmt;
 
 /// Errors from [`CacheModel::with_l2`].
@@ -78,7 +76,7 @@ impl From<CacheConfigError> for CacheModelError {
 /// let l2 = CacheConfig::new(65536, 8, 32, 4)?;
 /// let model = CacheModel::new(l1).policy(PolicyKind::Plru).with_l2(l2)?;
 /// assert!(!model.is_baseline());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// # Ok::<(), cme_cache::CacheModelError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheModel {
@@ -183,139 +181,9 @@ impl fmt::Display for CacheModel {
     }
 }
 
-enum Level {
-    One(Simulator),
-    Two(Hierarchy),
-}
-
-impl fmt::Debug for Level {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Level::One(s) => s.fmt(f),
-            Level::Two(h) => h.fmt(f),
-        }
-    }
-}
-
-/// A unified trace driver over single-level and two-level models:
-/// constructs the right simulator for a [`CacheModel`] and exposes the
-/// common access/drain/counter surface. Outcomes are always classified at
-/// L1.
-#[derive(Debug)]
-pub struct ModelSimulator {
-    inner: Level,
-}
-
-impl ModelSimulator {
-    /// A cold simulator for `model`.
-    pub fn new(model: &CacheModel) -> Self {
-        let inner = match model.l2() {
-            Some(l2) => Level::Two(Hierarchy::new(
-                model.l1(),
-                l2,
-                model.policy_kind(),
-                model.write_policy(),
-            )),
-            None => Level::One(Simulator::with_policy(
-                model.l1(),
-                model.policy_kind(),
-                model.write_policy(),
-            )),
-        };
-        ModelSimulator { inner }
-    }
-
-    /// Performs one read access (L1-level outcome).
-    pub fn access(&mut self, addr_elems: i64) -> AccessOutcome {
-        self.access_kind(addr_elems, false)
-    }
-
-    /// Performs one write access (L1-level outcome).
-    pub fn write(&mut self, addr_elems: i64) -> AccessOutcome {
-        self.access_kind(addr_elems, true)
-    }
-
-    /// Performs one access (L1-level outcome).
-    pub fn access_kind(&mut self, addr_elems: i64, is_write: bool) -> AccessOutcome {
-        match &mut self.inner {
-            Level::One(sim) => {
-                if is_write {
-                    sim.write(addr_elems)
-                } else {
-                    sim.access(addr_elems)
-                }
-            }
-            Level::Two(hier) => hier.access_kind(addr_elems, is_write),
-        }
-    }
-
-    /// Number of accesses simulated (CPU-side, i.e. at L1).
-    pub fn accesses(&self) -> u64 {
-        match &self.inner {
-            Level::One(sim) => sim.accesses(),
-            Level::Two(hier) => hier.l1().accesses(),
-        }
-    }
-
-    /// Write traffic that reached memory.
-    pub fn writebacks(&self) -> u64 {
-        match &self.inner {
-            Level::One(sim) => sim.writebacks(),
-            Level::Two(hier) => hier.writebacks(),
-        }
-    }
-
-    /// Total L2 misses, if the model is two-level.
-    pub fn l2_misses(&self) -> Option<u64> {
-        match &self.inner {
-            Level::One(_) => None,
-            Level::Two(hier) => Some(hier.l2().misses()),
-        }
-    }
-
-    /// Flushes remaining dirty data to memory (end of run).
-    pub fn drain_dirty(&mut self) {
-        match &mut self.inner {
-            Level::One(sim) => sim.drain_dirty(),
-            Level::Two(hier) => hier.drain_dirty(),
-        }
-    }
-
-    /// Empties the model cache(s) and the cold-line histories.
-    pub fn flush(&mut self) {
-        match &mut self.inner {
-            Level::One(sim) => sim.flush(),
-            Level::Two(hier) => hier.flush(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn baseline_matches_plain_simulator() {
-        let cfg = CacheConfig::new(128, 2, 16, 4).unwrap();
-        let model = CacheModel::new(cfg);
-        assert!(model.is_baseline());
-        let mut plain = Simulator::new(cfg);
-        let mut modeled = ModelSimulator::new(&model);
-        let mut x = 7u64;
-        for _ in 0..1000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = ((x >> 33) % 96) as i64;
-            let w = x & 1 == 0;
-            let expect = if w { plain.write(a) } else { plain.access(a) };
-            assert_eq!(modeled.access_kind(a, w), expect);
-        }
-        plain.drain_dirty();
-        modeled.drain_dirty();
-        assert_eq!(modeled.writebacks(), plain.writebacks());
-        assert_eq!(modeled.l2_misses(), None);
-    }
 
     #[test]
     fn non_default_settings_clear_the_baseline_flag() {
@@ -361,7 +229,7 @@ mod tests {
         let l1 = CacheConfig::new(64, 1, 16, 4).unwrap();
         let l2 = CacheConfig::new(1024, 1, 16, 4).unwrap();
         let model = CacheModel::new(l1).with_l2(l2).unwrap();
-        let mut sim = ModelSimulator::new(&model);
+        let mut sim = crate::Simulator::for_model(&model);
         for _ in 0..2 {
             for a in 0..128 {
                 sim.access(a);
@@ -369,8 +237,7 @@ mod tests {
         }
         assert_eq!(sim.accesses(), 256);
         assert_eq!(sim.l2_misses(), Some(32));
-        sim.flush();
-        assert_eq!(sim.access(0), AccessOutcome::ColdMiss);
+        assert_eq!(crate::Simulator::new(l1).l2_misses(), None);
     }
 
     #[test]

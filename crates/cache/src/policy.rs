@@ -1,217 +1,155 @@
-//! Replacement and write policies, split out of the simulator.
+//! Replacement and write policies.
 //!
 //! The paper's Section 2.3 machine is true-LRU with write-allocate /
 //! fetch-on-write stores; [`Simulator`](crate::Simulator) keeps that as its
-//! default. This module factors the victim-selection state machine out into
-//! the [`ReplacementPolicy`] trait so the same set/slot bookkeeping can
-//! drive FIFO and tree-PLRU caches, and adds [`WritePolicy`] to select
-//! between write-back/write-allocate and write-through/no-allocate store
-//! handling. [`PolicyKind`] carries the stable wire spellings the model
-//! layer (`CacheModel`, the serve protocol, `.cme` corpus directives) uses
-//! to name a policy.
+//! default. [`PolicyKind`] names the victim-selection rule (LRU, FIFO or
+//! tree-PLRU) and [`WritePolicy`] the store handling (write-back/allocate
+//! or write-through/no-allocate); a [`CacheModel`](crate::CacheModel)
+//! combines them, and [`Simulator::for_model`](crate::Simulator::for_model)
+//! replays it. Both carry the stable wire spellings the model layer
+//! (`CacheModel`, the serve protocol, `.cme` corpus directives) uses to
+//! name a policy.
 
 use std::fmt;
 
-/// The per-set replacement state machine: which way a full set evicts.
+/// The per-set replacement state of one cache level, one variant per
+/// [`PolicyKind`]: which way a full set evicts next.
 ///
-/// The simulator owns the resident lines and dirty bits; a policy only
-/// tracks *ordering* metadata per `(set, way)` slot and answers victim
-/// queries. Implementors are told about every hit
-/// ([`touch`](ReplacementPolicy::touch)) and every install
-/// ([`fill`](ReplacementPolicy::fill));
-/// [`victim`](ReplacementPolicy::victim) is only called on full sets.
-pub trait ReplacementPolicy: fmt::Debug + Send {
+/// The simulator owns the resident lines and dirty bits; this only tracks
+/// *ordering* metadata per `(set, way)` slot. It is told about every hit
+/// ([`touch`](Replacement::touch)) and every install
+/// ([`fill`](Replacement::fill)); [`victim`](Replacement::victim) is only
+/// asked about full sets.
+#[derive(Debug, Clone)]
+pub(crate) enum Replacement {
+    /// True least-recently-used: per-set way indices, most recently used
+    /// first. This reproduces the paper's Section 2.3 machine exactly (and
+    /// the LRU stack-inclusion property the analytic criterion relies
+    /// on). A stack's length equals its set's occupancy (promotion
+    /// de-duplicates), so `last()` is the LRU way once the set is full.
+    Lru(Vec<Vec<u32>>),
+    /// First-in first-out: a per-set round-robin fill pointer at the
+    /// oldest way. Hits do not refresh a line's position — the defining
+    /// difference from LRU, and the reason the analytic LRU result is only
+    /// a bound here.
+    Fifo {
+        /// Per-set index of the oldest way (the next victim once full).
+        next: Vec<u32>,
+        /// Ways per set.
+        ways: u32,
+    },
+    /// Tree pseudo-LRU: one bit per internal node of a binary tree over
+    /// the ways; each bit points toward the pseudo-least-recently-used
+    /// subtree. An access flips the bits on its root-to-leaf path away
+    /// from itself; the victim walk follows the bits.
+    Plru {
+        /// `num_sets × (leaves − 1)` bits in heap order per set; `true`
+        /// means the pseudo-LRU line is in the right subtree.
+        bits: Vec<bool>,
+        /// Leaf count: `ways` rounded up to a power of two. `CacheConfig`
+        /// only produces power-of-two associativities, so the rounding is
+        /// a no-op in practice.
+        leaves: usize,
+        /// Ways per set.
+        ways: usize,
+        /// Tree depth, `log2(leaves)`.
+        levels: u32,
+    },
+}
+
+impl Replacement {
+    /// Cold state for `num_sets` sets of `ways` ways under `kind`.
+    pub(crate) fn new(kind: PolicyKind, num_sets: usize, ways: usize) -> Self {
+        let ways = ways.max(1);
+        match kind {
+            PolicyKind::Lru => Replacement::Lru(vec![Vec::new(); num_sets]),
+            PolicyKind::Fifo => Replacement::Fifo {
+                next: vec![0; num_sets],
+                ways: ways as u32,
+            },
+            PolicyKind::Plru => {
+                let leaves = ways.next_power_of_two();
+                Replacement::Plru {
+                    bits: vec![false; num_sets * (leaves - 1)],
+                    leaves,
+                    ways,
+                    levels: leaves.trailing_zeros(),
+                }
+            }
+        }
+    }
+
     /// Records a hit on `way` of `set`.
-    fn touch(&mut self, set: usize, way: usize);
+    #[inline]
+    pub(crate) fn touch(&mut self, set: usize, way: usize) {
+        match self {
+            Replacement::Lru(stacks) => promote(&mut stacks[set], way),
+            Replacement::Fifo { .. } => {}
+            Replacement::Plru {
+                bits,
+                leaves,
+                levels,
+                ..
+            } => point_away(&mut bits[set * (*leaves - 1)..], *levels, way),
+        }
+    }
 
     /// Records a line newly installed in `way` of `set`.
-    fn fill(&mut self, set: usize, way: usize);
+    pub(crate) fn fill(&mut self, set: usize, way: usize) {
+        match self {
+            Replacement::Fifo { next, ways } => {
+                // Cold fills walk ways in order, so advancing on
+                // `way == next` keeps `next` at the oldest resident line
+                // once the set is full.
+                if next[set] == way as u32 {
+                    next[set] = (way as u32 + 1) % *ways;
+                }
+            }
+            _ => self.touch(set, way),
+        }
+    }
 
     /// The way a full `set` should evict next.
-    fn victim(&mut self, set: usize) -> usize;
-
-    /// Forgets all recency state (cache flush).
-    fn reset(&mut self);
-
-    /// Clones the policy behind the trait object (simulators are `Clone`).
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy>;
-}
-
-impl Clone for Box<dyn ReplacementPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// True least-recently-used replacement: a per-set recency stack, most
-/// recently used way first. This reproduces the paper's Section 2.3
-/// machine exactly (and the LRU stack-inclusion property the analytic
-/// criterion relies on).
-#[derive(Debug, Clone)]
-pub struct Lru {
-    /// Per-set way indices, most recently used first. Length equals the
-    /// set's occupancy (promote de-duplicates), so `last()` is the LRU way
-    /// once the set is full.
-    stacks: Vec<Vec<u32>>,
-}
-
-impl Lru {
-    /// A cold LRU state machine for `num_sets` sets.
-    pub fn new(num_sets: usize) -> Self {
-        Lru {
-            stacks: vec![Vec::new(); num_sets],
-        }
-    }
-
-    fn promote(&mut self, set: usize, way: usize) {
-        let stack = &mut self.stacks[set];
-        if let Some(pos) = stack.iter().position(|&w| w == way as u32) {
-            stack.remove(pos);
-        }
-        stack.insert(0, way as u32);
-    }
-}
-
-impl ReplacementPolicy for Lru {
-    fn touch(&mut self, set: usize, way: usize) {
-        self.promote(set, way);
-    }
-
-    fn fill(&mut self, set: usize, way: usize) {
-        self.promote(set, way);
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        self.stacks[set].last().copied().unwrap_or(0) as usize
-    }
-
-    fn reset(&mut self) {
-        for stack in &mut self.stacks {
-            stack.clear();
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// First-in first-out replacement: a per-set round-robin fill pointer.
-/// Hits do not refresh a line's position — the defining difference from
-/// LRU, and the reason the analytic LRU result is only a bound here.
-#[derive(Debug, Clone)]
-pub struct Fifo {
-    /// Per-set index of the oldest way (the next victim once full).
-    next: Vec<u32>,
-    ways: u32,
-}
-
-impl Fifo {
-    /// A cold FIFO state machine for `num_sets` sets of `ways` ways.
-    pub fn new(num_sets: usize, ways: usize) -> Self {
-        Fifo {
-            next: vec![0; num_sets],
-            ways: (ways as u32).max(1),
+    pub(crate) fn victim(&self, set: usize) -> usize {
+        match self {
+            Replacement::Lru(stacks) => stacks[set].last().copied().unwrap_or(0) as usize,
+            Replacement::Fifo { next, .. } => next[set] as usize,
+            Replacement::Plru {
+                bits,
+                leaves,
+                ways,
+                levels,
+            } => {
+                let base = set * (leaves - 1);
+                let mut idx = 0usize;
+                let mut way = 0usize;
+                for _ in 0..*levels {
+                    let dir = bits[base + idx] as usize;
+                    way = (way << 1) | dir;
+                    idx = 2 * idx + 1 + dir;
+                }
+                way % ways
+            }
         }
     }
 }
 
-impl ReplacementPolicy for Fifo {
-    fn touch(&mut self, _set: usize, _way: usize) {}
-
-    fn fill(&mut self, set: usize, way: usize) {
-        // Cold fills walk ways in order, so advancing on `way == next`
-        // keeps `next` at the oldest resident line once the set is full.
-        if self.next[set] == way as u32 {
-            self.next[set] = (way as u32 + 1) % self.ways;
-        }
+/// Moves `way` to the most-recently-used end of an LRU stack.
+fn promote(stack: &mut Vec<u32>, way: usize) {
+    if let Some(pos) = stack.iter().position(|&w| w == way as u32) {
+        stack.remove(pos);
     }
-
-    fn victim(&mut self, set: usize) -> usize {
-        self.next[set] as usize
-    }
-
-    fn reset(&mut self) {
-        for n in &mut self.next {
-            *n = 0;
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
+    stack.insert(0, way as u32);
 }
 
-/// Tree pseudo-LRU replacement: one bit per internal node of a binary tree
-/// over the ways; each bit points toward the pseudo-least-recently-used
-/// subtree. An access flips the bits on its root-to-leaf path away from
-/// itself; the victim walk follows the bits.
-#[derive(Debug, Clone)]
-pub struct Plru {
-    /// `num_sets × (leaves − 1)` bits in heap order per set; `true` means
-    /// the pseudo-LRU line is in the right subtree.
-    bits: Vec<bool>,
-    /// Leaf count: `ways` rounded up to a power of two. `CacheConfig` only
-    /// produces power-of-two associativities, so the rounding is a no-op in
-    /// practice.
-    leaves: usize,
-    ways: usize,
-    levels: u32,
-}
-
-impl Plru {
-    /// A cold tree-PLRU state machine for `num_sets` sets of `ways` ways.
-    pub fn new(num_sets: usize, ways: usize) -> Self {
-        let ways = ways.max(1);
-        let leaves = ways.next_power_of_two();
-        Plru {
-            bits: vec![false; num_sets * (leaves - 1)],
-            leaves,
-            ways,
-            levels: leaves.trailing_zeros(),
-        }
-    }
-
-    fn point_away(&mut self, set: usize, way: usize) {
-        let base = set * (self.leaves - 1);
-        let mut idx = 0usize;
-        for level in (0..self.levels).rev() {
-            let dir = (way >> level) & 1;
-            self.bits[base + idx] = dir == 0;
-            idx = 2 * idx + 1 + dir;
-        }
-    }
-}
-
-impl ReplacementPolicy for Plru {
-    fn touch(&mut self, set: usize, way: usize) {
-        self.point_away(set, way);
-    }
-
-    fn fill(&mut self, set: usize, way: usize) {
-        self.point_away(set, way);
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * (self.leaves - 1);
-        let mut idx = 0usize;
-        let mut way = 0usize;
-        for _ in 0..self.levels {
-            let dir = self.bits[base + idx] as usize;
-            way = (way << 1) | dir;
-            idx = 2 * idx + 1 + dir;
-        }
-        way % self.ways
-    }
-
-    fn reset(&mut self) {
-        for b in &mut self.bits {
-            *b = false;
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
+/// Points every tree-PLRU bit on `way`'s root-to-leaf path away from it;
+/// `bits` starts at the set's tree.
+fn point_away(bits: &mut [bool], levels: u32, way: usize) {
+    let mut idx = 0usize;
+    for level in (0..levels).rev() {
+        let dir = (way >> level) & 1;
+        bits[idx] = dir == 0;
+        idx = 2 * idx + 1 + dir;
     }
 }
 
@@ -249,15 +187,6 @@ impl PolicyKind {
             "fifo" => Some(PolicyKind::Fifo),
             "plru" => Some(PolicyKind::Plru),
             _ => None,
-        }
-    }
-
-    /// Builds the per-set state machine for a `num_sets × ways` cache.
-    pub fn build(&self, num_sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
-        match self {
-            PolicyKind::Lru => Box::new(Lru::new(num_sets)),
-            PolicyKind::Fifo => Box::new(Fifo::new(num_sets, ways)),
-            PolicyKind::Plru => Box::new(Plru::new(num_sets, ways)),
         }
     }
 }
@@ -315,7 +244,7 @@ mod tests {
 
     #[test]
     fn lru_victim_is_least_recently_touched() {
-        let mut lru = Lru::new(1);
+        let mut lru = Replacement::new(PolicyKind::Lru, 1, 3);
         lru.fill(0, 0);
         lru.fill(0, 1);
         lru.fill(0, 2);
@@ -327,7 +256,7 @@ mod tests {
 
     #[test]
     fn fifo_ignores_touches() {
-        let mut fifo = Fifo::new(1, 4);
+        let mut fifo = Replacement::new(PolicyKind::Fifo, 1, 4);
         for w in 0..4 {
             fifo.fill(0, w);
         }
@@ -339,7 +268,7 @@ mod tests {
 
     #[test]
     fn plru_never_victimizes_the_just_touched_way() {
-        let mut plru = Plru::new(1, 8);
+        let mut plru = Replacement::new(PolicyKind::Plru, 1, 8);
         for w in 0..8 {
             plru.fill(0, w);
         }
@@ -351,7 +280,7 @@ mod tests {
 
     #[test]
     fn plru_with_two_ways_degenerates_to_lru() {
-        let mut plru = Plru::new(1, 2);
+        let mut plru = Replacement::new(PolicyKind::Plru, 1, 2);
         plru.fill(0, 0);
         plru.fill(0, 1);
         plru.touch(0, 0);
@@ -362,16 +291,10 @@ mod tests {
 
     #[test]
     fn single_way_policies_always_evict_way_zero() {
-        let mut lru = Lru::new(2);
-        let mut fifo = Fifo::new(2, 1);
-        let mut plru = Plru::new(2, 1);
-        for p in [
-            &mut lru as &mut dyn ReplacementPolicy,
-            &mut fifo as &mut dyn ReplacementPolicy,
-            &mut plru as &mut dyn ReplacementPolicy,
-        ] {
+        for kind in PolicyKind::ALL {
+            let mut p = Replacement::new(kind, 2, 1);
             p.fill(1, 0);
-            assert_eq!(p.victim(1), 0);
+            assert_eq!(p.victim(1), 0, "{kind}");
         }
     }
 
@@ -389,18 +312,5 @@ mod tests {
         assert_eq!(WritePolicy::parse("write-around"), None);
         assert_eq!(PolicyKind::default(), PolicyKind::Lru);
         assert_eq!(WritePolicy::default(), WritePolicy::WriteBack);
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut fifo = Fifo::new(1, 2);
-        fifo.fill(0, 0);
-        fifo.fill(0, 1);
-        fifo.reset();
-        assert_eq!(fifo.victim(0), 0);
-        let mut plru = Plru::new(1, 4);
-        plru.touch(0, 3);
-        plru.reset();
-        assert_eq!(plru.victim(0), 0);
     }
 }

@@ -1,14 +1,32 @@
 //! Trace-driven set-associative cache simulation.
 //!
-//! This is the DineroIII stand-in used as ground truth. By default it is
-//! the paper's Section 2.3 machine — a write-allocate, fetch-on-write cache
-//! with true LRU replacement per set — but the replacement policy
-//! ([`PolicyKind`]) and store handling ([`WritePolicy`]) are pluggable via
-//! [`Simulator::with_policy`]. Reads and writes hit and miss identically
-//! under the default model, so the simulator takes bare element addresses.
+//! This is the DineroIII stand-in used as ground truth, and the one
+//! simulator every replay runs on. By default it is the paper's Section
+//! 2.3 machine — a write-allocate, fetch-on-write cache with true LRU
+//! replacement per set — but [`Simulator::for_model`] replays any
+//! [`CacheModel`]: a replacement policy ([`PolicyKind`]), a store handling
+//! ([`WritePolicy`]) and an optional inclusive second level. Reads and
+//! writes hit and miss identically under the default model, so the
+//! simulator takes bare element addresses.
+//!
+//! # Two levels
+//!
+//! With an L2, the hierarchy is *inclusive*: the L1 miss stream feeds L2,
+//! and an L2 eviction back-invalidates any L1 copy so L1 contents stay a
+//! subset of L2's. Outcomes are classified at L1 (the level the analytic
+//! model describes). Both levels share the replacement and write policy,
+//! and write traffic follows the [`WritePolicy`]:
+//!
+//! - **Write-back**: a dirty L1 eviction folds into L2 (the line is marked
+//!   dirty there instead of being counted as memory traffic); memory
+//!   write traffic is L2's write-backs plus the rare *escapes* — dirty
+//!   data displaced while its line was absent from L2.
+//! - **Write-through**: every CPU store is memory traffic (stores
+//!   propagate through all levels), which is exactly L1's write counter.
 
 use crate::config::CacheConfig;
-use crate::policy::{PolicyKind, ReplacementPolicy, WritePolicy};
+use crate::model::CacheModel;
+use crate::policy::{PolicyKind, Replacement, WritePolicy};
 use std::collections::HashSet;
 
 /// The result of one memory access.
@@ -30,17 +48,8 @@ impl AccessOutcome {
     }
 }
 
-/// A line displaced by an access — reported so an outer cache level can
-/// absorb the write-back and maintain inclusion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Eviction {
-    /// The evicted memory line.
-    pub line: i64,
-    /// Whether the evicted copy was dirty (write-back policy only).
-    pub dirty: bool,
-}
-
-/// A set-associative cache simulator.
+/// A set-associative cache simulator: one level, or two inclusive levels
+/// (see the module docs).
 ///
 /// # Examples
 ///
@@ -57,65 +66,34 @@ pub struct Eviction {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    config: CacheConfig,
-    policy_kind: PolicyKind,
-    write_policy: WritePolicy,
-    /// Per-set way slots: the resident memory line and its dirty bit.
-    /// `None` marks an empty (or back-invalidated) way.
-    slots: Vec<Vec<Option<(i64, bool)>>>,
-    /// The victim-selection state machine (recency metadata only).
-    policy: Box<dyn ReplacementPolicy>,
-    /// Every memory line ever touched (for cold-miss classification).
-    seen: HashSet<i64>,
-    accesses: u64,
-    hits: u64,
-    cold: u64,
-    replacement: u64,
-    writebacks: u64,
+    l1: Level,
+    /// The inclusive outer level of a two-level model.
+    l2: Option<Level>,
+    /// Dirty write-backs that bypassed L2 because the line was no longer
+    /// resident there (inclusion races around back-invalidation and the
+    /// end-of-run drain). Counted as direct memory traffic.
+    escapes: u64,
 }
 
 impl Simulator {
     /// Creates an empty (fully cold) cache with the paper's default model:
     /// true-LRU replacement, write-back/write-allocate stores.
     pub fn new(config: CacheConfig) -> Self {
-        Simulator::with_policy(config, PolicyKind::Lru, WritePolicy::WriteBack)
+        Simulator::for_model(&CacheModel::new(config))
     }
 
-    /// Creates an empty cache with explicit replacement and write policies.
-    pub fn with_policy(config: CacheConfig, policy: PolicyKind, write: WritePolicy) -> Self {
-        let num_sets = config.num_sets() as usize;
-        let ways = config.assoc() as usize;
+    /// Creates an empty cache replaying `model`: its replacement and
+    /// write policy, and its inclusive L2 if it has one.
+    pub fn for_model(model: &CacheModel) -> Self {
+        let level = |config| Level::new(config, model.policy_kind(), model.write_policy());
         Simulator {
-            config,
-            policy_kind: policy,
-            write_policy: write,
-            slots: vec![vec![None; ways]; num_sets],
-            policy: policy.build(num_sets, ways),
-            seen: HashSet::new(),
-            accesses: 0,
-            hits: 0,
-            cold: 0,
-            replacement: 0,
-            writebacks: 0,
+            l1: level(model.l1()),
+            l2: model.l2().map(level),
+            escapes: 0,
         }
     }
 
-    /// The cache geometry being simulated.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// The replacement policy in effect.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy_kind
-    }
-
-    /// The write policy in effect.
-    pub fn write_policy(&self) -> WritePolicy {
-        self.write_policy
-    }
-
-    /// Performs one read access to an element address.
+    /// Performs one read access (outcome at L1).
     pub fn access(&mut self, addr_elems: i64) -> AccessOutcome {
         self.access_kind(addr_elems, false)
     }
@@ -129,35 +107,151 @@ impl Simulator {
         self.access_kind(addr_elems, true)
     }
 
-    fn access_kind(&mut self, addr_elems: i64, is_write: bool) -> AccessOutcome {
-        self.access_traced(addr_elems, is_write).0
+    /// Performs one access (outcome at L1).
+    #[inline]
+    pub fn access_kind(&mut self, addr_elems: i64, is_write: bool) -> AccessOutcome {
+        let (outcome, l1_evicted) = self.l1.access(addr_elems, is_write);
+        let Some(l2) = &mut self.l2 else {
+            return outcome;
+        };
+        if outcome.is_miss() {
+            if let (_, Some((line, _))) = l2.access(addr_elems, is_write) {
+                // Inclusion: the line leaves L1 too. A dirty L1 copy is
+                // fresher than anything L2 wrote back, so it goes straight
+                // to memory.
+                if self.l1.invalidate(line) == Some(true) {
+                    self.escapes += 1;
+                }
+            }
+        }
+        if let Some((line, true)) = l1_evicted {
+            if !l2.mark_dirty(line) {
+                self.escapes += 1;
+            }
+        }
+        outcome
     }
 
-    /// Performs one access and additionally reports the line it displaced,
-    /// if any — the hook a multi-level [`Hierarchy`](crate::Hierarchy)
-    /// uses to absorb write-backs and maintain inclusion.
-    pub fn access_traced(
-        &mut self,
-        addr_elems: i64,
-        is_write: bool,
-    ) -> (AccessOutcome, Option<Eviction>) {
+    /// Number of accesses simulated (CPU-side, i.e. at L1).
+    pub fn accesses(&self) -> u64 {
+        self.l1.accesses
+    }
+
+    /// Number of L1 hits.
+    pub fn hits(&self) -> u64 {
+        self.l1.hits
+    }
+
+    /// Number of L1 cold (compulsory) misses.
+    pub fn cold_misses(&self) -> u64 {
+        self.l1.cold
+    }
+
+    /// Number of L1 replacement (conflict + capacity) misses.
+    pub fn replacement_misses(&self) -> u64 {
+        self.l1.replacement
+    }
+
+    /// Total L1 misses.
+    pub fn misses(&self) -> u64 {
+        self.l1.misses()
+    }
+
+    /// Total L2 misses, if the model is two-level.
+    pub fn l2_misses(&self) -> Option<u64> {
+        self.l2.as_ref().map(Level::misses)
+    }
+
+    /// Write traffic that reached memory so far: dirty lines written back
+    /// on eviction under write-back (lines still dirty in the cache are
+    /// not counted until [`Simulator::drain_dirty`]), or every store under
+    /// write-through. With an L2 under write-back that is L2's write-backs
+    /// plus the inclusion escapes.
+    pub fn writebacks(&self) -> u64 {
+        match &self.l2 {
+            Some(l2) if self.l1.write == WritePolicy::WriteBack => l2.writebacks + self.escapes,
+            _ => self.l1.writebacks,
+        }
+    }
+
+    /// Flushes every resident dirty line to memory, counting the final
+    /// write-backs; the cache contents stay resident (clean). With an L2,
+    /// L1's dirty lines fold into L2 first (escapes counted for lines L2
+    /// no longer holds), then L2 drains.
+    pub fn drain_dirty(&mut self) {
+        match &mut self.l2 {
+            None => self.l1.writebacks += self.l1.take_dirty_lines().len() as u64,
+            Some(l2) => {
+                for line in self.l1.take_dirty_lines() {
+                    if !l2.mark_dirty(line) {
+                        self.escapes += 1;
+                    }
+                }
+                l2.writebacks += l2.take_dirty_lines().len() as u64;
+            }
+        }
+    }
+}
+
+/// One cache level: its way slots, replacement state, cold-line history
+/// and counters.
+#[derive(Debug, Clone)]
+struct Level {
+    config: CacheConfig,
+    write: WritePolicy,
+    /// Per-set way slots: the resident memory line and its dirty bit.
+    /// `None` marks an empty (or back-invalidated) way.
+    slots: Vec<Vec<Option<(i64, bool)>>>,
+    /// The victim-selection state machine (recency metadata only).
+    policy: Replacement,
+    /// Every memory line ever touched (for cold-miss classification).
+    seen: HashSet<i64>,
+    accesses: u64,
+    hits: u64,
+    cold: u64,
+    replacement: u64,
+    /// Write traffic to the next level: dirty evictions under write-back,
+    /// every store under write-through.
+    writebacks: u64,
+}
+
+impl Level {
+    fn new(config: CacheConfig, policy: PolicyKind, write: WritePolicy) -> Self {
+        let num_sets = config.num_sets() as usize;
+        let ways = config.assoc() as usize;
+        Level {
+            config,
+            write,
+            slots: vec![vec![None; ways]; num_sets],
+            policy: Replacement::new(policy, num_sets, ways),
+            seen: HashSet::new(),
+            accesses: 0,
+            hits: 0,
+            cold: 0,
+            replacement: 0,
+            writebacks: 0,
+        }
+    }
+
+    fn misses(&self) -> u64 {
+        self.cold + self.replacement
+    }
+
+    /// Performs one access and reports the line it displaced, if any, with
+    /// that line's dirty bit.
+    fn access(&mut self, addr_elems: i64, is_write: bool) -> (AccessOutcome, Option<(i64, bool)>) {
         self.accesses += 1;
         let line = self.config.memory_line(addr_elems);
-        let set = self.config.cache_set(addr_elems) as usize;
+        let set = self.config.set_of_line(line) as usize;
         if let Some(way) = self.slots[set]
             .iter()
             .position(|s| s.map(|(l, _)| l) == Some(line))
         {
             self.policy.touch(set, way);
-            if is_write {
-                match self.write_policy {
-                    WritePolicy::WriteBack => {
-                        if let Some(slot) = self.slots[set][way].as_mut() {
-                            slot.1 = true;
-                        }
-                    }
-                    WritePolicy::WriteThrough => self.writebacks += 1,
-                }
+            match (is_write, self.write) {
+                (true, WritePolicy::WriteBack) => self.slots[set][way] = Some((line, true)),
+                (true, WritePolicy::WriteThrough) => self.writebacks += 1,
+                (false, _) => {}
             }
             self.hits += 1;
             return (AccessOutcome::Hit, None);
@@ -173,143 +267,74 @@ impl Simulator {
             self.replacement += 1;
             AccessOutcome::ReplacementMiss
         };
-        if is_write && self.write_policy == WritePolicy::WriteThrough {
+        if is_write && self.write == WritePolicy::WriteThrough {
             self.writebacks += 1;
             // No-allocate: the store goes straight through to memory.
             return (outcome, None);
         }
-        let mut evicted = None;
-        let way = match self.slots[set].iter().position(|s| s.is_none()) {
-            Some(empty) => empty,
-            None => {
-                let victim = self.policy.victim(set);
-                if let Some((old, dirty)) = self.slots[set][victim].take() {
-                    if dirty {
-                        self.writebacks += 1;
-                    }
-                    evicted = Some(Eviction { line: old, dirty });
-                }
-                victim
-            }
-        };
-        let dirty = is_write && self.write_policy == WritePolicy::WriteBack;
-        self.slots[set][way] = Some((line, dirty));
+        // Fill an empty way if there is one, else evict the policy's victim.
+        let way = self.slots[set]
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or_else(|| self.policy.victim(set));
+        let dirty = is_write && self.write == WritePolicy::WriteBack;
+        let evicted = self.slots[set][way].replace((line, dirty));
+        if let Some((_, true)) = evicted {
+            self.writebacks += 1;
+        }
         self.policy.fill(set, way);
         (outcome, evicted)
     }
 
-    /// Removes `line` from the cache if resident — the inclusion
-    /// back-invalidation an outer level issues when it evicts the line.
-    /// Returns the dropped copy's dirty bit, or `None` if the line was not
-    /// resident. No statistics are touched; the caller owns the accounting
-    /// for the displaced data.
-    pub fn invalidate_line(&mut self, line: i64) -> Option<bool> {
+    /// The way slot holding `line`, if resident.
+    fn slot_of(&mut self, line: i64) -> Option<&mut Option<(i64, bool)>> {
         let set = self.config.set_of_line(line) as usize;
-        let slot = self.slots[set]
+        self.slots[set]
             .iter_mut()
-            .find(|s| s.map(|(l, _)| l) == Some(line))?;
-        slot.take().map(|(_, dirty)| dirty)
+            .find(|s| s.is_some_and(|(l, _)| l == line))
+    }
+
+    /// Removes `line` if resident — the inclusion back-invalidation an
+    /// outer level issues when it evicts the line — and returns the
+    /// dropped copy's dirty bit. No statistics are touched; the caller
+    /// owns the accounting for the displaced data.
+    fn invalidate(&mut self, line: i64) -> Option<bool> {
+        self.slot_of(line)?.take().map(|(_, dirty)| dirty)
     }
 
     /// Marks `line` dirty if resident (a dirty eviction arriving from an
-    /// inner cache level). Returns whether the line was resident.
-    pub fn mark_dirty_line(&mut self, line: i64) -> bool {
-        let set = self.config.set_of_line(line) as usize;
-        match self.slots[set]
-            .iter_mut()
-            .find(|s| s.map(|(l, _)| l) == Some(line))
-        {
-            Some(slot) => {
-                if let Some(s) = slot.as_mut() {
-                    s.1 = true;
-                }
+    /// inner level). Returns whether the line was resident.
+    fn mark_dirty(&mut self, line: i64) -> bool {
+        match self.slot_of(line) {
+            Some(Some((_, dirty))) => {
+                *dirty = true;
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
-    /// The memory lines currently resident, in no particular order.
-    pub fn resident_lines(&self) -> Vec<i64> {
-        self.slots
-            .iter()
-            .flatten()
-            .filter_map(|s| s.map(|(l, _)| l))
-            .collect()
-    }
-
-    /// Empties the cache (and the cold-line history).
-    ///
-    /// The paper analyzes each nest in isolation assuming a cold cache
-    /// (Section 3.1); call this between nests to match.
-    pub fn flush(&mut self) {
-        for set in &mut self.slots {
-            for slot in set.iter_mut() {
-                *slot = None;
-            }
-        }
-        self.policy.reset();
-        self.seen.clear();
-    }
-
-    /// Number of accesses simulated.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Number of hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of cold (compulsory) misses.
-    pub fn cold_misses(&self) -> u64 {
-        self.cold
-    }
-
-    /// Number of replacement (conflict + capacity) misses.
-    pub fn replacement_misses(&self) -> u64 {
-        self.replacement
-    }
-
-    /// Total misses.
-    pub fn misses(&self) -> u64 {
-        self.cold + self.replacement
-    }
-
-    /// Write traffic to the next memory level: dirty lines written back on
-    /// eviction under write-back (lines still dirty in the cache at the
-    /// end are not counted; call [`Simulator::drain_dirty`] to flush
-    /// them), or every store under write-through.
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
-    }
-
-    /// Flushes every resident dirty line, counting the final write-backs;
-    /// the cache contents stay resident (clean).
-    pub fn drain_dirty(&mut self) {
-        for set in &mut self.slots {
-            for slot in set.iter_mut().flatten() {
-                if std::mem::take(&mut slot.1) {
-                    self.writebacks += 1;
-                }
-            }
-        }
-    }
-
-    /// Clears every dirty bit *without* counting write-backs and returns
-    /// the lines that were dirty — a hierarchy folds them into the next
-    /// level instead of sending them to memory.
-    pub fn take_dirty_lines(&mut self) -> Vec<i64> {
+    /// Clears every dirty bit and returns the lines that were dirty; the
+    /// caller decides where their data goes.
+    fn take_dirty_lines(&mut self) -> Vec<i64> {
         let mut lines = Vec::new();
-        for set in &mut self.slots {
-            for slot in set.iter_mut().flatten() {
-                if std::mem::take(&mut slot.1) {
-                    lines.push(slot.0);
-                }
+        for slot in self.slots.iter_mut().flatten().flatten() {
+            if std::mem::take(&mut slot.1) {
+                lines.push(slot.0);
             }
         }
         lines
+    }
+
+    /// The memory lines currently resident, in no particular order.
+    #[cfg(test)]
+    fn resident_lines(&self) -> Vec<i64> {
+        self.slots
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|&(l, _)| l)
+            .collect()
     }
 }
 
@@ -320,6 +345,33 @@ mod tests {
 
     fn cfg(size: i64, assoc: i64, line: i64) -> CacheConfig {
         CacheConfig::new(size, assoc, line, 4).unwrap()
+    }
+
+    fn modeled(cfg: CacheConfig, policy: PolicyKind, write: WritePolicy) -> Simulator {
+        Simulator::for_model(&CacheModel::new(cfg).policy(policy).write(write))
+    }
+
+    /// A cold two-level LRU hierarchy with 16B lines.
+    fn two_level(l1_size: i64, l2_size: i64, assoc: i64, write: WritePolicy) -> Simulator {
+        let l1 = CacheConfig::new(l1_size, assoc, 16, 4).unwrap();
+        let l2 = CacheConfig::new(l2_size, assoc, 16, 4).unwrap();
+        Simulator::for_model(&CacheModel::new(l1).write(write).with_l2(l2).unwrap())
+    }
+
+    fn l2(sim: &Simulator) -> &Level {
+        sim.l2.as_ref().expect("two-level simulator")
+    }
+
+    fn lcg_trace(len: usize, lines: i64) -> Vec<(i64, bool)> {
+        let mut x = 99991u64;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (((x >> 33) as i64).rem_euclid(lines) * 4, x & 1 == 0)
+            })
+            .collect()
     }
 
     #[test]
@@ -379,7 +431,7 @@ mod tests {
         // Same trace as `lru_order_is_true_lru`, FIFO policy: re-touching
         // line A does not refresh it, so C evicts A (the oldest), not B.
         let cfg = CacheConfig::new(128, 2, 16, 4).unwrap();
-        let mut sim = Simulator::with_policy(cfg, PolicyKind::Fifo, WritePolicy::WriteBack);
+        let mut sim = modeled(cfg, PolicyKind::Fifo, WritePolicy::WriteBack);
         sim.access(0); // A
         sim.access(16); // B
         sim.access(0); // A hit — no-op for FIFO order
@@ -394,7 +446,7 @@ mod tests {
         // conflict trace under both policies and compare counters.
         let cfg = CacheConfig::new(128, 2, 16, 4).unwrap();
         let mut lru = Simulator::new(cfg);
-        let mut plru = Simulator::with_policy(cfg, PolicyKind::Plru, WritePolicy::WriteBack);
+        let mut plru = modeled(cfg, PolicyKind::Plru, WritePolicy::WriteBack);
         let mut x = 12345u64;
         for _ in 0..500 {
             x = x
@@ -409,11 +461,11 @@ mod tests {
     #[test]
     fn write_through_stores_count_traffic_and_do_not_allocate() {
         let cfg = CacheConfig::new(64, 1, 16, 4).unwrap();
-        let mut sim = Simulator::with_policy(cfg, PolicyKind::Lru, WritePolicy::WriteThrough);
+        let mut sim = modeled(cfg, PolicyKind::Lru, WritePolicy::WriteThrough);
         // Store miss: goes to memory, does not install the line.
         assert_eq!(sim.write(0), AccessOutcome::ColdMiss);
         assert_eq!(sim.writebacks(), 1);
-        assert!(sim.resident_lines().is_empty());
+        assert!(sim.l1.resident_lines().is_empty());
         // A second store miss to the same never-resident line is a
         // replacement miss by the first-touch classification.
         assert_eq!(sim.write(0), AccessOutcome::ReplacementMiss);
@@ -430,25 +482,20 @@ mod tests {
         let cfg = CacheConfig::new(64, 1, 16, 4).unwrap(); // 4 sets
         let mut sim = Simulator::new(cfg);
         assert_eq!(sim.write(0), AccessOutcome::ColdMiss);
-        let (outcome, evicted) = sim.access_traced(16, false); // conflicts with line 0
+        // Conflicts with line 0, which leaves dirty.
+        let (outcome, evicted) = sim.l1.access(16, false);
         assert_eq!(outcome, AccessOutcome::ColdMiss);
-        assert_eq!(
-            evicted,
-            Some(Eviction {
-                line: 0,
-                dirty: true
-            })
-        );
+        assert_eq!(evicted, Some((0, true)));
         assert_eq!(sim.writebacks(), 1);
         // Back-invalidate the resident line; it must be gone afterwards.
-        assert_eq!(sim.invalidate_line(4), Some(false));
-        assert_eq!(sim.invalidate_line(4), None);
-        assert!(sim.resident_lines().is_empty());
-        // mark_dirty_line on a resident line makes drain count it.
+        assert_eq!(sim.l1.invalidate(4), Some(false));
+        assert_eq!(sim.l1.invalidate(4), None);
+        assert!(sim.l1.resident_lines().is_empty());
+        // mark_dirty on a resident line makes drain count it.
         sim.access(0);
-        assert!(sim.mark_dirty_line(0));
-        assert!(!sim.mark_dirty_line(99));
-        assert_eq!(sim.take_dirty_lines(), vec![0]);
+        assert!(sim.l1.mark_dirty(0));
+        assert!(!sim.l1.mark_dirty(99));
+        assert_eq!(sim.l1.take_dirty_lines(), vec![0]);
         sim.drain_dirty();
         assert_eq!(sim.writebacks(), 1, "taken lines are not double counted");
     }
@@ -459,15 +506,6 @@ mod tests {
         assert_eq!(sim.access(-1), AccessOutcome::ColdMiss);
         assert_eq!(sim.access(-4), AccessOutcome::Hit); // same line [-4,-1]
         assert_eq!(sim.access(-5), AccessOutcome::ColdMiss);
-    }
-
-    #[test]
-    fn flush_restores_cold_state() {
-        let mut sim = Simulator::new(cfg(64, 1, 16));
-        sim.access(0);
-        sim.flush();
-        assert_eq!(sim.access(0), AccessOutcome::ColdMiss);
-        assert_eq!(sim.cold_misses(), 2);
     }
 
     #[test]
@@ -484,13 +522,83 @@ mod tests {
             }
         }
         // Sweep over 5 lines cyclically: LRU thrashes every access.
-        sim.flush();
+        let mut sim = Simulator::new(CacheConfig::fully_associative(64, 16, 4).unwrap());
         let lines5 = [0i64, 4, 8, 12, 16];
         for _ in 0..3 {
             for &l in &lines5 {
                 assert!(sim.access(l).is_miss());
             }
         }
+    }
+
+    #[test]
+    fn l2_sees_only_the_l1_miss_stream() {
+        let mut hier = two_level(64, 256, 1, WritePolicy::WriteBack);
+        // A unit-stride sweep: L1 misses once per line, L2 sees exactly
+        // those misses (all cold there too).
+        for a in 0..64 {
+            hier.access(a);
+        }
+        assert_eq!(hier.misses(), 16); // 64 elems / 4 per line
+        assert_eq!(l2(&hier).accesses, hier.misses());
+        assert_eq!(hier.l2_misses(), Some(16));
+    }
+
+    #[test]
+    fn large_l2_absorbs_l1_capacity_misses() {
+        // Working set fits L2 but thrashes L1: the second sweep misses in
+        // L1 but hits in L2.
+        let mut hier = two_level(64, 1024, 1, WritePolicy::WriteBack);
+        for _ in 0..2 {
+            for a in 0..128 {
+                hier.access(a);
+            }
+        }
+        assert!(hier.replacement_misses() > 0);
+        assert_eq!(hier.l2_misses(), Some(32), "all 32 lines fit L2");
+        assert_eq!(l2(&hier).hits, l2(&hier).accesses - 32);
+    }
+
+    #[test]
+    fn inclusion_holds_on_random_traces() {
+        let mut hier = two_level(64, 256, 2, WritePolicy::WriteBack);
+        for (a, w) in lcg_trace(4000, 200) {
+            hier.access_kind(a, w);
+            let l2: HashSet<i64> = l2(&hier).resident_lines().into_iter().collect();
+            for line in hier.l1.resident_lines() {
+                assert!(l2.contains(&line), "L1 line {line} missing from L2");
+            }
+        }
+    }
+
+    #[test]
+    fn writeback_traffic_is_conserved_on_random_traces() {
+        // Every dirtied line's data must reach memory exactly once by the
+        // end: via an L2 write-back or an escape. Compare against a
+        // single write-back-per-dirtied-line lower bound.
+        let mut hier = two_level(64, 256, 2, WritePolicy::WriteBack);
+        let trace = lcg_trace(2000, 100);
+        let mut dirtied = HashSet::new();
+        for &(a, w) in &trace {
+            hier.access_kind(a, w);
+            if w {
+                dirtied.insert(a / 4);
+            }
+        }
+        hier.drain_dirty();
+        assert!(hier.writebacks() >= dirtied.len() as u64 / 2);
+        assert!(hier.writebacks() <= trace.iter().filter(|&&(_, w)| w).count() as u64);
+    }
+
+    #[test]
+    fn write_through_counts_every_store() {
+        let mut hier = two_level(64, 256, 1, WritePolicy::WriteThrough);
+        for a in 0..32 {
+            hier.write(a);
+            hier.access(a);
+        }
+        hier.drain_dirty();
+        assert_eq!(hier.writebacks(), 32);
     }
 
     proptest! {
@@ -505,7 +613,7 @@ mod tests {
             ],
         ) {
             let cfg = CacheConfig::new(256, assoc, 16, 4).unwrap();
-            let mut sim = Simulator::with_policy(cfg, policy, WritePolicy::WriteBack);
+            let mut sim = modeled(cfg, policy, WritePolicy::WriteBack);
             let mut distinct = std::collections::HashSet::new();
             for &a in &addrs {
                 sim.access(a);
@@ -549,7 +657,7 @@ mod tests {
             let cfg = CacheConfig::new(128, 1, 16, 4).unwrap();
             let mut sims: Vec<Simulator> = PolicyKind::ALL
                 .iter()
-                .map(|&p| Simulator::with_policy(cfg, p, WritePolicy::WriteBack))
+                .map(|&p| modeled(cfg, p, WritePolicy::WriteBack))
                 .collect();
             for &(a, w) in &addrs {
                 let outcomes: Vec<AccessOutcome> = sims

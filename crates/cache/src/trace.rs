@@ -3,13 +3,14 @@
 //! The access trace of a nest is fully determined by its iteration space
 //! (walked in lexicographic order) and the statement order of its references
 //! within each iteration — exactly the order the CME windowing logic
-//! assumes.
+//! assumes. Every entry point below runs on one private walk of that
+//! trace.
 
 use crate::config::CacheConfig;
-use crate::model::{CacheModel, ModelSimulator};
-use crate::sim::Simulator;
+use crate::model::CacheModel;
+use crate::sim::{AccessOutcome, Simulator};
 use crate::stats::MissStats;
-use cme_ir::{LoopNest, RefId};
+use cme_ir::{AccessKind, LoopNest, RefId};
 use std::fmt;
 
 /// Per-reference and total simulation results for one nest.
@@ -17,24 +18,18 @@ use std::fmt;
 pub struct NestSimResult {
     /// Nest name (copied for reporting).
     pub nest_name: String,
-    /// One entry per reference, in statement order.
+    /// One entry per reference, in statement order, classified at L1 (the
+    /// level the analytic equations describe).
     pub per_ref: Vec<MissStats>,
-    /// Dirty lines written back during the nest (write-allocate model with
-    /// write-back accounting; end-of-run dirty lines are drained for the
-    /// single-nest entry points).
+    /// Write traffic that reached memory: dirty evictions plus the
+    /// end-of-run drain under write-back (no drain between the nests of
+    /// [`simulate_sequence`]), every store under write-through.
     pub writebacks: u64,
+    /// Total L2 misses for two-level models; `None` for single-level.
+    pub l2_misses: Option<u64>,
 }
 
 impl NestSimResult {
-    /// Statistics for one reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is not a reference of the simulated nest.
-    pub fn of(&self, r: RefId) -> &MissStats {
-        &self.per_ref[r.index()]
-    }
-
     /// Aggregate statistics over all references.
     pub fn total(&self) -> MissStats {
         self.per_ref.iter().copied().sum()
@@ -49,6 +44,84 @@ impl fmt::Display for NestSimResult {
         }
         write!(f, "  total: {}", self.total())
     }
+}
+
+/// The one walk of a nest's access trace: calls `visit(ref, point,
+/// element address, is_write)` for every access in execution order —
+/// iterations lexicographically, references in statement order within
+/// each — and stops at the first `Err`.
+fn walk<E>(
+    nest: &LoopNest,
+    mut visit: impl FnMut(RefId, &[i64], i64, bool) -> Result<(), E>,
+) -> Result<(), E> {
+    let refs: Vec<_> = nest
+        .references()
+        .iter()
+        .map(|r| (r.id(), nest.address_affine(r.id()), r.kind()))
+        .collect();
+    let mut space = nest.space();
+    while let Some(p) = space.next_point() {
+        for (id, af, kind) in &refs {
+            visit(*id, &p, af.eval(&p), *kind == AccessKind::Write)?;
+        }
+    }
+    Ok(())
+}
+
+/// Replays `nest` through `sim`, calling `visit(ref, point, element
+/// address, outcome)` after every access, and drains `sim`'s dirty lines
+/// at the end when `drain` is set. `keep_going` is asked with the running
+/// access count at the first iteration boundary after every
+/// [`GOVERNED_SIM_CHECK_INTERVAL`] accesses; `false` abandons the replay
+/// and returns `None`.
+fn replay(
+    sim: &mut Simulator,
+    nest: &LoopNest,
+    drain: bool,
+    mut keep_going: impl FnMut(u64) -> bool,
+    mut visit: impl FnMut(RefId, &[i64], i64, AccessOutcome),
+) -> Option<NestSimResult> {
+    let nrefs = nest.references().len();
+    let mut per_ref = vec![MissStats::default(); nrefs];
+    let writebacks_before = sim.writebacks();
+    let mut done: u64 = 0;
+    let mut next_check = GOVERNED_SIM_CHECK_INTERVAL;
+    walk(nest, |id, p, addr, is_write| {
+        let outcome = sim.access_kind(addr, is_write);
+        visit(id, p, addr, outcome);
+        let s = &mut per_ref[id.index()];
+        s.accesses += 1;
+        match outcome {
+            AccessOutcome::Hit => s.hits += 1,
+            AccessOutcome::ColdMiss => s.cold += 1,
+            AccessOutcome::ReplacementMiss => s.replacement += 1,
+        }
+        if id.index() + 1 == nrefs {
+            done += nrefs as u64;
+            if done >= next_check {
+                if !keep_going(done) {
+                    return Err(());
+                }
+                next_check = done + GOVERNED_SIM_CHECK_INTERVAL;
+            }
+        }
+        Ok(())
+    })
+    .ok()?;
+    if drain {
+        sim.drain_dirty();
+    }
+    Some(NestSimResult {
+        nest_name: nest.name().to_string(),
+        per_ref,
+        writebacks: sim.writebacks() - writebacks_before,
+        l2_misses: sim.l2_misses(),
+    })
+}
+
+/// Unwraps a replay whose `keep_going` never says stop.
+fn complete(result: Option<NestSimResult>) -> NestSimResult {
+    result.unwrap_or_else(|| unreachable!("an always-live check never aborts the replay"))
 }
 
 /// Replays every access of `nest` (from a cold cache) through an LRU
@@ -77,87 +150,19 @@ impl fmt::Display for NestSimResult {
 /// # Ok::<(), cme_cache::CacheConfigError>(())
 /// ```
 pub fn simulate_nest(nest: &LoopNest, config: CacheConfig) -> NestSimResult {
-    let mut sim = Simulator::new(config);
-    let mut result = run_nest(&mut sim, nest);
-    sim.drain_dirty();
-    result.writebacks = sim.writebacks();
-    result
-}
-
-/// Replays one nest through an existing simulator (shared by
-/// [`simulate_nest`] and [`simulate_sequence`]).
-fn run_nest(sim: &mut Simulator, nest: &LoopNest) -> NestSimResult {
-    let nrefs = nest.references().len();
-    let mut per_ref = vec![MissStats::default(); nrefs];
-    let wb_before = sim.writebacks();
-    // Precompute address affine forms and access kinds for speed.
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| (nest.address_affine(r.id()), r.kind()))
-        .collect();
-    let mut space = nest.space();
-    while let Some(p) = space.next_point() {
-        for (rid, (af, kind)) in addr_fns.iter().enumerate() {
-            let addr = af.eval(&p);
-            let outcome = match kind {
-                cme_ir::AccessKind::Read => sim.access(addr),
-                cme_ir::AccessKind::Write => sim.write(addr),
-            };
-            let s = &mut per_ref[rid];
-            s.accesses += 1;
-            match outcome {
-                crate::sim::AccessOutcome::Hit => s.hits += 1,
-                crate::sim::AccessOutcome::ColdMiss => s.cold += 1,
-                crate::sim::AccessOutcome::ReplacementMiss => s.replacement += 1,
-            }
-        }
-    }
-    NestSimResult {
-        nest_name: nest.name().to_string(),
-        per_ref,
-        writebacks: sim.writebacks() - wb_before,
-    }
-}
-
-/// Per-reference simulation results for one nest under an arbitrary
-/// [`CacheModel`]. Outcomes are classified at L1 (the level the analytic
-/// equations describe); `writebacks` is the write traffic that reached
-/// memory, and `l2_misses` is present for two-level models.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelSimResult {
-    /// Nest name (copied for reporting).
-    pub nest_name: String,
-    /// One entry per reference, in statement order, classified at L1.
-    pub per_ref: Vec<MissStats>,
-    /// Write traffic that reached memory (dirty evictions + end-of-run
-    /// drain under write-back; every store under write-through).
-    pub writebacks: u64,
-    /// Total L2 misses for two-level models; `None` for single-level.
-    pub l2_misses: Option<u64>,
-}
-
-impl ModelSimResult {
-    /// Aggregate statistics over all references.
-    pub fn total(&self) -> MissStats {
-        self.per_ref.iter().copied().sum()
-    }
+    simulate_nest_outcomes(nest, config, |_, _, _| {})
 }
 
 /// Replays every access of `nest` (from a cold state) through the
 /// simulator a [`CacheModel`] describes — any replacement/write policy,
-/// one or two levels — and returns per-reference L1 statistics plus the
-/// model's memory write traffic.
+/// one or two levels — and returns per-reference L1 statistics, the
+/// model's memory write traffic and, for two-level models, the L2 misses.
 ///
-/// For the baseline model this agrees exactly with [`simulate_nest`]
-/// (same counts, same write-backs); it is the ground-truth driver for the
-/// engine's simulator-backed classify path and diffcheck's bound-semantics
-/// verdicts.
-pub fn simulate_nest_model(nest: &LoopNest, model: &CacheModel) -> ModelSimResult {
-    match simulate_nest_model_governed(nest, model, |_| true) {
-        Some(result) => result,
-        None => unreachable!("an always-live check never aborts the replay"),
-    }
+/// For the baseline model this agrees exactly with [`simulate_nest`]; it
+/// is the ground-truth driver for the engine's simulator-backed classify
+/// path and diffcheck's bound-semantics verdicts.
+pub fn simulate_nest_model(nest: &LoopNest, model: &CacheModel) -> NestSimResult {
+    complete(simulate_nest_model_governed(nest, model, |_| true))
 }
 
 /// How many accesses [`simulate_nest_model_governed`] replays between two
@@ -176,47 +181,10 @@ pub const GOVERNED_SIM_CHECK_INTERVAL: u64 = 4096;
 pub fn simulate_nest_model_governed(
     nest: &LoopNest,
     model: &CacheModel,
-    mut keep_going: impl FnMut(u64) -> bool,
-) -> Option<ModelSimResult> {
-    let mut sim = ModelSimulator::new(model);
-    let nrefs = nest.references().len();
-    let mut per_ref = vec![MissStats::default(); nrefs];
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| (nest.address_affine(r.id()), r.kind()))
-        .collect();
-    let mut space = nest.space();
-    let mut done: u64 = 0;
-    let mut next_check = GOVERNED_SIM_CHECK_INTERVAL;
-    while let Some(p) = space.next_point() {
-        for (rid, (af, kind)) in addr_fns.iter().enumerate() {
-            let addr = af.eval(&p);
-            let is_write = matches!(kind, cme_ir::AccessKind::Write);
-            let outcome = sim.access_kind(addr, is_write);
-            let s = &mut per_ref[rid];
-            s.accesses += 1;
-            match outcome {
-                crate::sim::AccessOutcome::Hit => s.hits += 1,
-                crate::sim::AccessOutcome::ColdMiss => s.cold += 1,
-                crate::sim::AccessOutcome::ReplacementMiss => s.replacement += 1,
-            }
-        }
-        done += nrefs as u64;
-        if done >= next_check {
-            if !keep_going(done) {
-                return None;
-            }
-            next_check = done + GOVERNED_SIM_CHECK_INTERVAL;
-        }
-    }
-    sim.drain_dirty();
-    Some(ModelSimResult {
-        nest_name: nest.name().to_string(),
-        per_ref,
-        writebacks: sim.writebacks(),
-        l2_misses: sim.l2_misses(),
-    })
+    keep_going: impl FnMut(u64) -> bool,
+) -> Option<NestSimResult> {
+    let mut sim = Simulator::for_model(model);
+    replay(&mut sim, nest, true, keep_going, |_, _, _, _| {})
 }
 
 /// Replays every access of `nest` (from a cold cache) and calls
@@ -256,57 +224,16 @@ pub fn simulate_nest_model_governed(
 pub fn simulate_nest_outcomes(
     nest: &LoopNest,
     config: CacheConfig,
-    mut visit: impl FnMut(RefId, &[i64], crate::sim::AccessOutcome),
+    mut visit: impl FnMut(RefId, &[i64], AccessOutcome),
 ) -> NestSimResult {
     let mut sim = Simulator::new(config);
-    let nrefs = nest.references().len();
-    let mut per_ref = vec![MissStats::default(); nrefs];
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| (r.id(), nest.address_affine(r.id()), r.kind()))
-        .collect();
-    let mut space = nest.space();
-    while let Some(p) = space.next_point() {
-        for (rid, af, kind) in &addr_fns {
-            let addr = af.eval(&p);
-            let outcome = match kind {
-                cme_ir::AccessKind::Read => sim.access(addr),
-                cme_ir::AccessKind::Write => sim.write(addr),
-            };
-            visit(*rid, &p, outcome);
-            let s = &mut per_ref[rid.index()];
-            s.accesses += 1;
-            match outcome {
-                crate::sim::AccessOutcome::Hit => s.hits += 1,
-                crate::sim::AccessOutcome::ColdMiss => s.cold += 1,
-                crate::sim::AccessOutcome::ReplacementMiss => s.replacement += 1,
-            }
-        }
-    }
-    sim.drain_dirty();
-    NestSimResult {
-        nest_name: nest.name().to_string(),
-        per_ref,
-        writebacks: sim.writebacks(),
-    }
-}
-
-/// Calls `visit(ref_id, address)` for every access of the nest in execution
-/// order, without simulating — useful for exporting traces or building
-/// custom analyses.
-pub fn for_each_access(nest: &LoopNest, mut visit: impl FnMut(RefId, i64)) {
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| (r.id(), nest.address_affine(r.id())))
-        .collect();
-    let mut space = nest.space();
-    while let Some(p) = space.next_point() {
-        for (rid, af) in &addr_fns {
-            visit(*rid, af.eval(&p));
-        }
-    }
+    complete(replay(
+        &mut sim,
+        nest,
+        true,
+        |_| true,
+        |id, p, _, outcome| visit(id, p, outcome),
+    ))
 }
 
 /// Replays a *sequence* of nests through one simulator without flushing
@@ -316,7 +243,10 @@ pub fn for_each_access(nest: &LoopNest, mut visit: impl FnMut(RefId, i64)) {
 /// are at most what [`simulate_nest`] (cold start) reports.
 pub fn simulate_sequence(nests: &[&LoopNest], config: CacheConfig) -> Vec<NestSimResult> {
     let mut sim = Simulator::new(config);
-    nests.iter().map(|nest| run_nest(&mut sim, nest)).collect()
+    nests
+        .iter()
+        .map(|nest| complete(replay(&mut sim, nest, false, |_| true, |_, _, _, _| {})))
+        .collect()
 }
 
 /// Per-cache-set miss counts for a nest — the "which sets are hot" view a
@@ -326,22 +256,19 @@ pub fn simulate_sequence(nests: &[&LoopNest], config: CacheConfig) -> Vec<NestSi
 ///
 /// Returns one count per cache set.
 pub fn miss_histogram_by_set(nest: &LoopNest, config: CacheConfig) -> Vec<u64> {
-    let mut sim = Simulator::new(config);
     let mut hist = vec![0u64; config.num_sets() as usize];
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| nest.address_affine(r.id()))
-        .collect();
-    let mut space = nest.space();
-    while let Some(p) = space.next_point() {
-        for af in &addr_fns {
-            let addr = af.eval(&p);
-            if sim.access(addr).is_miss() {
+    let mut sim = Simulator::new(config);
+    complete(replay(
+        &mut sim,
+        nest,
+        false,
+        |_| true,
+        |_, _, addr, outcome| {
+            if outcome.is_miss() {
                 hist[config.cache_set(addr) as usize] += 1;
             }
-        }
-    }
+        },
+    ));
     hist
 }
 
@@ -378,26 +305,9 @@ pub fn export_din(
     elem_bytes: i64,
     out: &mut impl std::io::Write,
 ) -> std::io::Result<()> {
-    let kinds: Vec<u8> = nest
-        .references()
-        .iter()
-        .map(|r| match r.kind() {
-            cme_ir::AccessKind::Read => 0,
-            cme_ir::AccessKind::Write => 1,
-        })
-        .collect();
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| nest.address_affine(r.id()))
-        .collect();
-    let mut space = nest.space();
-    while let Some(p) = space.next_point() {
-        for (kind, af) in kinds.iter().zip(&addr_fns) {
-            writeln!(out, "{} {:x}", kind, af.eval(&p) * elem_bytes)?;
-        }
-    }
-    Ok(())
+    walk(nest, |_, _, addr, is_write| {
+        writeln!(out, "{} {:x}", u8::from(is_write), addr * elem_bytes)
+    })
 }
 
 #[cfg(test)]
@@ -451,14 +361,6 @@ mod tests {
         // First touches are cold; later ones replacement.
         assert_eq!(res.total().cold, 4); // 2 lines per array
         assert_eq!(res.total().replacement, 28);
-    }
-
-    #[test]
-    fn trace_export_matches_simulation_order() {
-        let nest = unit_stride_nest(5, 7);
-        let mut addrs = Vec::new();
-        for_each_access(&nest, |_, a| addrs.push(a));
-        assert_eq!(addrs, vec![7, 8, 9, 10, 11]);
     }
 
     #[test]
@@ -587,6 +489,33 @@ mod tests {
         // cold stream.
         assert_eq!(res.total().cold, 64);
         assert_eq!(res.l2_misses, Some(64));
+    }
+
+    #[test]
+    fn governed_replay_checks_at_iteration_boundaries() {
+        // Three references per point: `keep_going` runs at the first point
+        // boundary at or past every GOVERNED_SIM_CHECK_INTERVAL accesses.
+        let mut b = NestBuilder::new();
+        b.ct_loop("i", 1, 4000);
+        let a = b.array("A", &[4000], 0);
+        b.reference(a, AccessKind::Read, &[("i", 0)]);
+        b.reference(a, AccessKind::Read, &[("i", 0)]);
+        b.reference(a, AccessKind::Write, &[("i", 0)]);
+        let nest = b.build().unwrap();
+        let model = crate::model::CacheModel::new(CacheConfig::new(256, 2, 16, 4).unwrap());
+        let mut checks = Vec::new();
+        let full = simulate_nest_model_governed(&nest, &model, |done| {
+            checks.push(done);
+            true
+        });
+        assert_eq!(checks, vec![4098, 8196]);
+        assert_eq!(full, Some(simulate_nest_model(&nest, &model)));
+        let mut calls = 0;
+        let stopped = simulate_nest_model_governed(&nest, &model, |_| {
+            calls += 1;
+            false
+        });
+        assert_eq!((stopped, calls), (None, 1));
     }
 
     #[test]

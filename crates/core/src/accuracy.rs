@@ -158,6 +158,7 @@ mod tests {
                 nest_name: "x".into(),
                 per_ref: vec![],
                 writebacks: 0,
+                l2_misses: None,
             },
         };
         assert_eq!(row_zero(0).error_pct(), 0.0);

@@ -251,23 +251,6 @@ impl Analyzer {
             .try_analyze(nest, options, threads, budget, cancel.as_ref())
     }
 
-    /// Analyzes with the session options but with miss-point collection
-    /// forced on — the oracle-facing entry point of the differential test
-    /// harness (`cme-diffcheck`), which joins the returned
-    /// replacement/cold miss points against per-access simulator verdicts
-    /// from `cme_cache::simulate_nest_outcomes` to localize a
-    /// disagreement. Shares the session's memo tables: scans always
-    /// record their miss indices in the memo and `collect_miss_points`
-    /// only affects result assembly, so interleaving traced and plain
-    /// runs of the same nest stays fully memoized.
-    pub fn analyze_traced(&mut self, nest: &LoopNest) -> NestAnalysis {
-        let options = AnalysisOptions {
-            collect_miss_points: true,
-            ..self.options.clone()
-        };
-        self.analyze_with_options(nest, &options)
-    }
-
     /// Snapshot of the engine's accounting.
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()

@@ -22,7 +22,7 @@
 
 use super::Engine;
 use crate::governor::{Budget, CancelToken, Outcome, QueryGovernor};
-use cme_cache::{simulate_nest_model_governed, CacheModel, ModelSimResult};
+use cme_cache::{simulate_nest_model_governed, CacheModel, NestSimResult};
 use cme_ir::LoopNest;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -32,9 +32,11 @@ use std::time::Instant;
 /// back to the analytic LRU bound.
 #[derive(Debug, Clone)]
 pub struct ModelClassification {
-    /// Exact per-reference counts from the trace replay; `None` when the
-    /// budget exhausted mid-replay (partial traces are never exposed).
-    pub sim: Option<ModelSimResult>,
+    /// Exact per-reference counts from the trace replay, with the model's
+    /// memory write traffic and (two-level models) L2 misses — the same
+    /// [`NestSimResult`] as [`cme_cache::simulate_nest_model`]; `None` when
+    /// the budget exhausted mid-replay (partial traces are never exposed).
+    pub sim: Option<NestSimResult>,
     /// How the governed replay ended. [`Outcome::Complete`] iff `sim` is
     /// `Some`.
     pub outcome: Outcome,

@@ -235,7 +235,11 @@ fn traced_analysis_collects_points_and_stays_memoized() {
     let nest = matmul(8, 0, 100, 200);
     let mut analyzer = Analyzer::new(cache);
     let plain = analyzer.analyze(&nest);
-    let traced = analyzer.analyze_traced(&nest);
+    let options = AnalysisOptions {
+        collect_miss_points: true,
+        ..analyzer.current_options().clone()
+    };
+    let traced = analyzer.analyze_with_options(&nest, &options);
     assert_eq!(traced.total_misses(), plain.total_misses());
     let collected: usize = traced
         .per_ref
@@ -259,7 +263,11 @@ fn traced_miss_points_at_k8_run_compress_losslessly() {
     use crate::pointset::{PointSet, RunSet};
     let cache = CacheConfig::new(512, 8, 16, 4).unwrap();
     let nest = matmul(8, 0, 100, 200);
-    let traced = Analyzer::new(cache).analyze_traced(&nest);
+    let options = AnalysisOptions {
+        collect_miss_points: true,
+        ..AnalysisOptions::default()
+    };
+    let traced = Analyzer::new(cache).analyze_with_options(&nest, &options);
     assert!(traced.total_misses() > 0, "degenerate fixture");
     for (ri, r) in traced.per_ref.iter().enumerate() {
         let mut pts: Vec<Vec<i64>> = r

@@ -798,21 +798,12 @@ mod tests {
         nest: &LoopNest,
         cache: CacheConfig,
     ) -> Vec<std::collections::HashSet<Vec<i64>>> {
-        let mut sim = cme_cache::Simulator::new(cache);
         let mut out = vec![std::collections::HashSet::new(); nest.references().len()];
-        let addrs: Vec<Affine> = nest
-            .references()
-            .iter()
-            .map(|r| nest.address_affine(r.id()))
-            .collect();
-        let mut sp = nest.space();
-        while let Some(p) = sp.next_point() {
-            for (s, af) in addrs.iter().enumerate() {
-                if sim.access(af.eval(&p)).is_miss() {
-                    out[s].insert(p.clone());
-                }
+        cme_cache::simulate_nest_outcomes(nest, cache, |r, p, outcome| {
+            if outcome.is_miss() {
+                out[r.index()].insert(p.to_vec());
             }
-        }
+        });
         out
     }
 

@@ -13,7 +13,9 @@
 //! solver in `cme_core::solve` is a test oracle, and no engine file calls
 //! it. The fourth keeps a second memo family out: the engine memoizes the
 //! pipeline's artifacts only, never symbolic equation systems or their
-//! polytope counts.
+//! polytope counts. The last keeps one trace walk: only `cme-cache` drives
+//! a `Simulator`; everything else replays a nest through its
+//! `simulate_*` entry points.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -132,5 +134,28 @@ fn engine_holds_no_symbolic_system_memo() {
                  pipeline and memoizes only its stage artifacts"
             );
         }
+    }
+}
+
+#[test]
+fn only_cme_cache_walks_a_simulator() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let cache_crate = root.join("crates/cache");
+    let this_file = root.join("tests/architecture.rs");
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        files.extend(rust_files(&root.join(dir)));
+    }
+    assert!(files.len() > 50, "workspace sources not found: {files:?}");
+    for path in files {
+        if path.starts_with(&cache_crate) || path == this_file {
+            continue;
+        }
+        assert!(
+            !code_of(&path).contains("Simulator::"),
+            "{path:?} drives a `Simulator` by hand; replay the nest through \
+             `cme_cache::simulate_nest_outcomes` (or another `simulate_*` entry \
+             point) so one trace walk serves every replay"
+        );
     }
 }
