@@ -75,7 +75,7 @@ fn main() {
         sim.total().misses()
     );
 
-    // Engine accounting: a warm re-analysis answers every stage from the
+    // Session accounting: a warm re-analysis answers every stage from the
     // memos and must equal the cold one.
     let warm = analyzer.analyze(&nest);
     assert_eq!(warm, analysis, "warm re-analysis differs from cold");

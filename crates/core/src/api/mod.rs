@@ -956,12 +956,13 @@ impl AnalyzeResponse {
 
 impl Analyzer {
     /// Serves one [`AnalyzeRequest`] on this session: parses and validates
-    /// the request, analyzes under the request's own budget (overriding
-    /// the session budget), and packages the counts — or the coded failure
-    /// — as an [`AnalyzeResponse`]. The request's cache geometry must
-    /// match the session's; `cme-serve` routes requests to per-geometry
-    /// sessions, and in-process callers construct the session from the
-    /// request ([`AnalyzeRequest::cache_config`]).
+    /// the request, analyzes under the request's own options and budget
+    /// (overriding the session's) and the session's cancel token, and
+    /// packages the counts — or the coded failure — as an
+    /// [`AnalyzeResponse`]. The request's cache model (geometry and
+    /// policies) must match the session's; `cme-serve` routes requests to
+    /// per-model sessions, and in-process callers construct the session
+    /// from the request ([`AnalyzeRequest::cache_model`]).
     ///
     /// Budget exhaustion is a *success* with `outcome.complete = false`,
     /// never an error.
@@ -973,16 +974,6 @@ impl Analyzer {
     }
 
     fn serve_inner(&mut self, request: &AnalyzeRequest) -> Result<AnalyzeResult, Error> {
-        let cache = request.cache_config()?;
-        if &cache != self.cache() {
-            return Err(Error::new(
-                ErrorCode::InvalidCache,
-                format!(
-                    "request geometry ({cache}) does not match the session ({})",
-                    self.cache()
-                ),
-            ));
-        }
         let model = request.cache_model()?;
         if &model != self.model() {
             return Err(Error::new(
@@ -996,12 +987,9 @@ impl Analyzer {
         let nest = request.parse_program()?;
         let options = request.options()?;
         let budget = request.budget();
-        let threads = self.thread_count();
         let id = self.intern(&nest);
         let hits_before = self.stats().store_hits;
-        let governed = self
-            .engine_mut()
-            .try_analyze_id(id, &options, threads, budget, None)?;
+        let governed = self.run_one(id, &options, budget)?;
         let store_hit = self.stats().store_hits > hits_before;
         if model.is_baseline() {
             return Ok(AnalyzeResult::of(&governed, store_hit));
@@ -1010,7 +998,7 @@ impl Analyzer {
         // *bound* (and performed the address-overflow validation); the
         // exact answer comes from the governed trace replay.
         let lru_bound = governed.analysis.total_misses();
-        let classification = self.engine().classify_model(&nest, &model, budget, None);
+        let classification = self.classify_model(&nest, budget);
         Ok(match classification.sim {
             Some(sim) => {
                 let per_ref = governed

@@ -1,16 +1,35 @@
-//! The [`Analyzer`] session: cache, options, threading, and budget fixed
-//! as defaults over the staged incremental [`Engine`].
+//! The [`Analyzer`] session: one cache model, its interned
+//! [`ProgramDb`], the four pipeline memo tables, the optional artifact
+//! store and the work counters, next to the defaults every query runs
+//! under — options, threads, budget and cancel token.
+//!
+//! Every analyze entry point (and [`Analyzer::serve`],
+//! [`Analyzer::sweep`]) funnels into the one crate-private driver in
+//! `engine/mod.rs`: store lookup, governed batch, write-through. The
+//! session's threads and cancel token always apply; the session's
+//! options and budget apply unless the entry point names its own
+//! (`analyze_with_options`'s one-off options, a served request's options
+//! and budget).
 
-use super::{Engine, EngineStats};
+use super::stages::cascade::CascadeResult;
+use super::stages::lower::LoweredNest;
+use super::stages::reuse::ReusePlan;
+use super::stages::solve::SolveSet;
+use super::stats::Counters;
+use super::sweep::SweepResult;
 use crate::governor::{AnalysisError, Budget, CancelToken, GovernedAnalysis};
 use crate::solve::{AnalysisOptions, NestAnalysis};
+use crate::store::ArtifactStore;
 use cme_cache::{CacheConfig, CacheModel};
-use cme_ir::{LoopNest, NestId};
+use cme_ir::{LoopNest, NestId, ProgramDb};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// A configured analysis session: cache, options, and threading fixed as
-/// defaults, with the staged incremental [`Engine`] carrying memoized work
-/// across every `analyze` call.
+/// A configured analysis session: one cache model, an interned
+/// [`ProgramDb`], and per-stage memo tables that carry analysis artifacts
+/// across every query, with options, threading, budget and cancellation
+/// fixed as session defaults.
 ///
 /// ```
 /// use cme_cache::CacheConfig;
@@ -37,24 +56,56 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug)]
 pub struct Analyzer {
-    engine: Engine,
+    pub(super) cache: CacheConfig,
+    pub(super) model: CacheModel, // L1 = `cache`
+    pub(super) db: ProgramDb,
+    pub(super) lower_memo: Mutex<HashMap<usize, Arc<LoweredNest>>>,
+    pub(super) reuse_memo: Mutex<HashMap<u128, ReusePlan>>,
+    pub(super) cascade_memo: Mutex<HashMap<u128, Arc<SolveSet>>>,
+    pub(super) scan_memo: Mutex<HashMap<u128, Arc<CascadeResult>>>,
+    pub(super) store: Option<Arc<ArtifactStore>>,
+    pub(super) counters: Counters,
+    pub(super) caching: bool,
+    pub(super) max_cached_points: u64,
+    /// Test hook: worker items left before an injected panic fires
+    /// (`u64::MAX` = disarmed).
+    pub(super) panic_countdown: AtomicU64,
     options: AnalysisOptions,
     parallel: bool,
     threads: usize,
     budget: Budget,
-    cancel: Option<CancelToken>,
-    /// Session memo of fitted parametric sweeps (see
-    /// [`super::sweep::SweepResult`]); only complete, fitted results are
-    /// ever inserted.
-    pub(super) sweep_memo: HashMap<u128, super::sweep::SweepResult>,
+    pub(super) cancel: Option<CancelToken>,
+    /// Session memo of fitted parametric sweeps (see [`SweepResult`]);
+    /// only complete, fitted results are ever inserted.
+    pub(super) sweep_memo: HashMap<u128, SweepResult>,
 }
 
 impl Analyzer {
-    /// A sequential session with default options, caching on, and an
-    /// unlimited budget.
+    /// A sequential session for the baseline model of `cache`, with
+    /// default options, caching on, and an unlimited budget.
     pub fn new(cache: CacheConfig) -> Self {
+        Analyzer::with_model(CacheModel::new(cache))
+    }
+
+    /// A session for an arbitrary [`CacheModel`]: analytic equations run
+    /// against the model's L1 geometry; non-baseline models additionally
+    /// route served requests through the simulator-backed classify path
+    /// and key persistent artifacts under the model. For the baseline
+    /// model this is exactly [`Analyzer::new`].
+    pub fn with_model(model: CacheModel) -> Self {
         Analyzer {
-            engine: Engine::new(cache),
+            cache: model.l1(),
+            model,
+            db: ProgramDb::new(),
+            lower_memo: Mutex::new(HashMap::new()),
+            reuse_memo: Mutex::new(HashMap::new()),
+            cascade_memo: Mutex::new(HashMap::new()),
+            scan_memo: Mutex::new(HashMap::new()),
+            store: None,
+            counters: Counters::default(),
+            caching: true,
+            max_cached_points: 1 << 22,
+            panic_countdown: AtomicU64::new(u64::MAX),
             options: AnalysisOptions::default(),
             parallel: false,
             threads: 0,
@@ -64,33 +115,25 @@ impl Analyzer {
         }
     }
 
-    /// A session for an arbitrary [`CacheModel`]: analytic equations run
-    /// against the model's L1 geometry; non-baseline models additionally
-    /// route served requests through the simulator-backed classify path
-    /// and key persistent artifacts under the model. For the baseline
-    /// model this is exactly [`Analyzer::new`].
-    pub fn with_model(model: CacheModel) -> Self {
-        let mut analyzer = Analyzer::new(model.l1());
-        analyzer.engine.set_model(model);
-        analyzer
-    }
-
     /// The full cache model this session answers for.
     pub fn model(&self) -> &CacheModel {
-        self.engine.model()
+        &self.model
     }
 
-    /// Sets the session's per-query resource [`Budget`]. Exhausted
-    /// queries degrade to sound overcounts instead of failing (see
-    /// [`crate::Outcome`]).
+    /// Sets the session's per-query resource [`Budget`]. Every entry
+    /// point except [`Analyzer::serve`] (which runs under the request's
+    /// own budget) analyzes under it: exhausted queries degrade to sound
+    /// overcounts instead of failing. The `try_*` forms also return the
+    /// [`crate::Outcome`] saying whether that happened.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
     }
 
-    /// Installs a cooperative [`CancelToken`]: cancelling it (from any
-    /// thread) stops in-flight and subsequent queries at the next
-    /// checkpoint, degrading them like budget exhaustion.
+    /// Installs a cooperative [`CancelToken`] for every entry point,
+    /// [`Analyzer::serve`] included: cancelling it (from any thread) stops
+    /// in-flight and subsequent queries at the next checkpoint, degrading
+    /// them like budget exhaustion.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -114,27 +157,47 @@ impl Analyzer {
         self
     }
 
-    /// Enables or disables the engine's memoization. An uncached session
-    /// runs the same staged pipeline without memo tables, artifact store,
-    /// or sweep memo (see [`Engine::set_caching`]).
+    /// Enables or disables memoization. An uncached session runs the
+    /// same staged pipeline but rebuilds every stage artifact, and
+    /// bypasses the artifact store and the sweep memo.
     pub fn caching(mut self, on: bool) -> Self {
-        self.engine.set_caching(on);
+        self.caching = on;
         self
     }
 
-    /// Attaches a persistent [`crate::ArtifactStore`]: complete analyses
-    /// are written through to disk and repeated queries (same structure,
-    /// layout, geometry, and options — across sessions and processes)
-    /// are answered from the store before any pipeline stage runs. See
-    /// [`Engine::set_store`].
-    pub fn store(mut self, store: std::sync::Arc<crate::store::ArtifactStore>) -> Self {
-        self.engine.set_store(store);
+    /// Attaches a persistent [`ArtifactStore`]: complete analyses are
+    /// written through to disk and repeated queries (same structure,
+    /// layout, cache model, and options — across sessions and processes)
+    /// are answered from the store before any pipeline stage runs. The
+    /// store is only consulted while caching is on, and exhausted
+    /// (budget-truncated) results are never persisted.
+    pub fn store(mut self, store: Arc<ArtifactStore>) -> Self {
+        self.store = Some(store);
         self
     }
 
-    /// The cache geometry this session analyzes against.
+    /// Test hook: the iteration-space size above which nests bypass the
+    /// memo tables (their point sets would dominate memory). Default: 4M
+    /// points.
+    #[doc(hidden)]
+    pub fn max_cached_points(mut self, points: u64) -> Self {
+        self.max_cached_points = points;
+        self
+    }
+
+    /// Test hook: arms an injected panic that fires in the worker that
+    /// claims the `after`-th pool item (counting from 0) of subsequent
+    /// analyses, then disarms itself. Exists to prove the panic boundary:
+    /// the poisoned query returns [`AnalysisError::WorkerPanic`] while the
+    /// session stays usable.
+    #[doc(hidden)]
+    pub fn inject_worker_panic(&self, after: u64) {
+        self.panic_countdown.store(after, Ordering::Relaxed);
+    }
+
+    /// The cache geometry this session analyzes against (the model's L1).
     pub fn cache(&self) -> &CacheConfig {
-        self.engine.cache()
+        &self.cache
     }
 
     /// The session's default options.
@@ -142,9 +205,16 @@ impl Analyzer {
         &self.options
     }
 
-    /// Interns a nest into the session's program database (idempotent).
+    /// Interns a nest into the session's program database, returning its
+    /// handle. Idempotent: equal nests share a handle (and therefore every
+    /// memoized artifact).
     pub fn intern(&mut self, nest: &LoopNest) -> NestId {
-        self.engine.intern(nest)
+        self.db.intern(nest)
+    }
+
+    /// The session's interned program database.
+    pub fn db(&self) -> &ProgramDb {
+        &self.db
     }
 
     /// Analyzes a nest with the session defaults, interning it first. At
@@ -152,118 +222,96 @@ impl Analyzer {
     /// reference oracle in [`crate::solve`], warm or cold; under a session
     /// budget or cancellation the counts degrade to a sound overcount (use
     /// [`Analyzer::try_analyze`] to observe the [`crate::Outcome`] tag).
-    /// Panics on [`AnalysisError`] — worker panic or address overflow.
+    ///
+    /// # Panics
+    ///
+    /// On [`AnalysisError`] — worker panic or address overflow.
     pub fn analyze(&mut self, nest: &LoopNest) -> NestAnalysis {
-        let id = self.intern(nest);
-        self.analyze_id(id)
+        expect_ok(self.try_analyze(nest)).analysis
     }
 
     /// [`Analyzer::analyze`] for an already-interned nest.
+    ///
+    /// # Panics
+    ///
+    /// On [`AnalysisError`].
     pub fn analyze_id(&mut self, id: NestId) -> NestAnalysis {
-        let options = self.options.clone();
-        let threads = self.thread_count();
-        self.engine.analyze_id(id, &options, threads)
+        expect_ok(self.try_analyze_id(id)).analysis
     }
 
     /// Analyzes a batch of interned nests in one session call: all
     /// `(nest, reference)` work items and scan shards share one work
     /// pool, and all nests share the session memo tables. Results are in
     /// `ids` order, each bit-identical to [`Analyzer::analyze_id`] on
-    /// that nest alone. Panics on [`AnalysisError`].
+    /// that nest alone.
+    ///
+    /// # Panics
+    ///
+    /// On [`AnalysisError`].
     pub fn analyze_batch(&mut self, ids: &[NestId]) -> Vec<NestAnalysis> {
-        let options = self.options.clone();
-        let threads = self.thread_count();
-        self.engine.analyze_batch(ids, &options, threads)
+        expect_ok(self.try_analyze_batch(ids))
+            .into_iter()
+            .map(|g| g.analysis)
+            .collect()
     }
 
-    /// Governed batch analysis under the session budget (per nest) and
-    /// cancel token; see [`Engine::try_analyze_batch`].
+    /// Analyzes with one-off options (e.g. an exact-counting pass) under
+    /// the session's budget, still sharing the session's memo tables.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// See [`Engine::try_analyze`]; one failing nest fails the batch.
-    pub fn try_analyze_batch(
-        &mut self,
-        ids: &[NestId],
-    ) -> Result<Vec<GovernedAnalysis>, AnalysisError> {
-        let options = self.options.clone();
-        let threads = self.thread_count();
-        let budget = self.budget;
-        let cancel = self.cancel.clone();
-        self.engine
-            .try_analyze_batch(ids, &options, threads, budget, cancel.as_ref())
-    }
-
-    /// Analyzes with one-off options (e.g. an exact-counting pass) while
-    /// still sharing the session's memo tables. Panics on
-    /// [`AnalysisError`]; see [`Analyzer::try_analyze_with_options`].
+    /// On [`AnalysisError`].
     pub fn analyze_with_options(
         &mut self,
         nest: &LoopNest,
         options: &AnalysisOptions,
     ) -> NestAnalysis {
-        match self.try_analyze_with_options(nest, options) {
-            Ok(governed) => governed.analysis,
-            Err(e) => panic!("{e}"),
-        }
+        let id = self.intern(nest);
+        expect_ok(self.run_one(id, options, self.budget)).analysis
     }
 
     /// The governed, panic-free entry point: analyzes under the session's
     /// budget and cancel token and reports how the query ended alongside
-    /// the (possibly degraded, always sound) counts.
+    /// the (possibly degraded, always sound) counts. Exhaustion or
+    /// cancellation degrades instead of failing: unfinished iteration
+    /// points are counted as misses (the paper's `ε > 0` semantics) and
+    /// the result is tagged [`crate::Outcome::Exhausted`].
     ///
     /// # Errors
     ///
-    /// See [`Engine::try_analyze`].
+    /// [`AnalysisError::WorkerPanic`] when a pool worker panicked (only
+    /// this query is lost; the session and its memo tables stay usable)
+    /// and [`AnalysisError::Overflow`] when the nest's address arithmetic
+    /// cannot be performed in 64 bits.
     pub fn try_analyze(&mut self, nest: &LoopNest) -> Result<GovernedAnalysis, AnalysisError> {
-        let options = self.options.clone();
-        self.try_analyze_with_options(nest, &options)
+        let id = self.intern(nest);
+        self.try_analyze_id(id)
     }
 
     /// [`Analyzer::try_analyze`] for an already-interned nest.
     ///
     /// # Errors
     ///
-    /// See [`Engine::try_analyze`].
+    /// See [`Analyzer::try_analyze`].
     pub fn try_analyze_id(&mut self, id: NestId) -> Result<GovernedAnalysis, AnalysisError> {
-        let options = self.options.clone();
-        let threads = self.thread_count();
-        let budget = self.budget;
-        let cancel = self.cancel.clone();
-        self.engine
-            .try_analyze_id(id, &options, threads, budget, cancel.as_ref())
+        self.run_one(id, &self.options, self.budget)
     }
 
-    /// [`Analyzer::try_analyze`] with one-off options.
+    /// Governed batch analysis: each nest runs under its *own* fresh
+    /// query governor built from the session budget (solve/point budgets
+    /// are per-nest; a deadline budget shares the wall clock, so later
+    /// nests see less of it), all honoring the session's cancel token.
+    /// Results are in `ids` order with per-nest [`crate::Outcome`] tags.
     ///
     /// # Errors
     ///
-    /// See [`Engine::try_analyze`].
-    pub fn try_analyze_with_options(
+    /// See [`Analyzer::try_analyze`]; one failing nest fails the whole
+    /// batch (the session stays usable).
+    pub fn try_analyze_batch(
         &mut self,
-        nest: &LoopNest,
-        options: &AnalysisOptions,
-    ) -> Result<GovernedAnalysis, AnalysisError> {
-        let threads = self.thread_count();
-        let budget = self.budget;
-        let cancel = self.cancel.clone();
-        self.engine
-            .try_analyze(nest, options, threads, budget, cancel.as_ref())
-    }
-
-    /// Snapshot of the engine's accounting.
-    pub fn stats(&self) -> EngineStats {
-        self.engine.stats()
-    }
-
-    /// Shared access to the underlying engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
+        ids: &[NestId],
+    ) -> Result<Vec<GovernedAnalysis>, AnalysisError> {
+        self.run(ids, &self.options, self.budget)
     }
 
     /// The work-pool width the session's analyses actually run at:
@@ -280,4 +328,10 @@ impl Analyzer {
             1
         }
     }
+}
+
+/// The panicking entry points' error policy: the `try_*` forms return the
+/// [`AnalysisError`]; the others panic with its message.
+fn expect_ok<T>(result: Result<T, AnalysisError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
 }

@@ -1,8 +1,8 @@
 //! Invalidation keys of the incremental engine.
 //!
-//! Every cache inside [`crate::Engine`] is keyed by a 128-bit double hash
-//! of exactly the inputs its payload depends on — nothing more, so a
-//! candidate transform that leaves those inputs untouched re-solves from
+//! Every memo table inside [`crate::Analyzer`] is keyed by a 128-bit
+//! double hash of exactly the inputs its payload depends on — nothing
+//! more, so a candidate transform that leaves those inputs untouched re-solves from
 //! the cache, and nothing less, so a transform that changes them cannot
 //! alias into a stale entry. The derivations live in `docs/ENGINE.md`; in
 //! short, for a destination reference `D` of array `A_D` with base

@@ -1,4 +1,4 @@
-//! The engine's four memo tables — lower, reuse, solve set, scan — with
+//! The session's four memo tables — lower, reuse, solve set, scan — with
 //! their capacity policy.
 //!
 //! The lower table maps a nest handle, every other table a 128-bit
@@ -26,7 +26,7 @@ use super::stages::cascade::CascadeResult;
 use super::stages::lower::{self, LoweredNest};
 use super::stages::reuse::ReusePlan;
 use super::stages::solve::SolveSet;
-use super::Engine;
+use super::Analyzer;
 
 pub(crate) const REUSE_CAP: usize = 4096;
 pub(crate) const CASCADE_CAP: usize = 4096;
@@ -41,7 +41,7 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-impl Engine {
+impl Analyzer {
     /// The lower-stage artifact of an interned nest: memoized per handle
     /// (the database is append-only, so entries never go stale). With
     /// caching off the artifact is rebuilt every query, like every other
@@ -85,7 +85,7 @@ impl Engine {
         v
     }
 
-    /// The solve set under `key`, like [`Engine::lookup_reuse`]; a
+    /// The solve set under `key`, like [`Analyzer::lookup_reuse`]; a
     /// truncated set is never stored.
     pub(crate) fn lookup_cascade(
         &self,
@@ -128,15 +128,5 @@ impl Engine {
             map.clear();
         }
         map.insert(key, outcome);
-    }
-
-    /// Drops every cached artifact (including lowered nests; the interned
-    /// program database itself is kept — handles stay valid). Counters
-    /// keep accumulating.
-    pub fn clear_caches(&self) {
-        relock(&self.lower_memo).clear();
-        relock(&self.reuse_memo).clear();
-        relock(&self.cascade_memo).clear();
-        relock(&self.scan_memo).clear();
     }
 }

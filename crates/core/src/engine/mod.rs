@@ -1,5 +1,5 @@
-//! The staged, incremental analysis engine and the [`Analyzer`] session
-//! API.
+//! The staged, incremental analysis engine: the [`Analyzer`] session and
+//! the one driver every entry point runs.
 //!
 //! Optimizer searches (padding, tiling, fusion) score dozens to hundreds
 //! of *candidate* nests that differ only in array layout — base addresses
@@ -7,9 +7,9 @@
 //! the cache stay fixed. Re-running the full miss-finding algorithm
 //! (Figure 6) per candidate repeats enormous amounts of identical work.
 //!
-//! The engine runs every analysis through the five-stage pipeline in
+//! An [`Analyzer`] runs every analysis through the five-stage pipeline in
 //! `stages` (`lower → reuse → solve → cascade → classify`) over nests
-//! interned in a [`ProgramDb`], and memoizes each stage's artifact
+//! interned in its [`cme_ir::ProgramDb`], and memoizes each stage's artifact
 //! independently under the narrowest invalidation key that is still sound
 //! (derived in `keys` and `docs/ENGINE.md`):
 //!
@@ -24,7 +24,12 @@
 //!   distances, so converged search sweeps and line-aligned translations
 //!   skip the scans entirely.
 //!
-//! [`Engine::analyze_batch`] analyzes many interned nests in one call:
+//! Every entry point — `analyze*`, `try_analyze*`, `serve`, `sweep` —
+//! calls the one crate-private driver here: a persistent-store lookup,
+//! then the governed batch over the store misses, then the exact-only
+//! write-through, under the session's threads and cancel token.
+//!
+//! [`Analyzer::analyze_batch`] analyzes many interned nests in one call:
 //! every `(nest, reference)` work item and every scan shard of the whole
 //! batch shares one work pool, so small nests cannot leave workers idle,
 //! and all nests share the session's memo tables. Duplicate scan slots
@@ -61,51 +66,22 @@ pub mod sweep;
 mod tests;
 
 pub use analyzer::Analyzer;
-pub use model::ModelClassification;
 pub use stats::EngineStats;
 pub use sweep::{SweepMetric, SweepParameter, SweepRequest, SweepResult};
 
-use crate::governor::{AnalysisError, Budget, CancelToken, GovernedAnalysis, QueryGovernor};
+use crate::governor::{AnalysisError, Budget, GovernedAnalysis, QueryGovernor};
 use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis};
-use crate::store::ArtifactStore;
-use cme_cache::{CacheConfig, CacheModel};
-use cme_ir::{LoopNest, NestId, ProgramDb, RefId};
+use cme_ir::{NestId, RefId};
 use cme_reuse::ReuseVector;
 use stages::cascade::{scan_run_block, split_blocks, CascadeResult};
 use stages::classify::Classification;
 use stages::lower::LoweredNest;
-use stages::reuse::ReusePlan;
 use stages::solve::SolveSet;
 use stats::Counters;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
-
-/// The staged incremental analysis engine: a fixed cache geometry, an
-/// interned [`ProgramDb`], and per-stage memo tables that carry analysis
-/// artifacts across candidate nests.
-///
-/// Most callers want the [`Analyzer`] wrapper, which fixes options and
-/// threading as session defaults. `Engine` is the per-call-options core
-/// (e.g. the diagnosis pass analyzes the same nest under two option sets).
-#[derive(Debug)]
-pub struct Engine {
-    cache: CacheConfig,
-    model: CacheModel, // L1 = `cache`; accessors in `engine/model.rs`
-    caching: bool,
-    max_cached_points: u64,
-    db: ProgramDb,
-    lower_memo: Mutex<HashMap<usize, Arc<LoweredNest>>>,
-    reuse_memo: Mutex<HashMap<u128, ReusePlan>>,
-    cascade_memo: Mutex<HashMap<u128, Arc<SolveSet>>>,
-    scan_memo: Mutex<HashMap<u128, Arc<CascadeResult>>>,
-    store: Option<Arc<ArtifactStore>>,
-    counters: Counters,
-    /// Test hook: worker items left before an injected panic fires
-    /// (`u64::MAX` = disarmed).
-    panic_countdown: AtomicU64,
-}
 
 enum ScanSlot {
     Ready(Arc<CascadeResult>),
@@ -131,187 +107,20 @@ struct NestCtx {
     prefix: Option<u128>,
 }
 
-impl Engine {
-    /// A fresh engine for one cache geometry, caching enabled.
-    pub fn new(cache: CacheConfig) -> Self {
-        Engine {
-            cache,
-            model: CacheModel::new(cache),
-            caching: true,
-            max_cached_points: 1 << 22,
-            db: ProgramDb::new(),
-            lower_memo: Mutex::new(HashMap::new()),
-            reuse_memo: Mutex::new(HashMap::new()),
-            cascade_memo: Mutex::new(HashMap::new()),
-            scan_memo: Mutex::new(HashMap::new()),
-            store: None,
-            counters: Counters::default(),
-            panic_countdown: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// Test hook: arms an injected panic that fires in the worker that
-    /// claims the `after`-th pool item (counting from 0) of subsequent
-    /// analyses, then disarms itself. Exists to prove the panic boundary:
-    /// the poisoned query returns [`AnalysisError::WorkerPanic`] while the
-    /// session stays usable.
-    #[doc(hidden)]
-    pub fn inject_worker_panic(&self, after: u64) {
-        self.panic_countdown.store(after, Ordering::Relaxed);
-    }
-
-    /// Fires the injected test panic when armed and due (the counter wraps
-    /// to `u64::MAX` on the firing decrement, disarming the hook).
-    fn maybe_inject_panic(&self) {
-        if self.panic_countdown.load(Ordering::Relaxed) == u64::MAX {
-            return;
-        }
-        if self.panic_countdown.fetch_sub(1, Ordering::Relaxed) == 0 {
-            panic!("injected worker panic (test hook)");
-        }
-    }
-
-    /// The cache geometry this engine analyzes against.
-    pub fn cache(&self) -> &CacheConfig {
-        &self.cache
-    }
-
-    /// Interns a nest into the engine's program database, returning its
-    /// handle. Idempotent: equal nests share a handle (and therefore every
-    /// memoized artifact).
-    pub fn intern(&mut self, nest: &LoopNest) -> NestId {
-        self.db.intern(nest)
-    }
-
-    /// The engine's interned program database.
-    pub fn db(&self) -> &ProgramDb {
-        &self.db
-    }
-
-    /// Enables or disables memoization. Disabled, every analysis runs the
-    /// same staged pipeline but rebuilds every stage artifact, and the
-    /// artifact store and the sweep memo are bypassed.
-    pub fn set_caching(&mut self, on: bool) {
-        self.caching = on;
-    }
-
-    /// Iteration-space size above which nests bypass the memos (their
-    /// point sets would dominate memory). Default: 4M points.
-    pub fn set_max_cached_points(&mut self, points: u64) {
-        self.max_cached_points = points;
-    }
-
-    /// Interns and analyzes a nest at full budget. Panics (with the
-    /// worker's message) if a pool worker panics, and on nests whose
-    /// address arithmetic would overflow — use [`Engine::try_analyze`] for
-    /// the error-returning, budgeted entry point.
-    pub fn analyze(
-        &mut self,
-        nest: &LoopNest,
-        options: &AnalysisOptions,
-        threads: usize,
-    ) -> NestAnalysis {
-        let id = self.intern(nest);
-        self.analyze_id(id, options, threads)
-    }
-
-    /// [`Engine::analyze`] for an already-interned nest.
-    pub fn analyze_id(
-        &mut self,
-        id: NestId,
-        options: &AnalysisOptions,
-        threads: usize,
-    ) -> NestAnalysis {
-        match self.analyze_batch(&[id], options, threads).pop() {
-            Some(analysis) => analysis,
-            None => unreachable!("batch of one returns one result"),
-        }
-    }
-
-    /// Analyzes a batch of interned nests at full budget, sharing one
-    /// work pool and the session memo tables across the whole batch.
-    /// Results are in `ids` order, each bit-identical to analyzing that
-    /// nest alone. Panics like [`Engine::analyze`].
-    pub fn analyze_batch(
-        &mut self,
+impl Analyzer {
+    /// The one driver behind every entry point: the persistent-store
+    /// lookup, then the governed batch over the store misses, then the
+    /// exact-only write-through (see `engine/persist.rs`). Each nest runs
+    /// under its own fresh query governor built from `budget`, honoring
+    /// the session's cancel token, at the session's thread count.
+    pub(crate) fn run(
+        &self,
         ids: &[NestId],
         options: &AnalysisOptions,
-        threads: usize,
-    ) -> Vec<NestAnalysis> {
-        match self.try_analyze_batch(ids, options, threads, Budget::unlimited(), None) {
-            Ok(results) => results.into_iter().map(|g| g.analysis).collect(),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The governed entry point: interns and analyzes under `budget`,
-    /// honoring `cancel`, and never panics on the governed path.
-    /// Exhaustion or cancellation degrades instead of failing: unfinished
-    /// iteration points are counted as misses (the paper's `ε > 0`
-    /// semantics, a sound overcount) and the result is tagged
-    /// [`crate::Outcome::Exhausted`].
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::WorkerPanic`] when a pool worker panicked (only
-    /// this query is lost; the session and its memo tables stay usable)
-    /// and [`AnalysisError::Overflow`] when the nest's address arithmetic
-    /// cannot be performed in 64 bits.
-    pub fn try_analyze(
-        &mut self,
-        nest: &LoopNest,
-        options: &AnalysisOptions,
-        threads: usize,
         budget: Budget,
-        cancel: Option<&CancelToken>,
-    ) -> Result<GovernedAnalysis, AnalysisError> {
-        let id = self.intern(nest);
-        self.try_analyze_id(id, options, threads, budget, cancel)
-    }
-
-    /// [`Engine::try_analyze`] for an already-interned nest.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::try_analyze`].
-    pub fn try_analyze_id(
-        &mut self,
-        id: NestId,
-        options: &AnalysisOptions,
-        threads: usize,
-        budget: Budget,
-        cancel: Option<&CancelToken>,
-    ) -> Result<GovernedAnalysis, AnalysisError> {
-        match self
-            .try_analyze_batch(&[id], options, threads, budget, cancel)?
-            .pop()
-        {
-            Some(governed) => Ok(governed),
-            None => unreachable!("batch of one returns one result"),
-        }
-    }
-
-    /// Governed batch analysis: each nest runs under its *own* fresh
-    /// query governor built from `budget` (solve/point budgets are
-    /// per-nest; a deadline budget shares the wall clock, so later nests
-    /// see less of it), all honoring the same `cancel` token. Results are
-    /// in `ids` order with per-nest [`crate::Outcome`] tags.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::try_analyze`]; one failing nest fails the whole
-    /// batch (the session stays usable).
-    pub fn try_analyze_batch(
-        &mut self,
-        ids: &[NestId],
-        options: &AnalysisOptions,
-        threads: usize,
-        budget: Budget,
-        cancel: Option<&CancelToken>,
     ) -> Result<Vec<GovernedAnalysis>, AnalysisError> {
-        // Persistent-store consult, ahead of every pipeline stage (see
-        // `engine/persist.rs`): a hit is always a complete analysis, so
-        // it satisfies any budget.
+        // A store hit is always a complete analysis, so it satisfies any
+        // budget.
         let keys = self.artifact_keys(ids, options);
         let served = self.consult_store(&keys);
         let miss_idx: Vec<usize> = served
@@ -327,17 +136,31 @@ impl Engine {
 
         let govs: Vec<QueryGovernor> = miss_ids
             .iter()
-            .map(|_| QueryGovernor::new(budget, cancel.cloned()))
+            .map(|_| QueryGovernor::new(budget, self.cancel.clone()))
             .collect();
-        let computed = self.analyze_governed_batch(&miss_ids, options, threads, &govs)?;
+        let computed =
+            self.analyze_governed_batch(&miss_ids, options, self.thread_count(), &govs)?;
         Ok(self.merge_batch_results(served, &keys, &miss_idx, computed, &govs))
     }
 
-    /// The batch pipeline driver: runs every nest of the batch through
-    /// `lower → reuse → solve → cascade → classify`, pooling the work of
-    /// all nests together at each pooled stage.
+    /// [`Analyzer::run`] on one interned nest.
+    pub(crate) fn run_one(
+        &self,
+        id: NestId,
+        options: &AnalysisOptions,
+        budget: Budget,
+    ) -> Result<GovernedAnalysis, AnalysisError> {
+        match self.run(&[id], options, budget)?.pop() {
+            Some(governed) => Ok(governed),
+            None => unreachable!("batch of one returns one result"),
+        }
+    }
+
+    /// The governed batch behind [`Analyzer::run`]: runs every nest of
+    /// the batch through `lower → reuse → solve → cascade → classify`,
+    /// pooling the work of all nests together at each pooled stage.
     fn analyze_governed_batch(
-        &mut self,
+        &self,
         ids: &[NestId],
         options: &AnalysisOptions,
         threads: usize,
@@ -372,12 +195,11 @@ impl Engine {
             }
         }
 
-        let eng = &*self;
         // Stages: reuse + solve, fused per item (the memo lookups run
         // inline in the worker); scan batches become slots (memo hit or
         // todo). Their stage times are summed across workers.
         let plans: Vec<Plan> = pool::run_pool(item_of.clone(), threads, |_, (ni, ridx)| {
-            eng.maybe_inject_panic();
+            self.maybe_inject_panic();
             let ctx = &ctxs[ni];
             let nest = &*ctx.lowered.nest;
             let gov = &govs[ni];
@@ -388,30 +210,30 @@ impl Engine {
                 return Plan::Done(stages::classify::truncated(nest, id, options, gov));
             }
             if ctx.prefix.is_none() {
-                eng.counters.passthroughs.fetch_add(1, Ordering::Relaxed);
+                self.counters.passthroughs.fetch_add(1, Ordering::Relaxed);
             }
             let rkey = ctx
                 .prefix
                 .map(|p| keys::KeyHasher::from_prefix(0x4e5e, p).feed(&ridx).finish());
             let t = Instant::now();
-            let plan = eng.lookup_reuse(rkey, || {
+            let plan = self.lookup_reuse(rkey, || {
                 stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse)
             });
-            Counters::add_time(&eng.counters.reuse_ns, t.elapsed());
+            Counters::add_time(&self.counters.reuse_ns, t.elapsed());
             let ckey = ctx
                 .prefix
                 .map(|p| keys::cascade_key(p, nest, options, ridx, ls));
             let t = Instant::now();
-            let solve = eng.lookup_cascade(ckey, || {
+            let solve = self.lookup_cascade(ckey, || {
                 stages::solve::build(&ctx.lowered, &cache, ridx, &plan.rvs, options, gov)
             });
-            Counters::add_time(&eng.counters.solve_ns, t.elapsed());
+            Counters::add_time(&self.counters.solve_ns, t.elapsed());
             let scans = (0..solve.vectors.len())
                 .map(|vi| {
                     let skey = ctx
                         .prefix
                         .map(|p| keys::scan_key(p, nest, options, ridx, vi, ls));
-                    match skey.and_then(|k| eng.peek_scan(k)) {
+                    match skey.and_then(|k| self.peek_scan(k)) {
                         Some(o) => ScanSlot::Ready(o),
                         None => ScanSlot::Todo(skey),
                     }
@@ -423,11 +245,11 @@ impl Engine {
                 scans,
             }
         })
-        .map_err(|p| eng.note_worker_panic(p))?;
+        .map_err(|p| self.note_worker_panic(p))?;
         for plan in &plans {
             if let Plan::Staged { solve, .. } = plan {
                 for sv in &solve.vectors {
-                    eng.counters
+                    self.counters
                         .note_solved_vector(sv.examined, sv.scan_set.is_dense());
                 }
             }
@@ -471,7 +293,7 @@ impl Engine {
             }
             let (partials, shard_stats): (Vec<CascadeResult>, pool::PoolStats) =
                 pool::run_pool_stats(jobs.clone(), threads, |_, (ri, run_lo, run_hi)| {
-                    eng.maybe_inject_panic();
+                    self.maybe_inject_panic();
                     let (pi, vi, _) = todo[tis[ri]];
                     let (ni, ridx) = item_of[pi];
                     let Plan::Staged { rvs, solve, .. } = &plans[pi] else {
@@ -486,12 +308,12 @@ impl Engine {
                         run_lo,
                         run_hi,
                         options,
-                        &eng.counters,
+                        &self.counters,
                         &govs[ni],
                     )
                 })
-                .map_err(|p| eng.note_worker_panic(p))?;
-            eng.counters.note_shard_stats(&shard_stats);
+                .map_err(|p| self.note_worker_panic(p))?;
+            self.counters.note_shard_stats(&shard_stats);
             let empties: Vec<CascadeResult> = tis
                 .iter()
                 .map(|&ti| {
@@ -502,7 +324,7 @@ impl Engine {
                 .collect();
             let t_merge = Instant::now();
             let merged = batch::merge_scan_blocks(empties, jobs, partials);
-            Counters::add_time(&eng.counters.scan_merge_ns, t_merge.elapsed());
+            Counters::add_time(&self.counters.scan_merge_ns, t_merge.elapsed());
             Ok(merged)
         };
         let outcomes = scan_round(&exec_tis)?;
@@ -512,9 +334,9 @@ impl Engine {
             match key {
                 // Truncated scans are sound overcounts, not exact
                 // artifacts: never memoize them.
-                Some(key) if outcome.truncated == 0 => eng.store_scan(key, outcome.clone()),
+                Some(key) if outcome.truncated == 0 => self.store_scan(key, outcome.clone()),
                 _ => {
-                    eng.counters.scans_executed.fetch_add(1, Ordering::Relaxed);
+                    self.counters.scans_executed.fetch_add(1, Ordering::Relaxed);
                 }
             }
             fills.insert((pi, vi), outcome.clone());
@@ -534,7 +356,7 @@ impl Engine {
             }
             let (pi, vi, _) = todo[ti];
             if outcomes[ei].truncated == 0 {
-                eng.counters.scans_reused.fetch_add(1, Ordering::Relaxed);
+                self.counters.scans_reused.fetch_add(1, Ordering::Relaxed);
                 fills.insert((pi, vi), outcomes[ei].clone());
             } else {
                 retry.push(ti);
@@ -544,9 +366,9 @@ impl Engine {
             for (&ti, outcome) in retry.iter().zip(scan_round(&retry)?) {
                 let (pi, vi, key) = todo[ti];
                 match key {
-                    Some(key) if outcome.truncated == 0 => eng.store_scan(key, outcome.clone()),
+                    Some(key) if outcome.truncated == 0 => self.store_scan(key, outcome.clone()),
                     _ => {
-                        eng.counters.scans_executed.fetch_add(1, Ordering::Relaxed);
+                        self.counters.scans_executed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 fills.insert((pi, vi), outcome);
@@ -595,6 +417,18 @@ impl Engine {
             .collect();
         Counters::add_time(&self.counters.classify_ns, t_classify.elapsed());
         Ok(results)
+    }
+
+    /// Fires the injected test panic when armed and due (the counter wraps
+    /// to `u64::MAX` on the firing decrement, disarming the hook; see
+    /// [`Analyzer::inject_worker_panic`]).
+    fn maybe_inject_panic(&self) {
+        if self.panic_countdown.load(Ordering::Relaxed) == u64::MAX {
+            return;
+        }
+        if self.panic_countdown.fetch_sub(1, Ordering::Relaxed) == 0 {
+            panic!("injected worker panic (test hook)");
+        }
     }
 
     fn note_worker_panic(&self, p: pool::WorkerPanic) -> AnalysisError {

@@ -4,10 +4,10 @@
 //! criterion behind the replacement equations (Section 3.2) counts
 //! distinct interfering lines, which is exactly the LRU replacement
 //! condition and only an approximation of FIFO or pseudo-LRU behavior.
-//! For a non-baseline [`CacheModel`] the engine therefore answers with an
-//! **exact trace replay** through the model simulator
-//! ([`cme_cache::simulate_nest_model`]) and attaches the analytic LRU
-//! result as a documented *bound* — under non-LRU policies the LRU count
+//! For a non-baseline [`cme_cache::CacheModel`] a served request is
+//! therefore answered by an **exact trace replay** through the model
+//! simulator ([`cme_cache::simulate_nest_model`]), with the analytic LRU
+//! result attached as a documented *bound* — under non-LRU policies the LRU count
 //! plus `ε`/budget truncation is the sound reference the optimizers keep
 //! steering by, while the simulator provides ground truth for the model
 //! actually requested.
@@ -20,87 +20,49 @@
 //! nothing soundly — so the caller degrades to the analytic bound,
 //! tagged with the exhaustion outcome.
 
-use super::Engine;
-use crate::governor::{Budget, CancelToken, Outcome, QueryGovernor};
-use cme_cache::{simulate_nest_model_governed, CacheModel, NestSimResult};
+use super::Analyzer;
+use crate::governor::{Budget, Outcome, QueryGovernor};
+use cme_cache::{simulate_nest_model_governed, NestSimResult};
 use cme_ir::LoopNest;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 /// The outcome of one governed model-simulation query: either the exact
 /// per-reference replay, or the exhaustion tag telling the caller to fall
 /// back to the analytic LRU bound.
 #[derive(Debug, Clone)]
-pub struct ModelClassification {
+pub(crate) struct ModelClassification {
     /// Exact per-reference counts from the trace replay, with the model's
     /// memory write traffic and (two-level models) L2 misses — the same
     /// [`NestSimResult`] as [`cme_cache::simulate_nest_model`]; `None` when
     /// the budget exhausted mid-replay (partial traces are never exposed).
-    pub sim: Option<NestSimResult>,
+    pub(crate) sim: Option<NestSimResult>,
     /// How the governed replay ended. [`Outcome::Complete`] iff `sim` is
     /// `Some`.
-    pub outcome: Outcome,
-    /// Wall time spent replaying.
-    pub elapsed: std::time::Duration,
+    pub(crate) outcome: Outcome,
 }
 
-impl Engine {
-    /// The full cache model this session answers for (baseline unless
-    /// [`Engine::set_model`] was called).
-    pub fn model(&self) -> &CacheModel {
-        &self.model
-    }
-
-    /// Installs a richer cache model for this session. The model's L1
-    /// geometry must equal the engine's cache — the analytic pipeline
-    /// keeps computing the (LRU) miss equations against that geometry,
-    /// while non-baseline requests additionally go through the
-    /// simulator-backed classify path ([`Engine::classify_model`]) and
-    /// persistent artifacts are keyed under the model
-    /// ([`crate::store::model_fingerprint`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `model.l1()` is not this engine's geometry; the serve
-    /// layers construct the engine *from* the model, so a mismatch is a
-    /// caller bug, never data-dependent.
-    pub fn set_model(&mut self, model: CacheModel) {
-        assert_eq!(
-            model.l1(),
-            *self.cache(),
-            "cache model L1 must match the engine geometry"
-        );
-        self.model = model;
-    }
-
-    /// Classifies `nest` under an arbitrary [`CacheModel`] by exact trace
-    /// replay, governed by `budget`/`cancel`: each simulated access
-    /// charges one budget step, and exhaustion abandons the replay
-    /// (returning no counts) instead of blowing the deadline on a huge
-    /// iteration space. Counters land in [`crate::EngineStats`]
-    /// (`sim_classifications`, `sim_accesses`, `sim_writebacks`,
-    /// `sim_exhausted`).
+impl Analyzer {
+    /// Classifies `nest` under the session's [`cme_cache::CacheModel`] by
+    /// exact trace replay, governed by `budget` and the session's cancel
+    /// token: each simulated access charges one budget step, and
+    /// exhaustion abandons the replay (returning no counts) instead of
+    /// blowing the deadline on a huge iteration space. Counters land in
+    /// [`crate::EngineStats`] (`sim_classifications`, `sim_accesses`,
+    /// `sim_writebacks`, `sim_exhausted`).
     ///
     /// The caller is responsible for address-overflow validation — in the
     /// serve path the analytic bound runs first and performs it.
-    pub fn classify_model(
-        &self,
-        nest: &LoopNest,
-        model: &CacheModel,
-        budget: Budget,
-        cancel: Option<&CancelToken>,
-    ) -> ModelClassification {
-        let t = Instant::now();
+    pub(crate) fn classify_model(&self, nest: &LoopNest, budget: Budget) -> ModelClassification {
         self.counters
             .sim_classifications
             .fetch_add(1, Ordering::Relaxed);
-        let gov = QueryGovernor::new(budget, cancel.cloned());
+        let gov = QueryGovernor::new(budget, self.cancel.clone());
         let total_accesses = nest
             .space()
             .count()
             .saturating_mul(nest.references().len() as u64);
         let mut charged: u64 = 0;
-        let sim = simulate_nest_model_governed(nest, model, |done| {
+        let sim = simulate_nest_model_governed(nest, &self.model, |done| {
             gov.charge(done - charged);
             charged = done;
             gov.live()
@@ -129,7 +91,6 @@ impl Engine {
         ModelClassification {
             sim,
             outcome: gov.outcome(),
-            elapsed: t.elapsed(),
         }
     }
 }
@@ -137,7 +98,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cme_cache::{simulate_nest_model, CacheConfig, PolicyKind};
+    use crate::governor::CancelToken;
+    use cme_cache::{simulate_nest_model, CacheConfig, CacheModel, PolicyKind};
     use cme_ir::{AccessKind, NestBuilder};
 
     fn conflict_nest(n: i64) -> LoopNest {
@@ -155,11 +117,11 @@ mod tests {
         let cfg = CacheConfig::new(128, 2, 16, 4).unwrap();
         let model = CacheModel::new(cfg).policy(PolicyKind::Fifo);
         let nest = conflict_nest(16);
-        let engine = Engine::new(cfg);
-        let got = engine.classify_model(&nest, &model, Budget::unlimited(), None);
+        let analyzer = Analyzer::with_model(model);
+        let got = analyzer.classify_model(&nest, Budget::unlimited());
         assert!(got.outcome.is_complete());
         assert_eq!(got.sim.unwrap(), simulate_nest_model(&nest, &model));
-        let stats = engine.stats();
+        let stats = analyzer.stats();
         assert_eq!(stats.sim_classifications, 1);
         assert_eq!(stats.sim_accesses, 8 * 16 * 2);
         assert_eq!(stats.sim_exhausted, 0);
@@ -171,16 +133,11 @@ mod tests {
         let model = CacheModel::new(cfg).policy(PolicyKind::Plru);
         // Large enough that several governor checkpoints fire.
         let nest = conflict_nest(8192);
-        let engine = Engine::new(cfg);
-        let got = engine.classify_model(
-            &nest,
-            &model,
-            Budget::unlimited().with_max_solves(5000),
-            None,
-        );
+        let analyzer = Analyzer::with_model(model);
+        let got = analyzer.classify_model(&nest, Budget::unlimited().with_max_solves(5000));
         assert!(got.sim.is_none());
         assert!(got.outcome.is_exhausted(), "{:?}", got.outcome);
-        assert_eq!(engine.stats().sim_exhausted, 1);
+        assert_eq!(analyzer.stats().sim_exhausted, 1);
     }
 
     #[test]
@@ -188,10 +145,10 @@ mod tests {
         let cfg = CacheConfig::new(128, 2, 16, 4).unwrap();
         let model = CacheModel::new(cfg).policy(PolicyKind::Fifo);
         let nest = conflict_nest(8192);
-        let engine = Engine::new(cfg);
         let token = CancelToken::new();
         token.cancel();
-        let got = engine.classify_model(&nest, &model, Budget::unlimited(), Some(&token));
+        let analyzer = Analyzer::with_model(model).cancel_token(token);
+        let got = analyzer.classify_model(&nest, Budget::unlimited());
         assert!(got.sim.is_none());
         assert!(got.outcome.is_exhausted());
     }

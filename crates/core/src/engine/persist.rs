@@ -1,33 +1,18 @@
-//! Persistent-store glue for the engine driver: per-batch key
+//! Persistent-store glue for the session driver: per-batch key
 //! derivation, the read-side consult ahead of the pipeline, and the
 //! exact-only write-through. Policy (what is trusted, what is evicted,
 //! what is never written) lives in [`crate::store`]; this module only
-//! wires it to the batch entry point and the counters.
+//! wires it to the driver and the counters. The store is attached with
+//! [`Analyzer::store`].
 
-use super::Engine;
+use super::Analyzer;
 use crate::governor::{GovernedAnalysis, Outcome, QueryGovernor};
 use crate::solve::{AnalysisOptions, NestAnalysis};
-use crate::store::{ArtifactKey, ArtifactStore};
+use crate::store::ArtifactKey;
 use cme_ir::NestId;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-impl Engine {
-    /// Attaches a persistent [`ArtifactStore`]: finished (complete)
-    /// analyses are written through to disk and later queries for the
-    /// same `(structure, layout, geometry, options)` are answered from
-    /// the store before any pipeline stage runs. The store is only
-    /// consulted while caching is on ([`Engine::set_caching`]) — an
-    /// uncached session stays a true recompute. Exhausted
-    /// (budget-truncated) results are never persisted.
-    pub fn set_store(&mut self, store: Arc<ArtifactStore>) {
-        self.store = Some(store);
-    }
-
-    /// The attached artifact store, if any.
-    pub fn store(&self) -> Option<&Arc<ArtifactStore>> {
-        self.store.as_ref()
-    }
+impl Analyzer {
     /// The store key of every nest in the batch, or `None` per slot when
     /// no store is attached. The store mirrors the memo tables' on/off
     /// switch: with caching disabled this is a true recompute and every

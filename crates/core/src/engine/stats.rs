@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use crate::window::WindowStats;
 
-use super::Engine;
+use super::Analyzer;
 
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
@@ -115,7 +115,7 @@ impl Counters {
     }
 }
 
-/// Snapshot of an [`Engine`]'s work accounting: per-stage artifacts
+/// Snapshot of an [`Analyzer`]'s work accounting: per-stage artifacts
 /// generated vs reused, scan work, and per-stage time.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
@@ -180,8 +180,8 @@ pub struct EngineStats {
     pub store_misses: u64,
     /// Complete analyses written through to the persistent store.
     pub store_writes: u64,
-    /// Model-simulation classify queries run for non-baseline
-    /// [`cme_cache::CacheModel`]s ([`Engine::classify_model`]).
+    /// Model-simulation classify queries run for served requests on
+    /// non-baseline [`cme_cache::CacheModel`]s.
     pub sim_classifications: u64,
     /// Accesses replayed through the model simulator (including aborted
     /// replays' partial progress).
@@ -320,8 +320,8 @@ impl fmt::Display for EngineStats {
     }
 }
 
-impl Engine {
-    /// Snapshot of the engine's accounting.
+impl Analyzer {
+    /// Snapshot of the session's accounting.
     pub fn stats(&self) -> EngineStats {
         let c = &self.counters;
         let ns = |a: &AtomicU64| Duration::from_nanos(a.load(Ordering::Relaxed));

@@ -381,8 +381,9 @@ impl Analyzer {
 
         if let Some(key) = key {
             if let Some(cached) = self.sweep_memo.get(&key) {
-                let eng = self.engine();
-                eng.counters.sweep_memo_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .sweep_memo_hits
+                    .fetch_add(1, Ordering::Relaxed);
                 let mut hit = cached.clone();
                 hit.memo_hit = true;
                 return Ok(hit);
@@ -446,9 +447,8 @@ impl Analyzer {
                         memo_hit: false,
                         store_hit: false,
                     };
-                    let eng = self.engine();
-                    eng.counters.sweeps_fitted.fetch_add(1, Ordering::Relaxed);
-                    eng.counters
+                    self.counters.sweeps_fitted.fetch_add(1, Ordering::Relaxed);
+                    self.counters
                         .sweep_samples
                         .fetch_add(result.evaluations as u64, Ordering::Relaxed);
                     if let Some(key) = key {
@@ -487,9 +487,10 @@ impl Analyzer {
             }
         }
         let (_, best_misses, best_k) = best.unwrap_or((2, u64::MAX, 0));
-        let eng = self.engine();
-        eng.counters.sweeps_fallback.fetch_add(1, Ordering::Relaxed);
-        eng.counters
+        self.counters
+            .sweeps_fallback
+            .fetch_add(1, Ordering::Relaxed);
+        self.counters
             .sweep_samples
             .fetch_add(scores.len() as u64, Ordering::Relaxed);
         Ok(SweepResult {
@@ -547,19 +548,18 @@ impl Analyzer {
         Ok(feasible)
     }
 
-    /// The session memo key, or `None` when the engine's caching is off
+    /// The session memo key, or `None` when the session's caching is off
     /// (a sweep on an uncached session is a true recompute).
     fn sweep_key(&self, base_id: NestId, request: &SweepRequest) -> Option<u128> {
-        let eng = self.engine();
-        if !eng.caching {
+        if !self.caching {
             return None;
         }
         let mut h = KeyHasher::new(0x5eed);
-        h.feed(&eng.db.structural_hash(base_id))
-            .feed(&eng.db.layout_hash(base_id))
+        h.feed(&self.db.structural_hash(base_id))
+            .feed(&self.db.layout_hash(base_id))
             .feed(&options_fingerprint(self.current_options()))
             .feed(&request.fingerprint());
-        let cache = eng.cache;
+        let cache = self.cache;
         h.feed(&cache.size_bytes())
             .feed(&cache.assoc())
             .feed(&cache.line_bytes())
@@ -568,18 +568,16 @@ impl Analyzer {
     }
 
     fn sweep_artifact_key(&self, base_id: NestId) -> ArtifactKey {
-        let eng = self.engine();
         ArtifactKey::new(
-            eng.db.structural_hash(base_id),
-            eng.db.layout_hash(base_id),
-            &eng.cache,
+            self.db.structural_hash(base_id),
+            self.db.layout_hash(base_id),
+            &self.cache,
             self.current_options(),
         )
     }
 
     fn consult_sweep_store(&self, base_id: NestId, request: &SweepRequest) -> Option<SweepRecord> {
-        let eng = self.engine();
-        let store = eng.store.as_ref()?;
+        let store = self.store.as_ref()?;
         store.get_sweep(&self.sweep_artifact_key(base_id), request.fingerprint())
     }
 
@@ -590,10 +588,7 @@ impl Analyzer {
         let certificate = record.certificate();
         let hi = request.count as i64 - 1;
         let (best_k, best) = function.argmin_with(0..=hi, TieBreak::SmallestParameter);
-        self.engine()
-            .counters
-            .sweeps_fitted
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.sweeps_fitted.fetch_add(1, Ordering::Relaxed);
         Some(SweepResult {
             best_value: request.value_at(best_k as usize),
             best_misses: best as u64,
@@ -614,9 +609,8 @@ impl Analyzer {
     /// results never reach this point.
     fn persist_sweep(&self, base_id: NestId, request: &SweepRequest, result: &SweepResult) {
         let key = self.sweep_artifact_key(base_id);
-        let eng = self.engine();
         if let (Some(store), Some(function), Some(cert)) =
-            (&eng.store, &result.function, &result.certificate)
+            (&self.store, &result.function, &result.certificate)
         {
             let record = SweepRecord::new(function, cert, result.evaluations as u64);
             store.put_sweep(&key, request.fingerprint(), &record);

@@ -1,7 +1,8 @@
 use super::*;
-use crate::governor::Outcome;
+use crate::governor::{CancelToken, Outcome};
 use crate::solve::reference_analysis;
-use cme_ir::{AccessKind, NestBuilder};
+use cme_cache::CacheConfig;
+use cme_ir::{AccessKind, LoopNest, NestBuilder};
 use std::time::Duration;
 
 fn matmul(n: i64, bz: i64, bx: i64, by: i64) -> LoopNest {
@@ -113,8 +114,8 @@ fn governed_batch_tags_outcomes_per_nest() {
     let degraded = cancelled.try_analyze_batch(&ids).unwrap();
     for (g, id) in degraded.iter().zip(ids) {
         assert!(g.outcome.is_exhausted());
-        let space: u64 = cancelled.engine().db().nest(id).space().count();
-        let per_ref = cancelled.engine().db().nest(id).references().len() as u64;
+        let space: u64 = cancelled.db().nest(id).space().count();
+        let per_ref = cancelled.db().nest(id).references().len() as u64;
         assert_eq!(g.analysis.total_misses(), space * per_ref);
     }
 }
@@ -160,20 +161,6 @@ fn moving_one_array_reuses_other_cascades() {
 }
 
 #[test]
-fn clear_caches_resets_tables_not_counters() {
-    let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
-    let nest = matmul(6, 0, 100, 200);
-    let mut analyzer = Analyzer::new(cache);
-    analyzer.analyze(&nest);
-    analyzer.engine().clear_caches();
-    let reference = reference_analysis(&nest, cache, &AnalysisOptions::default());
-    assert_eq!(analyzer.analyze(&nest), reference);
-    let stats = analyzer.stats();
-    assert_eq!(stats.analyses, 2);
-    assert!(stats.cascades_built >= 8, "rebuilt after clear");
-}
-
-#[test]
 fn stage_times_are_populated() {
     let cache = CacheConfig::new(2048, 2, 32, 4).unwrap();
     let mut analyzer = Analyzer::new(cache);
@@ -190,9 +177,9 @@ fn stage_times_are_populated() {
 fn stats_helpers_on_zero_queries() {
     let stats = EngineStats::default();
     assert_eq!(stats.memo_hit_rate(), 0.0);
-    // A fresh engine that has answered nothing reports the same.
-    let engine = Engine::new(CacheConfig::new(1024, 1, 32, 4).unwrap());
-    assert_eq!(engine.stats().memo_hit_rate(), 0.0);
+    // A fresh session that has answered nothing reports the same.
+    let analyzer = Analyzer::new(CacheConfig::new(1024, 1, 32, 4).unwrap());
+    assert_eq!(analyzer.stats().memo_hit_rate(), 0.0);
 }
 
 #[test]

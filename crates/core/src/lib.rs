@@ -93,10 +93,7 @@ mod window;
 
 pub use accuracy::{compare_with_simulation, AccuracyRow};
 pub use cme_ir::{NestId, ProgramDb};
-pub use engine::{
-    Analyzer, Engine, EngineStats, ModelClassification, SweepMetric, SweepParameter, SweepRequest,
-    SweepResult,
-};
+pub use engine::{Analyzer, EngineStats, SweepMetric, SweepParameter, SweepRequest, SweepResult};
 pub use equations::{CmeSystem, ColdEquation, EquationGroup, RefEquations, ReplacementEquation};
 pub use faults::{FaultPlan, InjectedFaults, ReadFault, WriteFault};
 pub use governor::{AnalysisError, Budget, CancelToken, ExhaustReason, GovernedAnalysis, Outcome};

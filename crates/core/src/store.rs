@@ -1,9 +1,9 @@
 //! The persistent artifact store: classify-stage results on disk,
 //! surviving the process.
 //!
-//! The in-memory memo tables ([`crate::Engine`]) already carry per-stage
-//! artifacts across the candidate nests of one optimizer search; this
-//! module extends the outermost artifact — the finished
+//! A session's in-memory memo tables ([`crate::Analyzer`]) already carry
+//! per-stage artifacts across the candidate nests of one optimizer
+//! search; this module extends the outermost artifact — the finished
 //! [`NestAnalysis`] — across *processes*, so a repeated query (a
 //! re-started search, a second `cme-serve` client, a corpus replay)
 //! costs one file read instead of a full pipeline run.

@@ -144,28 +144,15 @@ pub fn select_tile_and_layout(
     col: i64,
     options: &cme_core::AnalysisOptions,
 ) -> Result<Option<(cme_ir::LoopNest, TileChoice)>, cme_ir::transform::TransformError> {
-    let Some(choice) = select_tile_size(cache, col, n) else {
-        return Ok(None);
-    };
-    let (first, second) = if k_level < j_level {
-        ((k_level, choice.tk), (j_level, choice.tj))
-    } else {
-        ((j_level, choice.tj), (k_level, choice.tk))
-    };
-    let tiled = cme_ir::transform::tile_nest(nest, &[first, second])?;
-    // Equation 9: cross-interference between the tiled arrays — reuse the
-    // padding driver (base repositioning only matters here; the selector
-    // already fixed the column behaviour via the tile shape).
     let mut analyzer = cme_core::Analyzer::new(*cache)
         .options(options.clone())
         .parallel(true);
-    let (optimized, _outcome) = crate::search::optimize_padding_with(&mut analyzer, &tiled);
-    Ok(Some((optimized, choice)))
+    select_tile_and_layout_with(&mut analyzer, nest, k_level, j_level, n, col)
 }
 
 /// [`select_tile_and_layout`] driven through a caller-owned
 /// [`cme_core::Analyzer`] session, so the layout search after tiling shares
-/// (and warms) the engine's memo tables.
+/// (and warms) the session's memo tables.
 pub fn select_tile_and_layout_with(
     analyzer: &mut cme_core::Analyzer,
     nest: &cme_ir::LoopNest,
@@ -184,6 +171,9 @@ pub fn select_tile_and_layout_with(
         ((j_level, choice.tj), (k_level, choice.tk))
     };
     let tiled = cme_ir::transform::tile_nest(nest, &[first, second])?;
+    // Equation 9: cross-interference between the tiled arrays — reuse the
+    // padding driver (base repositioning only matters here; the selector
+    // already fixed the column behaviour via the tile shape).
     let (optimized, _outcome) = crate::search::optimize_padding_with(analyzer, &tiled);
     Ok(Some((optimized, choice)))
 }

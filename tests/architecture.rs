@@ -13,9 +13,12 @@
 //! solver in `cme_core::solve` is a test oracle, and no engine file calls
 //! it. The fourth keeps a second memo family out: the engine memoizes the
 //! pipeline's artifacts only, never symbolic equation systems or their
-//! polytope counts. The last keeps one trace walk: only `cme-cache` drives
-//! a `Simulator`; everything else replays a nest through its
-//! `simulate_*` entry points.
+//! polytope counts. The fifth keeps one trace walk: only `cme-cache`
+//! drives a `Simulator`; everything else replays a nest through its
+//! `simulate_*` entry points. The last keeps one session type: the
+//! `Analyzer` holds the memo tables, store and counters itself, so no
+//! second type offers a way to analyze around the session's budget and
+//! cancel token.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -137,18 +140,29 @@ fn engine_holds_no_symbolic_system_memo() {
     }
 }
 
-#[test]
-fn only_cme_cache_walks_a_simulator() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let cache_crate = root.join("crates/cache");
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Every `.rs` file under `crates/`, `tests/` and `examples/` except this
+/// one, whose needles would match themselves.
+fn workspace_sources() -> Vec<PathBuf> {
+    let root = workspace_root();
     let this_file = root.join("tests/architecture.rs");
     let mut files = Vec::new();
     for dir in ["crates", "tests", "examples"] {
         files.extend(rust_files(&root.join(dir)));
     }
     assert!(files.len() > 50, "workspace sources not found: {files:?}");
-    for path in files {
-        if path.starts_with(&cache_crate) || path == this_file {
+    files.retain(|path| *path != this_file);
+    files
+}
+
+#[test]
+fn only_cme_cache_walks_a_simulator() {
+    let cache_crate = workspace_root().join("crates/cache");
+    for path in workspace_sources() {
+        if path.starts_with(&cache_crate) {
             continue;
         }
         assert!(
@@ -157,5 +171,26 @@ fn only_cme_cache_walks_a_simulator() {
              `cme_cache::simulate_nest_outcomes` (or another `simulate_*` entry \
              point) so one trace walk serves every replay"
         );
+    }
+}
+
+#[test]
+fn one_session_type() {
+    for path in workspace_sources() {
+        let code = code_of(&path);
+        for needle in [
+            "struct Engine {",
+            "impl Engine {",
+            "Engine::",
+            ".engine()",
+            "engine_mut(",
+        ] {
+            assert!(
+                !code.contains(needle),
+                "{path:?} contains `{needle}`; `Analyzer` is the one session \
+                 type, and every entry point runs its driver under the \
+                 session's budget"
+            );
+        }
     }
 }

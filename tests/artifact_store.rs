@@ -33,7 +33,7 @@ fn plain(nest: &LoopNest, cache: CacheConfig) -> cme::NestAnalysis {
 fn key_of(nest: &LoopNest, cache: &CacheConfig) -> ArtifactKey {
     let mut analyzer = Analyzer::new(*cache);
     let id = analyzer.intern(nest);
-    let db = analyzer.engine().db();
+    let db = analyzer.db();
     ArtifactKey::new(
         db.structural_hash(id),
         db.layout_hash(id),

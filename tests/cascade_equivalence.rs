@@ -71,12 +71,12 @@ fn assert_cascade_matches_reference(
         .analyze(nest);
     assert_eq!(reference, sharded, "sharded cascade diverged: {what}");
     // Force the no-memo path every Figure-8-scale nest takes.
-    let mut big = Analyzer::new(cache)
+    let uncached = Analyzer::new(cache)
         .options(opts.clone())
         .parallel(true)
-        .threads(4);
-    big.engine_mut().set_max_cached_points(1);
-    let uncached = big.analyze(nest);
+        .threads(4)
+        .max_cached_points(1)
+        .analyze(nest);
     assert_eq!(reference, uncached, "uncached path diverged: {what}");
     reference
 }

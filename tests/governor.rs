@@ -189,6 +189,49 @@ fn pre_cancelled_token_degrades_everything_without_panicking() {
     }
 }
 
+/// The session's budget and cancel token govern every entry point, not
+/// just the `try_*` forms: the panicking forms return the same degraded
+/// counts, they only drop the `Outcome`.
+#[test]
+fn every_entry_point_runs_under_the_session_budget() {
+    let nest = cme::kernels::mmult(12);
+    let cache = CacheConfig::new(1024, 2, 32, 4).expect("geometry");
+    let token = CancelToken::new();
+    token.cancel();
+    let sessions = [
+        Analyzer::new(cache).budget(Budget::unlimited().with_max_solves(10)),
+        Analyzer::new(cache).cancel_token(token),
+    ];
+    for mut analyzer in sessions {
+        let governed = analyzer
+            .try_analyze(&nest)
+            .expect("governed paths never error");
+        assert!(governed.outcome.is_exhausted(), "{:?}", governed.outcome);
+        let degraded = governed.analysis;
+        assert_eq!(degraded.total_misses(), nest.access_count());
+
+        let id = analyzer.intern(&nest);
+        for governed in [
+            analyzer.try_analyze_id(id).expect("governed"),
+            analyzer.try_analyze_batch(&[id]).expect("governed")[0].clone(),
+        ] {
+            assert!(governed.outcome.is_exhausted(), "{:?}", governed.outcome);
+            assert_eq!(governed.analysis, degraded);
+        }
+        assert_eq!(analyzer.analyze(&nest), degraded, "analyze");
+        assert_eq!(analyzer.analyze_id(id), degraded, "analyze_id");
+        assert_eq!(
+            analyzer.analyze_batch(&[id]),
+            std::slice::from_ref(&degraded)
+        );
+        assert_eq!(
+            analyzer.analyze_with_options(&nest, &Default::default()),
+            degraded,
+            "analyze_with_options"
+        );
+    }
+}
+
 #[test]
 fn tiny_budget_truncation_is_visible_in_stats() {
     let nest = cme::kernels::mmult(12);
@@ -224,7 +267,7 @@ fn worker_panic_poisons_one_query_not_the_session() {
     let mut analyzer = Analyzer::new(cache).parallel(true).threads(3);
     let baseline = analyzer.analyze(&nest);
 
-    analyzer.engine().inject_worker_panic(0);
+    analyzer.inject_worker_panic(0);
     let err = analyzer
         .try_analyze(&nest)
         .expect_err("armed injection must fail the query");
