@@ -142,9 +142,8 @@ fn bench_batch_vs_loop(c: &mut Criterion) {
         .map(|nest| Analyzer::new(cache).analyze(nest))
         .collect();
     let mut batched = Analyzer::new(cache).threads(threads);
-    let ids: Vec<_> = candidates.iter().map(|nest| batched.intern(nest)).collect();
     assert_eq!(
-        batched.analyze_batch(&ids),
+        batched.analyze_batch(&candidates),
         solo,
         "batched analyses diverged from per-nest sessions"
     );
@@ -164,9 +163,11 @@ fn bench_batch_vs_loop(c: &mut Criterion) {
         b.iter(|| {
             // A fresh batched session each iteration: the same candidates,
             // but all stages share one pool and one set of memo tables.
-            let mut a = Analyzer::new(cache).threads(threads);
-            let ids: Vec<_> = candidates.iter().map(|nest| a.intern(nest)).collect();
-            black_box(a.analyze_batch(&ids))
+            black_box(
+                Analyzer::new(cache)
+                    .threads(threads)
+                    .analyze_batch(&candidates),
+            )
         })
     });
     g.finish();
@@ -266,17 +267,16 @@ fn bench_closed_form_sweep(c: &mut Criterion) {
     );
 
     let exhaustive = |nest: &cme_ir::LoopNest| {
-        let mut a = Analyzer::new(cache);
-        let ids: Vec<_> = (0..request.count)
+        let candidates: Vec<_> = (0..request.count)
             .map(|k| {
-                let candidate = request
+                request
                     .parameter
                     .apply(nest, &cache, request.value_at(k))
-                    .expect("padding is always feasible");
-                a.intern(&candidate)
+                    .expect("padding is always feasible")
             })
             .collect();
-        a.analyze_batch(&ids)
+        Analyzer::new(cache)
+            .analyze_batch(&candidates)
             .iter()
             .map(|r| r.total_misses())
             .enumerate()

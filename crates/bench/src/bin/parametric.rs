@@ -8,9 +8,9 @@
 //! ```
 
 use cme_bench::BenchArgs;
-use cme_core::Analyzer;
+use cme_core::{Analyzer, SweepParameter, SweepRequest};
+use cme_ir::ArrayId;
 use cme_kernels::alv_with_layout;
-use cme_opt::optimize_parameter;
 
 fn main() {
     let cache = BenchArgs::from_env().cache();
@@ -18,35 +18,30 @@ fn main() {
     let base_spacing = nu * nh; // packed
     println!("# Parametric padding of alv: misses as a function of ΔB offset");
     println!("# cache: {cache}");
-    // The parameter sweep only moves a base address, exactly the engine's
-    // fast path: one Analyzer session amortizes equation generation and
-    // cascade solving across every probed spacing.
+    // Shifting the second array's base by p (elements) is periodic in the
+    // way span, so the sweep samples one period plus a verification
+    // window and certifies the fitted function against every sample. One
+    // Analyzer session shares its memo tables across every probed spacing.
+    let nest = alv_with_layout(nu, nh, nu, base_spacing);
     let mut analyzer = Analyzer::new(cache);
-    let mut evals = 0usize;
-    let mut count = |p: i64| -> i64 {
-        let nest = alv_with_layout(nu, nh, nu, base_spacing + p);
-        analyzer.analyze(&nest).total_misses() as i64
-    };
-    // The set mapping is periodic in the address with period Cs (elements),
-    // so candidate periods are powers of two up to 2048.
-    let periods: Vec<usize> = (3..=11).map(|k| 1usize << k).collect();
-    let range = 0..=((cache.size_elems() * 4) - 1);
-    let res = optimize_parameter(
-        |p| {
-            evals += 1;
-            count(p)
+    let request = SweepRequest::new(
+        SweepParameter::BaseSpacing {
+            array: ArrayId::from_index(1),
         },
-        range.clone(),
-        &periods,
+        0,
+        (cache.size_elems() * 4) as usize,
+        1,
     );
+    let res = analyzer.sweep(&nest, &request).expect("sweep analyzes");
     println!("result: {res}");
-    println!(
-        "range width {} evaluated with only {} counts",
-        range.end() - range.start() + 1,
-        res.evaluations
-    );
     // Verify against brute force on a subrange.
-    let brute = (0..=511).map(count).min().unwrap();
+    let brute = (0..512)
+        .map(|p| {
+            let nest = alv_with_layout(nu, nh, nu, base_spacing + p);
+            analyzer.analyze(&nest).total_misses()
+        })
+        .min()
+        .expect("non-empty range");
     println!("brute-force minimum over the first 512 offsets: {brute}");
     assert!(res.best_misses <= brute, "parametric optimum must match");
 }

@@ -174,18 +174,17 @@ fn exhaustive_argmin(
     opts: &AnalysisOptions,
     request: &SweepRequest,
 ) -> (usize, u64) {
-    let mut analyzer = Analyzer::new(cache).options(opts.clone());
-    let ids: Vec<_> = (0..request.count)
+    let candidates: Vec<_> = (0..request.count)
         .map(|k| {
-            let candidate = request
+            request
                 .parameter
                 .apply(nest, &cache, request.value_at(k))
-                .expect("padding candidates are always feasible");
-            analyzer.intern(&candidate)
+                .expect("padding candidates are always feasible")
         })
         .collect();
-    analyzer
-        .analyze_batch(&ids)
+    Analyzer::new(cache)
+        .options(opts.clone())
+        .analyze_batch(&candidates)
         .iter()
         .map(|a| a.total_misses())
         .enumerate()

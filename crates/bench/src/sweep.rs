@@ -149,8 +149,7 @@ pub fn run_sweep(nests: &[LoopNest], grid: &SweepGrid) -> Result<Vec<SweepRow>, 
                     let mut analyzer = Analyzer::with_model(model)
                         .options(opts.clone())
                         .parallel(true);
-                    let ids: Vec<_> = nests.iter().map(|n| analyzer.intern(n)).collect();
-                    let analytic = analyzer.analyze_batch(&ids);
+                    let analytic = analyzer.analyze_batch(nests);
                     for (nest, analysis) in nests.iter().zip(&analytic) {
                         let sim = simulate_nest_model(nest, &model).total();
                         let row = SweepRow {

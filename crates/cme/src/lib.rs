@@ -44,10 +44,12 @@
 //! The [`core::Analyzer`] session is reusable: re-analyzing transformed
 //! variants of the same nest (moved bases, padded columns) re-solves
 //! incrementally from memoized pipeline artifacts — the engine behind the
-//! `cme::opt` searches. Nests can be interned once into the session's
-//! [`core::ProgramDb`] and analyzed by [`core::NestId`] handle, singly or
-//! in one batched call ([`core::Analyzer::analyze_batch`]) that shares the
-//! memo tables and worker pool across the whole batch.
+//! `cme::opt` searches. Nests are analyzed singly or in one batched call
+//! ([`core::Analyzer::analyze_batch`]) that shares the memo tables and
+//! worker pool across the whole batch. The session keeps no nest it has
+//! analyzed: its capped memo tables hold artifacts keyed by each nest's
+//! structural and layout hashes. [`core::Analyzer::sweep`] answers a
+//! Section 5.1.3 parametric layout sweep in certified closed form.
 //! `analyzer.stats()` reports what was reused, stage by stage; the
 //! invalidation keys are derived in `docs/ENGINE.md`. Every session runs
 //! the one staged pipeline; `.caching(false)` runs it without memos. The
@@ -94,8 +96,7 @@ pub use cme_core::api;
 pub use cme_cache::{CacheConfig, CacheConfigError};
 pub use cme_core::{
     AnalysisError, AnalysisOptions, Analyzer, ArtifactKey, ArtifactStore, Budget, CancelToken,
-    EngineStats, FaultPlan, GovernedAnalysis, NestAnalysis, NestId, Outcome, ProgramDb,
-    RefAnalysis, StoreError, StoreStats, SweepMetric, SweepParameter, SweepRecord, SweepRequest,
-    SweepResult,
+    EngineStats, FaultPlan, GovernedAnalysis, NestAnalysis, Outcome, RefAnalysis, StoreError,
+    StoreStats, SweepMetric, SweepParameter, SweepRecord, SweepRequest, SweepResult,
 };
 pub use cme_ir::{LoopNest, NestBuilder};

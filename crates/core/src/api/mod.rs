@@ -987,9 +987,8 @@ impl Analyzer {
         let nest = request.parse_program()?;
         let options = request.options()?;
         let budget = request.budget();
-        let id = self.intern(&nest);
         let hits_before = self.stats().store_hits;
-        let governed = self.run_one(id, &options, budget)?;
+        let governed = self.run_one(&nest, &options, budget)?;
         let store_hit = self.stats().store_hits > hits_before;
         if model.is_baseline() {
             return Ok(AnalyzeResult::of(&governed, store_hit));

@@ -1,7 +1,9 @@
-//! The [`Analyzer`] session: one cache model, its interned
-//! [`ProgramDb`], the four pipeline memo tables, the optional artifact
-//! store and the work counters, next to the defaults every query runs
-//! under — options, threads, budget and cancel token.
+//! The [`Analyzer`] session: one cache model, the four pipeline memo
+//! tables, the optional artifact store and the work counters, next to the
+//! defaults every query runs under — options, threads, budget and cancel
+//! token. Every entry point takes the caller's `&LoopNest`; the session
+//! keeps no nest it has analyzed, and its four pipeline memo tables are
+//! capped.
 //!
 //! Every analyze entry point (and [`Analyzer::serve`],
 //! [`Analyzer::sweep`]) funnels into the one crate-private driver in
@@ -21,15 +23,14 @@ use crate::governor::{AnalysisError, Budget, CancelToken, GovernedAnalysis};
 use crate::solve::{AnalysisOptions, NestAnalysis};
 use crate::store::ArtifactStore;
 use cme_cache::{CacheConfig, CacheModel};
-use cme_ir::{LoopNest, NestId, ProgramDb};
+use cme_ir::LoopNest;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A configured analysis session: one cache model, an interned
-/// [`ProgramDb`], and per-stage memo tables that carry analysis artifacts
-/// across every query, with options, threading, budget and cancellation
-/// fixed as session defaults.
+/// A configured analysis session: one cache model and per-stage memo
+/// tables that carry analysis artifacts across every query, with options,
+/// threading, budget and cancellation fixed as session defaults.
 ///
 /// ```
 /// use cme_cache::CacheConfig;
@@ -49,17 +50,15 @@ use std::sync::{Arc, Mutex};
 /// let analysis = analyzer.analyze(&nest);
 /// assert_eq!(analysis.total_misses(), 8);
 ///
-/// // The handle API: intern once, analyze (or batch-analyze) by id.
-/// let id = analyzer.intern(&nest);
-/// assert_eq!(analyzer.analyze_batch(&[id])[0], analysis);
+/// // A batch shares one work pool; a repeat is a memo hit.
+/// assert_eq!(analyzer.analyze_batch(std::slice::from_ref(&nest))[0], analysis);
 /// # Ok::<(), cme_cache::CacheConfigError>(())
 /// ```
 #[derive(Debug)]
 pub struct Analyzer {
     pub(super) cache: CacheConfig,
     pub(super) model: CacheModel, // L1 = `cache`
-    pub(super) db: ProgramDb,
-    pub(super) lower_memo: Mutex<HashMap<usize, Arc<LoweredNest>>>,
+    pub(super) lower_memo: Mutex<HashMap<u128, Arc<LoweredNest>>>,
     pub(super) reuse_memo: Mutex<HashMap<u128, ReusePlan>>,
     pub(super) cascade_memo: Mutex<HashMap<u128, Arc<SolveSet>>>,
     pub(super) scan_memo: Mutex<HashMap<u128, Arc<CascadeResult>>>,
@@ -96,7 +95,6 @@ impl Analyzer {
         Analyzer {
             cache: model.l1(),
             model,
-            db: ProgramDb::new(),
             lower_memo: Mutex::new(HashMap::new()),
             reuse_memo: Mutex::new(HashMap::new()),
             cascade_memo: Mutex::new(HashMap::new()),
@@ -205,22 +203,10 @@ impl Analyzer {
         &self.options
     }
 
-    /// Interns a nest into the session's program database, returning its
-    /// handle. Idempotent: equal nests share a handle (and therefore every
-    /// memoized artifact).
-    pub fn intern(&mut self, nest: &LoopNest) -> NestId {
-        self.db.intern(nest)
-    }
-
-    /// The session's interned program database.
-    pub fn db(&self) -> &ProgramDb {
-        &self.db
-    }
-
-    /// Analyzes a nest with the session defaults, interning it first. At
-    /// the default unlimited budget, results are bit-identical to the
-    /// reference oracle in [`crate::solve`], warm or cold; under a session
-    /// budget or cancellation the counts degrade to a sound overcount (use
+    /// Analyzes a nest with the session defaults. At the default
+    /// unlimited budget, results are bit-identical to the reference oracle
+    /// in [`crate::solve`], warm or cold; under a session budget or
+    /// cancellation the counts degrade to a sound overcount (use
     /// [`Analyzer::try_analyze`] to observe the [`crate::Outcome`] tag).
     ///
     /// # Panics
@@ -230,26 +216,17 @@ impl Analyzer {
         expect_ok(self.try_analyze(nest)).analysis
     }
 
-    /// [`Analyzer::analyze`] for an already-interned nest.
+    /// Analyzes a batch of nests in one session call: all `(nest,
+    /// reference)` work items and scan shards share one work pool, and
+    /// all nests share the session memo tables. Results are in `nests`
+    /// order, each bit-identical to [`Analyzer::analyze`] on that nest
+    /// alone.
     ///
     /// # Panics
     ///
     /// On [`AnalysisError`].
-    pub fn analyze_id(&mut self, id: NestId) -> NestAnalysis {
-        expect_ok(self.try_analyze_id(id)).analysis
-    }
-
-    /// Analyzes a batch of interned nests in one session call: all
-    /// `(nest, reference)` work items and scan shards share one work
-    /// pool, and all nests share the session memo tables. Results are in
-    /// `ids` order, each bit-identical to [`Analyzer::analyze_id`] on
-    /// that nest alone.
-    ///
-    /// # Panics
-    ///
-    /// On [`AnalysisError`].
-    pub fn analyze_batch(&mut self, ids: &[NestId]) -> Vec<NestAnalysis> {
-        expect_ok(self.try_analyze_batch(ids))
+    pub fn analyze_batch(&mut self, nests: &[LoopNest]) -> Vec<NestAnalysis> {
+        expect_ok(self.try_analyze_batch(nests))
             .into_iter()
             .map(|g| g.analysis)
             .collect()
@@ -266,8 +243,7 @@ impl Analyzer {
         nest: &LoopNest,
         options: &AnalysisOptions,
     ) -> NestAnalysis {
-        let id = self.intern(nest);
-        expect_ok(self.run_one(id, options, self.budget)).analysis
+        expect_ok(self.run_one(nest, options, self.budget)).analysis
     }
 
     /// The governed, panic-free entry point: analyzes under the session's
@@ -284,24 +260,14 @@ impl Analyzer {
     /// and [`AnalysisError::Overflow`] when the nest's address arithmetic
     /// cannot be performed in 64 bits.
     pub fn try_analyze(&mut self, nest: &LoopNest) -> Result<GovernedAnalysis, AnalysisError> {
-        let id = self.intern(nest);
-        self.try_analyze_id(id)
-    }
-
-    /// [`Analyzer::try_analyze`] for an already-interned nest.
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::try_analyze`].
-    pub fn try_analyze_id(&mut self, id: NestId) -> Result<GovernedAnalysis, AnalysisError> {
-        self.run_one(id, &self.options, self.budget)
+        self.run_one(nest, &self.options, self.budget)
     }
 
     /// Governed batch analysis: each nest runs under its *own* fresh
     /// query governor built from the session budget (solve/point budgets
     /// are per-nest; a deadline budget shares the wall clock, so later
     /// nests see less of it), all honoring the session's cancel token.
-    /// Results are in `ids` order with per-nest [`crate::Outcome`] tags.
+    /// Results are in `nests` order with per-nest [`crate::Outcome`] tags.
     ///
     /// # Errors
     ///
@@ -309,9 +275,10 @@ impl Analyzer {
     /// batch (the session stays usable).
     pub fn try_analyze_batch(
         &mut self,
-        ids: &[NestId],
+        nests: &[LoopNest],
     ) -> Result<Vec<GovernedAnalysis>, AnalysisError> {
-        self.run(ids, &self.options, self.budget)
+        let nests: Vec<&LoopNest> = nests.iter().collect();
+        self.run(&nests, &self.options, self.budget)
     }
 
     /// The work-pool width the session's analyses actually run at:

@@ -19,23 +19,39 @@
 //!   set test needs `λ_A mod Ns`, but line-identity coincidences across
 //!   arrays need the exact value, so the exact value is keyed.
 //!
-//! The base-invariant structure itself is hashed **once, at intern
-//! time**, by [`cme_ir::db::structural_hash`]; every key here starts from
-//! that precomputed digest instead of re-walking the nest. Two
-//! independent 64-bit hashes (seeded differently) are concatenated into
-//! the `u128` key ([`KeyHasher`], hosted by `cme-ir` next to the
-//! interner), making accidental collisions negligible — the memoized
-//! values are exact analysis artifacts, so a collision would be silent.
+//! The engine hashes each nest **once per call**: [`nest_hashes`] pairs
+//! the base-invariant [`cme_ir::db::structural_hash`] with the
+//! [`cme_ir::db::layout_hash`], and every key here starts from those
+//! digests instead of re-walking the nest. Two independent 64-bit hashes
+//! (seeded differently) are concatenated into the `u128` key
+//! ([`KeyHasher`], hosted by `cme-ir` next to the nest hashes), making
+//! accidental collisions negligible — the memoized values are exact
+//! analysis artifacts, so a collision would be silent.
 
 use cme_cache::CacheConfig;
 pub(crate) use cme_ir::db::KeyHasher;
+use cme_ir::db::{layout_hash, structural_hash};
 use cme_ir::LoopNest;
 use cme_math::gcd::{floor_div, modulo};
 
 use crate::solve::AnalysisOptions;
 
+/// A nest's `(structural, layout)` hash pair: the store key, the sweep
+/// key, the lower-memo key and [`prefix_key`] all start from it.
+pub(crate) fn nest_hashes(nest: &LoopNest) -> (u128, u128) {
+    (structural_hash(nest), layout_hash(nest))
+}
+
+/// Key of a nest's lower-stage artifact: its address affines depend on
+/// the structure and the bases, never on names.
+pub(crate) fn lower_key((structural, layout): (u128, u128)) -> u128 {
+    KeyHasher::from_prefix(0x10e4, structural)
+        .feed(&layout)
+        .finish()
+}
+
 /// Hashes everything *every* engine memo depends on: cache geometry,
-/// reuse-vector options, and the interned base-invariant structural hash.
+/// reuse-vector options, and the nest's base-invariant structural hash.
 /// Analysis-mode options are keyed only where they matter — `ε` into the
 /// solve-set key (it truncates the vector sequence), the exact-count flag
 /// into the scan key — so a plain pass and an exact-counting pass share
@@ -99,7 +115,6 @@ pub(crate) fn scan_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cme_ir::db::structural_hash;
     use cme_ir::{AccessKind, NestBuilder};
 
     fn nest_with_bases(bases: [i64; 2]) -> LoopNest {

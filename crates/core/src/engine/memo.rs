@@ -1,15 +1,17 @@
 //! The session's four memo tables — lower, reuse, solve set, scan — with
 //! their capacity policy.
 //!
-//! The lower table maps a nest handle, every other table a 128-bit
-//! invalidation key (see [`super::keys`]), to a shared, immutable
-//! artifact. When a table reaches its cap it is cleared wholesale —
+//! Every table maps a 128-bit invalidation key (see [`super::keys`]) to a
+//! shared, immutable artifact; the lower table's key is the nest's
+//! structural and layout hash pair, so a long-lived session keeps no nest
+//! it has seen. When a table reaches its cap it is cleared wholesale —
 //! crude, but the values are shared, so in-flight users are unaffected,
 //! and the caps are sized so a full optimizer search fits: a padding
 //! search visits tens of candidate layouts, each contributing one scan
 //! entry per (reference × vector) and one solve set per distinct
 //! destination line offset — the scan table is the big one (small
 //! entries: a few counters plus the miss indices), the others stay tiny.
+//! The lower table shares the reuse table's cap.
 //!
 //! Truncated artifacts (a governor stopped the work early) are sound
 //! overcounts for *one* query, not exact results: they are returned to the
@@ -18,10 +20,11 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use cme_ir::NestId;
+use cme_ir::LoopNest;
 
 use crate::governor::AnalysisError;
 
+use super::keys;
 use super::stages::cascade::CascadeResult;
 use super::stages::lower::{self, LoweredNest};
 use super::stages::reuse::ReusePlan;
@@ -42,21 +45,27 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl Analyzer {
-    /// The lower-stage artifact of an interned nest: memoized per handle
-    /// (the database is append-only, so entries never go stale). With
-    /// caching off the artifact is rebuilt every query, like every other
-    /// stage.
-    pub(crate) fn lookup_lowered(&self, id: NestId) -> Result<Arc<LoweredNest>, AnalysisError> {
-        if self.caching {
-            if let Some(l) = relock(&self.lower_memo).get(&id.index()) {
-                self.counters.lowered_reused.fetch_add(1, Ordering::Relaxed);
-                return Ok(l.clone());
-            }
+    /// The lower-stage artifact of `nest`, memoized under its `(structural,
+    /// layout)` hash pair. With caching off the artifact is rebuilt every
+    /// query, like every other stage.
+    pub(crate) fn lookup_lowered(
+        &self,
+        nest: &LoopNest,
+        hashes: (u128, u128),
+    ) -> Result<Arc<LoweredNest>, AnalysisError> {
+        let key = self.caching.then(|| keys::lower_key(hashes));
+        if let Some(l) = key.and_then(|k| relock(&self.lower_memo).get(&k).cloned()) {
+            self.counters.lowered_reused.fetch_add(1, Ordering::Relaxed);
+            return Ok(l);
         }
-        let l = Arc::new(lower::lower(&self.db, id)?);
+        let l = Arc::new(lower::lower(nest)?);
         self.counters.lowered_built.fetch_add(1, Ordering::Relaxed);
-        if self.caching {
-            relock(&self.lower_memo).insert(id.index(), l.clone());
+        if let Some(key) = key {
+            let mut map = relock(&self.lower_memo);
+            if map.len() >= REUSE_CAP {
+                map.clear();
+            }
+            map.insert(key, l.clone());
         }
         Ok(l)
     }

@@ -8,13 +8,13 @@
 //! (Figure 6) per candidate repeats enormous amounts of identical work.
 //!
 //! An [`Analyzer`] runs every analysis through the five-stage pipeline in
-//! `stages` (`lower → reuse → solve → cascade → classify`) over nests
-//! interned in its [`cme_ir::ProgramDb`], and memoizes each stage's artifact
-//! independently under the narrowest invalidation key that is still sound
-//! (derived in `keys` and `docs/ENGINE.md`):
+//! `stages` (`lower → reuse → solve → cascade → classify`) over the
+//! caller's nests, hashes each nest once per call, and memoizes each
+//! stage's artifact independently under the narrowest invalidation key
+//! that is still sound (derived in `keys` and `docs/ENGINE.md`):
 //!
-//! - **lowered nests** are cached per handle — structural hashes are
-//!   computed once, at intern time;
+//! - **lowered nests** (address affines) are cached per structure and
+//!   layout hash pair;
 //! - **reuse vectors** are base-invariant and cached per structure;
 //! - a reference's **solve set** (the cold/indeterminate refinement)
 //!   depends only on the structure and the reference's own line offset
@@ -29,7 +29,7 @@
 //! then the governed batch over the store misses, then the exact-only
 //! write-through, under the session's threads and cancel token.
 //!
-//! [`Analyzer::analyze_batch`] analyzes many interned nests in one call:
+//! [`Analyzer::analyze_batch`] analyzes many nests in one call:
 //! every `(nest, reference)` work item and every scan shard of the whole
 //! batch shares one work pool, so small nests cannot leave workers idle,
 //! and all nests share the session's memo tables. Duplicate scan slots
@@ -71,7 +71,7 @@ pub use sweep::{SweepMetric, SweepParameter, SweepRequest, SweepResult};
 
 use crate::governor::{AnalysisError, Budget, GovernedAnalysis, QueryGovernor};
 use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis};
-use cme_ir::{NestId, RefId};
+use cme_ir::{LoopNest, RefId};
 use cme_reuse::ReuseVector;
 use stages::cascade::{scan_run_block, split_blocks, CascadeResult};
 use stages::classify::Classification;
@@ -99,10 +99,11 @@ enum Plan {
     },
 }
 
-/// One nest's slice of a batch: its lowered artifact plus the derived
-/// memo-key prefix, `None` when the nest is not memoized (caching off, or
-/// an iteration space above the memo size cap).
-struct NestCtx {
+/// One nest's slice of a batch: the caller's nest, its lowered artifact,
+/// and the derived memo-key prefix, `None` when the nest is not memoized
+/// (caching off, or an iteration space above the memo size cap).
+struct NestCtx<'a> {
+    nest: &'a LoopNest,
     lowered: Arc<LoweredNest>,
     prefix: Option<u128>,
 }
@@ -112,16 +113,21 @@ impl Analyzer {
     /// lookup, then the governed batch over the store misses, then the
     /// exact-only write-through (see `engine/persist.rs`). Each nest runs
     /// under its own fresh query governor built from `budget`, honoring
-    /// the session's cancel token, at the session's thread count.
+    /// the session's cancel token, at the session's thread count. Each
+    /// nest is hashed once here; its `(structural, layout)` pair keys the
+    /// store, the lower memo and every other memo's prefix.
     pub(crate) fn run(
         &self,
-        ids: &[NestId],
+        nests: &[&LoopNest],
         options: &AnalysisOptions,
         budget: Budget,
     ) -> Result<Vec<GovernedAnalysis>, AnalysisError> {
+        let t_hash = Instant::now();
+        let hashes: Vec<(u128, u128)> = nests.iter().map(|n| keys::nest_hashes(n)).collect();
+        Counters::add_time(&self.counters.lower_ns, t_hash.elapsed());
         // A store hit is always a complete analysis, so it satisfies any
         // budget.
-        let keys = self.artifact_keys(ids, options);
+        let keys = self.artifact_keys(&hashes, options);
         let served = self.consult_store(&keys);
         let miss_idx: Vec<usize> = served
             .iter()
@@ -129,28 +135,28 @@ impl Analyzer {
             .filter(|(_, s)| s.is_none())
             .map(|(i, _)| i)
             .collect();
-        let miss_ids: Vec<NestId> = miss_idx.iter().map(|&i| ids[i]).collect();
+        let misses: Vec<(&LoopNest, (u128, u128))> =
+            miss_idx.iter().map(|&i| (nests[i], hashes[i])).collect();
         self.counters
             .analyses
-            .fetch_add((ids.len() - miss_ids.len()) as u64, Ordering::Relaxed);
+            .fetch_add((nests.len() - misses.len()) as u64, Ordering::Relaxed);
 
-        let govs: Vec<QueryGovernor> = miss_ids
+        let govs: Vec<QueryGovernor> = misses
             .iter()
             .map(|_| QueryGovernor::new(budget, self.cancel.clone()))
             .collect();
-        let computed =
-            self.analyze_governed_batch(&miss_ids, options, self.thread_count(), &govs)?;
+        let computed = self.analyze_governed_batch(&misses, options, self.thread_count(), &govs)?;
         Ok(self.merge_batch_results(served, &keys, &miss_idx, computed, &govs))
     }
 
-    /// [`Analyzer::run`] on one interned nest.
+    /// [`Analyzer::run`] on one nest.
     pub(crate) fn run_one(
         &self,
-        id: NestId,
+        nest: &LoopNest,
         options: &AnalysisOptions,
         budget: Budget,
     ) -> Result<GovernedAnalysis, AnalysisError> {
-        match self.run(&[id], options, budget)?.pop() {
+        match self.run(&[nest], options, budget)?.pop() {
             Some(governed) => Ok(governed),
             None => unreachable!("batch of one returns one result"),
         }
@@ -161,27 +167,32 @@ impl Analyzer {
     /// pooling the work of all nests together at each pooled stage.
     fn analyze_governed_batch(
         &self,
-        ids: &[NestId],
+        batch: &[(&LoopNest, (u128, u128))],
         options: &AnalysisOptions,
         threads: usize,
         govs: &[QueryGovernor],
     ) -> Result<Vec<NestAnalysis>, AnalysisError> {
-        debug_assert_eq!(ids.len(), govs.len());
+        debug_assert_eq!(batch.len(), govs.len());
         self.counters
             .analyses
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         let cache = self.cache;
         let ls = cache.line_elems();
 
-        // Stage: lower — resolve every handle to its validated artifact
-        // and derive the memo-key prefix from the intern-time hash.
+        // Stage: lower — validate every nest's address math (memoized
+        // under its hash pair) and derive the memo-key prefix from its
+        // structural hash.
         let t_lower = Instant::now();
-        let mut ctxs: Vec<NestCtx> = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let lowered = self.lookup_lowered(id)?;
-            let memoized = self.caching && lowered.nest.space().count() <= self.max_cached_points;
-            let prefix = memoized.then(|| keys::prefix_key(&cache, options, lowered.structural));
-            ctxs.push(NestCtx { lowered, prefix });
+        let mut ctxs: Vec<NestCtx> = Vec::with_capacity(batch.len());
+        for &(nest, hashes) in batch {
+            let lowered = self.lookup_lowered(nest, hashes)?;
+            let memoized = self.caching && nest.space().count() <= self.max_cached_points;
+            let prefix = memoized.then(|| keys::prefix_key(&cache, options, hashes.0));
+            ctxs.push(NestCtx {
+                nest,
+                lowered,
+                prefix,
+            });
         }
         Counters::add_time(&self.counters.lower_ns, t_lower.elapsed());
 
@@ -190,7 +201,7 @@ impl Analyzer {
         // reference order) is the classification order downstream.
         let mut item_of: Vec<(usize, usize)> = Vec::new();
         for (ni, ctx) in ctxs.iter().enumerate() {
-            for ridx in 0..ctx.lowered.nest.references().len() {
+            for ridx in 0..ctx.nest.references().len() {
                 item_of.push((ni, ridx));
             }
         }
@@ -201,7 +212,7 @@ impl Analyzer {
         let plans: Vec<Plan> = pool::run_pool(item_of.clone(), threads, |_, (ni, ridx)| {
             self.maybe_inject_panic();
             let ctx = &ctxs[ni];
-            let nest = &*ctx.lowered.nest;
+            let nest = ctx.nest;
             let gov = &govs[ni];
             let id = RefId::from_index(ridx);
             if !gov.live() {
@@ -217,7 +228,7 @@ impl Analyzer {
                 .map(|p| keys::KeyHasher::from_prefix(0x4e5e, p).feed(&ridx).finish());
             let t = Instant::now();
             let plan = self.lookup_reuse(rkey, || {
-                stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse)
+                stages::reuse::build(nest, &cache, id, &options.reuse)
             });
             Counters::add_time(&self.counters.reuse_ns, t.elapsed());
             let ckey = ctx
@@ -225,7 +236,7 @@ impl Analyzer {
                 .map(|p| keys::cascade_key(p, nest, options, ridx, ls));
             let t = Instant::now();
             let solve = self.lookup_cascade(ckey, || {
-                stages::solve::build(&ctx.lowered, &cache, ridx, &plan.rvs, options, gov)
+                stages::solve::build(nest, &ctx.lowered, &cache, ridx, &plan.rvs, options, gov)
             });
             Counters::add_time(&self.counters.solve_ns, t.elapsed());
             let scans = (0..solve.vectors.len())
@@ -300,6 +311,7 @@ impl Analyzer {
                         unreachable!("todo items only come from staged plans");
                     };
                     scan_run_block(
+                        ctxs[ni].nest,
                         &ctxs[ni].lowered,
                         &cache,
                         ridx,
@@ -394,7 +406,7 @@ impl Analyzer {
                         })
                         .collect();
                     stages::classify::classify(
-                        &ctxs[ni].lowered.nest,
+                        ctxs[ni].nest,
                         RefId::from_index(ridx),
                         &rvs,
                         &solve,
@@ -410,7 +422,7 @@ impl Analyzer {
             .iter()
             .zip(per_nest)
             .map(|(ctx, per_ref)| NestAnalysis {
-                nest_name: ctx.lowered.nest.name().to_string(),
+                nest_name: ctx.nest.name().to_string(),
                 cache,
                 per_ref,
             })

@@ -9,36 +9,35 @@ use super::Analyzer;
 use crate::governor::{GovernedAnalysis, Outcome, QueryGovernor};
 use crate::solve::{AnalysisOptions, NestAnalysis};
 use crate::store::ArtifactKey;
-use cme_ir::NestId;
 use std::sync::atomic::Ordering;
 
 impl Analyzer {
-    /// The store key of every nest in the batch, or `None` per slot when
-    /// no store is attached. The store mirrors the memo tables' on/off
-    /// switch: with caching disabled this is a true recompute and every
-    /// slot is `None`. Keys carry the session's full [`cme_cache::CacheModel`]
+    /// The store key of every nest in the batch, from its `(structural,
+    /// layout)` hash pair, or `None` per slot when no store is attached.
+    /// The store mirrors the memo tables' on/off switch: with caching
+    /// disabled this is a true recompute and every slot is `None`. Keys carry the session's full [`cme_cache::CacheModel`]
     /// through the options fingerprint, so a session serving a non-LRU or
     /// two-level model can never read (or shadow) a baseline artifact;
     /// for the baseline model the keys are bit-identical to the
     /// pre-model format.
     pub(super) fn artifact_keys(
         &self,
-        ids: &[NestId],
+        hashes: &[(u128, u128)],
         options: &AnalysisOptions,
     ) -> Vec<Option<ArtifactKey>> {
         match &self.store {
-            Some(_) if self.caching => ids
+            Some(_) if self.caching => hashes
                 .iter()
-                .map(|&id| {
+                .map(|&(structural, layout)| {
                     Some(ArtifactKey::for_model(
-                        self.db.structural_hash(id),
-                        self.db.layout_hash(id),
+                        structural,
+                        layout,
                         &self.model,
                         options,
                     ))
                 })
                 .collect(),
-            _ => vec![None; ids.len()],
+            _ => vec![None; hashes.len()],
         }
     }
 
@@ -77,7 +76,7 @@ impl Analyzer {
         }
     }
 
-    /// Assembles the batch result in `ids` order from store hits
+    /// Assembles the batch result in batch order from store hits
     /// (`served`, always [`Outcome::Complete`]) and pipeline results
     /// (`computed`, in `miss_idx` order), tallying exhaustion and
     /// writing exact artifacts through to the store.

@@ -16,6 +16,7 @@
 //! contentions are per-point sums.
 
 use cme_cache::CacheConfig;
+use cme_ir::LoopNest;
 use cme_reuse::ReuseVector;
 
 use crate::governor::QueryGovernor;
@@ -124,6 +125,7 @@ pub(crate) fn split_blocks(set: &SurvivorSet, threads: usize) -> Vec<(usize, usi
 /// concatenate into the unsharded result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_run_block(
+    nest: &LoopNest,
     lowered: &LoweredNest,
     cache: &CacheConfig,
     dest_idx: usize,
@@ -135,7 +137,6 @@ pub(crate) fn scan_run_block(
     counters: &Counters,
     gov: &QueryGovernor,
 ) -> CascadeResult {
-    let nest = &*lowered.nest;
     let addrs = &lowered.addrs;
     let depth = nest.depth();
     let inner = depth - 1;

@@ -2,12 +2,16 @@
 //! each consuming the previous stage's typed artifact:
 //!
 //! ```text
-//!  NestId ──lower──▶ LoweredNest ──reuse──▶ ReusePlan
-//!                                              │
-//!                                            solve
-//!                                              ▼
+//!  &LoopNest ──lower──▶ LoweredNest ──reuse──▶ ReusePlan
+//!                                                │
+//!                                              solve
+//!                                                ▼
 //!   Classification ◀──classify── CascadeResult ◀──cascade── SolveSet
 //! ```
+//!
+//! Every stage also reads the caller's `&LoopNest` itself; no artifact
+//! holds a nest or a name, so memoized artifacts are shared across nests
+//! that differ only in names and every label comes from the caller.
 //!
 //! | stage      | paper ground                          | artifact        |
 //! |------------|---------------------------------------|-----------------|

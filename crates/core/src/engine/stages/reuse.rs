@@ -8,10 +8,8 @@
 use std::sync::Arc;
 
 use cme_cache::CacheConfig;
-use cme_ir::RefId;
+use cme_ir::{LoopNest, RefId};
 use cme_reuse::{reuse_vectors, ReuseOptions, ReuseVector};
-
-use super::lower::LoweredNest;
 
 /// The reuse-vector sequence of one destination reference, in the
 /// processing order of Figure 6. Cheap to clone (`Arc`-shared).
@@ -22,12 +20,12 @@ pub(crate) struct ReusePlan {
 
 /// Builds the reuse plan for `dest`.
 pub(crate) fn build(
-    lowered: &LoweredNest,
+    nest: &LoopNest,
     cache: &CacheConfig,
     dest: RefId,
     options: &ReuseOptions,
 ) -> ReusePlan {
     ReusePlan {
-        rvs: Arc::new(reuse_vectors(&lowered.nest, cache, dest, options)),
+        rvs: Arc::new(reuse_vectors(nest, cache, dest, options)),
     }
 }

@@ -21,7 +21,7 @@
 //! arrays reuse it outright.
 
 use cme_cache::CacheConfig;
-use cme_ir::IterationSpace;
+use cme_ir::{IterationSpace, LoopNest};
 use cme_math::gcd::{floor_div, gcd, modulo};
 use cme_math::{Affine, Interval};
 use cme_reuse::ReuseVector;
@@ -371,6 +371,7 @@ fn compute_mod_range(addr: &Affine, set: &SurvivorSet, ls: i64) -> (i64, i64) {
 /// budget leaves the current survivors as the final set, every point a
 /// miss — the same sound-overcount shape as ε early stopping.
 pub(crate) fn build(
+    nest: &LoopNest,
     lowered: &LoweredNest,
     cache: &CacheConfig,
     dest_idx: usize,
@@ -378,7 +379,6 @@ pub(crate) fn build(
     options: &AnalysisOptions,
     gov: &QueryGovernor,
 ) -> SolveSet {
-    let nest = &*lowered.nest;
     let addrs = &lowered.addrs;
     let depth = nest.depth();
     let inner = depth - 1;

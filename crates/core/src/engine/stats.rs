@@ -201,7 +201,7 @@ pub struct EngineStats {
     /// Numeric analyses run on behalf of sweeps (samples + fallback
     /// evaluations).
     pub sweep_samples: u64,
-    /// Wall time in the lower stage (interning, address affines,
+    /// Wall time in the lower stage (nest hashing, address affines,
     /// overflow validation).
     pub time_lower: Duration,
     /// Worker-summed time in the reuse stage (vector generation/lookup).

@@ -4,7 +4,7 @@
 //! The paper's endgame replaces per-candidate re-analysis with an
 //! Ehrhart-style closed form: the miss count as a function of a symbolic
 //! layout parameter, minimized analytically. This module builds that path
-//! on top of the staged pipeline. Given an interned nest and a declared
+//! on top of the staged pipeline. Given a nest and a declared
 //! [`SweepParameter`], [`Analyzer::sweep`]:
 //!
 //! 1. derives candidate periods from the cache geometry — shifting a base
@@ -32,12 +32,12 @@
 //! range endpoints, random interior) and flags divergence as a
 //! first-class soundness violation.
 
-use super::Analyzer;
+use super::{keys, Analyzer};
 use crate::governor::AnalysisError;
 use crate::solve::NestAnalysis;
 use crate::store::{options_fingerprint, ArtifactKey, SweepRecord};
 use cme_cache::CacheConfig;
-use cme_ir::{ArrayId, KeyHasher, LoopNest, NestId};
+use cme_ir::{ArrayId, KeyHasher, LoopNest};
 use cme_math::gcd::gcd;
 use cme_math::quasipoly::{fit_eventually_periodic, FitCertificate, QuasiPolynomial, TieBreak};
 use std::fmt;
@@ -376,8 +376,8 @@ impl Analyzer {
         assert!(request.count >= 1, "sweep needs at least one candidate");
         assert!(request.step >= 1, "sweep step must be positive");
         let cache = *self.cache();
-        let base_id = self.intern(nest);
-        let key = self.sweep_key(base_id, request);
+        let hashes = keys::nest_hashes(nest);
+        let key = self.sweep_key(hashes, request);
 
         if let Some(key) = key {
             if let Some(cached) = self.sweep_memo.get(&key) {
@@ -388,7 +388,7 @@ impl Analyzer {
                 hit.memo_hit = true;
                 return Ok(hit);
             }
-            if let Some(record) = self.consult_sweep_store(base_id, request) {
+            if let Some(record) = self.consult_sweep_store(hashes, request) {
                 if let Some(result) = self.rehydrate(record, request) {
                     self.sweep_memo.insert(key, result.clone());
                     return Ok(result);
@@ -452,7 +452,7 @@ impl Analyzer {
                         .sweep_samples
                         .fetch_add(result.evaluations as u64, Ordering::Relaxed);
                     if let Some(key) = key {
-                        self.persist_sweep(base_id, request, &result);
+                        self.persist_sweep(hashes, request, &result);
                         self.sweep_memo.insert(key, result.clone());
                     }
                     return Ok(result);
@@ -521,42 +521,38 @@ impl Analyzer {
         to: usize,
         scores: &mut Vec<(u64, bool)>,
     ) -> Result<bool, AnalysisError> {
-        let mut ids: Vec<Option<NestId>> = Vec::with_capacity(to - from);
-        let mut feasible = true;
+        let mut live: Vec<LoopNest> = Vec::with_capacity(to - from);
+        let mut slots: Vec<bool> = Vec::with_capacity(to - from); // feasible?
         for k in from..to {
-            match request.parameter.apply(nest, cache, request.value_at(k)) {
-                Some(candidate) => ids.push(Some(self.intern(&candidate))),
-                None => {
-                    feasible = false;
-                    ids.push(None);
-                }
-            }
+            let candidate = request.parameter.apply(nest, cache, request.value_at(k));
+            slots.push(candidate.is_some());
+            live.extend(candidate);
         }
-        let live: Vec<NestId> = ids.iter().filter_map(|id| *id).collect();
+        let feasible = slots.iter().all(|&ok| ok);
         let mut governed = self.try_analyze_batch(&live)?.into_iter();
-        for id in &ids {
-            match id {
-                Some(_) => match governed.next() {
-                    Some(g) => {
-                        scores.push((request.metric.of(&g.analysis), g.outcome.is_exhausted()))
-                    }
-                    None => scores.push((u64::MAX, false)),
-                },
-                None => scores.push((u64::MAX, false)),
-            }
+        for ok in slots {
+            let governed = if ok { governed.next() } else { None };
+            scores.push(match governed {
+                Some(g) => (request.metric.of(&g.analysis), g.outcome.is_exhausted()),
+                None => (u64::MAX, false),
+            });
         }
         Ok(feasible)
     }
 
     /// The session memo key, or `None` when the session's caching is off
     /// (a sweep on an uncached session is a true recompute).
-    fn sweep_key(&self, base_id: NestId, request: &SweepRequest) -> Option<u128> {
+    fn sweep_key(
+        &self,
+        (structural, layout): (u128, u128),
+        request: &SweepRequest,
+    ) -> Option<u128> {
         if !self.caching {
             return None;
         }
         let mut h = KeyHasher::new(0x5eed);
-        h.feed(&self.db.structural_hash(base_id))
-            .feed(&self.db.layout_hash(base_id))
+        h.feed(&structural)
+            .feed(&layout)
             .feed(&options_fingerprint(self.current_options()))
             .feed(&request.fingerprint());
         let cache = self.cache;
@@ -567,18 +563,17 @@ impl Analyzer {
         Some(h.finish())
     }
 
-    fn sweep_artifact_key(&self, base_id: NestId) -> ArtifactKey {
-        ArtifactKey::new(
-            self.db.structural_hash(base_id),
-            self.db.layout_hash(base_id),
-            &self.cache,
-            self.current_options(),
-        )
+    fn sweep_artifact_key(&self, (structural, layout): (u128, u128)) -> ArtifactKey {
+        ArtifactKey::new(structural, layout, &self.cache, self.current_options())
     }
 
-    fn consult_sweep_store(&self, base_id: NestId, request: &SweepRequest) -> Option<SweepRecord> {
+    fn consult_sweep_store(
+        &self,
+        hashes: (u128, u128),
+        request: &SweepRequest,
+    ) -> Option<SweepRecord> {
         let store = self.store.as_ref()?;
-        store.get_sweep(&self.sweep_artifact_key(base_id), request.fingerprint())
+        store.get_sweep(&self.sweep_artifact_key(hashes), request.fingerprint())
     }
 
     /// Rebuilds a [`SweepResult`] from a persisted record, recomputing the
@@ -607,8 +602,8 @@ impl Analyzer {
 
     /// Write-through of a *fitted, complete* sweep. Fallback and degraded
     /// results never reach this point.
-    fn persist_sweep(&self, base_id: NestId, request: &SweepRequest, result: &SweepResult) {
-        let key = self.sweep_artifact_key(base_id);
+    fn persist_sweep(&self, hashes: (u128, u128), request: &SweepRequest, result: &SweepResult) {
+        let key = self.sweep_artifact_key(hashes);
         if let (Some(store), Some(function), Some(cert)) =
             (&self.store, &result.function, &result.certificate)
         {

@@ -73,50 +73,40 @@ fn batch_is_bit_identical_to_per_nest_analyses() {
     // sets in the same call. (With more threads two workers may both miss
     // and build the same set, so the reuse count is scheduling-dependent.)
     let mut serial = Analyzer::new(cache).threads(1);
-    let ids: Vec<NestId> = nests.iter().map(|n| serial.intern(n)).collect();
-    assert_eq!(serial.analyze_batch(&ids), one_by_one);
+    assert_eq!(serial.analyze_batch(&nests), one_by_one);
     let stats = serial.stats();
     assert!(stats.cascades_reused > 0, "{stats}");
 
     // Pooled, the results are the same, and re-batching is a pure memo
     // sweep.
     let mut batched = Analyzer::new(cache).threads(3);
-    let ids: Vec<NestId> = nests.iter().map(|n| batched.intern(n)).collect();
-    assert_eq!(batched.analyze_batch(&ids), one_by_one);
+    assert_eq!(batched.analyze_batch(&nests), one_by_one);
     let built = batched.stats().cascades_built;
-    assert_eq!(batched.analyze_batch(&ids), one_by_one);
+    assert_eq!(batched.analyze_batch(&nests), one_by_one);
     assert_eq!(batched.stats().cascades_built, built, "warm batch rebuilt");
 }
 
 #[test]
 fn governed_batch_tags_outcomes_per_nest() {
     let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
+    let nests = [matmul(6, 0, 100, 200), matmul(8, 0, 128, 256)];
     let mut analyzer = Analyzer::new(cache);
-    let ids = [
-        analyzer.intern(&matmul(6, 0, 100, 200)),
-        analyzer.intern(&matmul(8, 0, 128, 256)),
-    ];
-    let governed = analyzer.try_analyze_batch(&ids).unwrap();
+    let governed = analyzer.try_analyze_batch(&nests).unwrap();
     assert_eq!(governed.len(), 2);
     for g in &governed {
         assert_eq!(g.outcome, Outcome::Complete);
     }
-    assert_eq!(governed[0].analysis, analyzer.analyze_id(ids[0]));
+    assert_eq!(governed[0].analysis, analyzer.analyze(&nests[0]));
 
     // A cancelled batch degrades every nest to the sound all-cold bound.
     let token = CancelToken::new();
     token.cancel();
     let mut cancelled = Analyzer::new(cache).cancel_token(token);
-    let ids = [
-        cancelled.intern(&matmul(6, 0, 100, 200)),
-        cancelled.intern(&matmul(8, 0, 128, 256)),
-    ];
-    let degraded = cancelled.try_analyze_batch(&ids).unwrap();
-    for (g, id) in degraded.iter().zip(ids) {
+    let degraded = cancelled.try_analyze_batch(&nests).unwrap();
+    for (g, nest) in degraded.iter().zip(&nests) {
         assert!(g.outcome.is_exhausted());
-        let space: u64 = cancelled.db().nest(id).space().count();
-        let per_ref = cancelled.db().nest(id).references().len() as u64;
-        assert_eq!(g.analysis.total_misses(), space * per_ref);
+        let per_ref = nest.references().len() as u64;
+        assert_eq!(g.analysis.total_misses(), nest.space().count() * per_ref);
     }
 }
 
@@ -158,6 +148,58 @@ fn moving_one_array_reuses_other_cascades() {
     assert_eq!(analyzer.analyze(&n2), reference);
     // Every reference keeps B mod Ls, so no cascade is rebuilt.
     assert_eq!(analyzer.stats().cascades_built, built_before);
+}
+
+/// The lower memo is keyed by hash pair and cleared at the reuse table's
+/// cap, so a long-lived session serving distinct layouts stays bounded.
+#[test]
+fn lower_memo_is_capped() {
+    let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
+    let mut analyzer = Analyzer::new(cache);
+    for base in 0..=memo::REUSE_CAP as i64 {
+        let mut b = NestBuilder::new();
+        b.ct_loop("i", 1, 2);
+        let a = b.array("A", &[2], base);
+        b.reference(a, AccessKind::Read, &[("i", 0)]);
+        analyzer.analyze(&b.build().unwrap());
+    }
+    assert_eq!(analyzer.stats().lowered_built, memo::REUSE_CAP as u64 + 1);
+    assert!(memo::relock(&analyzer.lower_memo).len() <= memo::REUSE_CAP);
+}
+
+/// Nests that differ only in names share every memoized artifact, yet
+/// each result carries the caller's nest name and reference labels.
+#[test]
+fn memo_hits_keep_the_callers_names() {
+    let named = |nest: &str, array: &str| {
+        let mut b = NestBuilder::new();
+        b.name(nest);
+        b.ct_loop("i", 1, 64);
+        let a = b.array(array, &[64], 0);
+        b.reference(a, AccessKind::Read, &[("i", 0)]);
+        b.build().unwrap()
+    };
+    let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
+    let mut analyzer = Analyzer::new(cache);
+    let (first, second) = (named("first", "A"), named("second", "B"));
+    let a = analyzer.analyze(&first);
+    let b = analyzer.analyze(&second);
+    assert_eq!(
+        analyzer.stats().lowered_reused,
+        1,
+        "names must not split the memo"
+    );
+    assert_eq!(
+        (a.nest_name.as_str(), b.nest_name.as_str()),
+        ("first", "second")
+    );
+    for (nest, result) in [(&first, &a), (&second, &b)] {
+        let labels: Vec<&str> = nest.references().iter().map(|r| r.label()).collect();
+        let got: Vec<&str> = result.per_ref.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(got, labels);
+    }
+    assert_ne!(a.per_ref[0].label, b.per_ref[0].label, "degenerate fixture");
+    assert_eq!(a.total_misses(), b.total_misses());
 }
 
 #[test]

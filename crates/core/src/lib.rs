@@ -29,12 +29,13 @@
 //!   8's progress table) and the `ε` precision/time knob; plus its
 //!   monolithic reference implementation, kept as a test oracle.
 //! - [`engine`] — the staged analysis pipeline behind [`Analyzer`]:
-//!   nests are interned into a program database
-//!   ([`cme_ir::ProgramDb`], re-exported here as [`ProgramDb`]) and run
-//!   through `lower → reuse → solve → cascade → classify`, with each
-//!   stage's artifact memoized across the candidate nests of an optimizer
-//!   search; [`Analyzer::analyze_batch`] analyzes many interned nests in
-//!   one shared-pool session (see `docs/ENGINE.md`).
+//!   the caller's nests run through `lower → reuse → solve → cascade →
+//!   classify`, with each stage's artifact memoized across the candidate
+//!   nests of an optimizer search under keys derived from the nests'
+//!   structural and layout hashes; [`Analyzer::analyze_batch`] analyzes
+//!   many nests in one shared-pool session, and [`Analyzer::sweep`]
+//!   answers a Section 5.1.3 parametric layout sweep in certified closed
+//!   form (see `docs/ENGINE.md`).
 //! - [`governor`] — the resource governor: per-query [`Budget`]s,
 //!   cooperative [`CancelToken`]s, and graceful degradation of exhausted
 //!   queries to sound overcounts (the paper's `ε > 0` semantics), plus
@@ -92,7 +93,6 @@ pub mod store;
 mod window;
 
 pub use accuracy::{compare_with_simulation, AccuracyRow};
-pub use cme_ir::{NestId, ProgramDb};
 pub use engine::{Analyzer, EngineStats, SweepMetric, SweepParameter, SweepRequest, SweepResult};
 pub use equations::{CmeSystem, ColdEquation, EquationGroup, RefEquations, ReplacementEquation};
 pub use faults::{FaultPlan, InjectedFaults, ReadFault, WriteFault};

@@ -117,9 +117,8 @@ impl Oracle for CmeOracle {
         let mut analyzer = Analyzer::new(cache)
             .options(options)
             .threads(threads.max(1));
-        let id = analyzer.intern(nest);
         analyzer
-            .analyze_id(id)
+            .analyze(nest)
             .per_ref
             .iter()
             .map(|r| r.total_misses())
@@ -143,8 +142,7 @@ impl Oracle for CmeOracle {
         if let Some(token) = cancel {
             analyzer = analyzer.cancel_token(token.clone());
         }
-        let id = analyzer.intern(nest);
-        match analyzer.try_analyze_id(id) {
+        match analyzer.try_analyze(nest) {
             Ok(governed) => (
                 governed
                     .analysis

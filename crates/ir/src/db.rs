@@ -1,13 +1,7 @@
-//! The interned program database: [`ProgramDb`] deduplicates [`LoopNest`]s
-//! behind compact [`NestId`] handles and computes their invalidation
-//! hashes exactly once, at intern time.
-//!
-//! Every analysis artifact downstream (reuse vectors, cold/indeterminate
-//! solve sets, window-scan verdicts, generated equation systems) is keyed
-//! by some function of the nest. Before interning existed, each engine
-//! query re-walked the whole nest to hash its structure; with the
-//! database, a query resolves a [`NestId`] to two precomputed 128-bit
-//! hashes:
+//! The invalidation hashes of a [`LoopNest`]: every analysis artifact
+//! downstream (reuse vectors, cold/indeterminate solve sets, window-scan
+//! verdicts, persisted analyses) is keyed by some function of the nest,
+//! and these two 128-bit digests are where every such key starts:
 //!
 //! - [`structural_hash`] — **base-invariant**: loop bounds, array extents
 //!   and origins, and per-reference subscript structure with address
@@ -15,21 +9,14 @@
 //!   only move arrays (padding/placement searches) share this hash, which
 //!   is what lets them share memoized analysis artifacts.
 //! - [`layout_hash`] — the base addresses only. Together with the
-//!   structural hash it pins the nest exactly (up to hash collision,
-//!   which the 128-bit double hash makes negligible; interning itself
-//!   additionally compares candidates for real equality, so two distinct
-//!   nests never share a `NestId`).
+//!   structural hash it pins the analysis inputs of a nest exactly (up to
+//!   hash collision, which the 128-bit double hash makes negligible).
 //!
-//! The database is append-only: handles stay valid for its whole
-//! lifetime. Sessions are expected to be bounded (one optimizer search,
-//! one fuzz case), so no eviction is provided — evicting would invalidate
-//! outstanding handles.
+//! Names (of the nest, its arrays and loops) feed neither hash: they
+//! label results but never change a count.
 
 use crate::nest::LoopNest;
-use std::collections::HashMap;
-use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Accumulates one logical key into two independently seeded 64-bit
 /// hashers, concatenated into a 128-bit key by [`KeyHasher::finish`].
@@ -75,28 +62,6 @@ impl KeyHasher {
     }
 }
 
-/// Identifies an interned [`LoopNest`] within one [`ProgramDb`].
-///
-/// Like [`crate::RefId`] and [`crate::ArrayId`], the handle is only
-/// meaningful with respect to the database that issued it; resolving it
-/// against another database panics if out of range (or silently names a
-/// different nest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NestId(u32);
-
-impl NestId {
-    /// The position of this nest in intern order.
-    pub fn index(&self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for NestId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "nest#{}", self.0)
-    }
-}
-
 /// The base-invariant structural hash of a nest: loop bound affines,
 /// array extents and origins, and per-reference array index plus address
 /// affine with the constant taken *relative to the array base*. Two nests
@@ -137,97 +102,6 @@ pub fn layout_hash(nest: &LoopNest) -> u128 {
     h.finish()
 }
 
-#[derive(Debug)]
-struct Entry {
-    nest: Arc<LoopNest>,
-    structural: u128,
-    layout: u128,
-}
-
-/// An append-only interner of [`LoopNest`]s. See the module docs.
-#[derive(Debug, Default)]
-pub struct ProgramDb {
-    entries: Vec<Entry>,
-    /// Buckets keyed by `H(structural, layout)`; candidates within a
-    /// bucket are confirmed by full equality, so interning never aliases
-    /// two different nests even under a hash collision.
-    index: HashMap<u128, Vec<u32>>,
-}
-
-impl ProgramDb {
-    /// An empty database.
-    pub fn new() -> Self {
-        ProgramDb::default()
-    }
-
-    /// Interns a nest: returns the existing handle if an equal nest
-    /// (structure, layout, names — full equality) was interned before,
-    /// otherwise stores a copy and returns a fresh handle.
-    pub fn intern(&mut self, nest: &LoopNest) -> NestId {
-        let structural = structural_hash(nest);
-        let layout = layout_hash(nest);
-        let mut h = KeyHasher::from_prefix(0x1db, structural);
-        h.feed(&(layout as u64)).feed(&((layout >> 64) as u64));
-        let bucket = h.finish();
-        if let Some(ids) = self.index.get(&bucket) {
-            for &ix in ids {
-                if *self.entries[ix as usize].nest == *nest {
-                    return NestId(ix);
-                }
-            }
-        }
-        let ix = u32::try_from(self.entries.len()).unwrap_or_else(|_| {
-            // 4 billion interned nests would exhaust memory long before
-            // this; keep the API panic-documented rather than fallible.
-            panic!("ProgramDb capacity exceeded")
-        });
-        self.entries.push(Entry {
-            nest: Arc::new(nest.clone()),
-            structural,
-            layout,
-        });
-        self.index.entry(bucket).or_default().push(ix);
-        NestId(ix)
-    }
-
-    /// Resolves a handle to its nest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this database.
-    pub fn nest(&self, id: NestId) -> &Arc<LoopNest> {
-        &self.entries[id.index()].nest
-    }
-
-    /// The precomputed base-invariant [`structural_hash`] of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this database.
-    pub fn structural_hash(&self, id: NestId) -> u128 {
-        self.entries[id.index()].structural
-    }
-
-    /// The precomputed [`layout_hash`] of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this database.
-    pub fn layout_hash(&self, id: NestId) -> u128 {
-        self.entries[id.index()].layout
-    }
-
-    /// Number of distinct nests interned.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,30 +116,6 @@ mod tests {
         b.reference(a, AccessKind::Read, &[("j", 0), ("i", 0)]);
         b.reference(c, AccessKind::Write, &[("j", 0), ("i", 0)]);
         b.build().unwrap()
-    }
-
-    #[test]
-    fn interning_is_idempotent() {
-        let mut db = ProgramDb::new();
-        let nest = nest_with_bases([0, 100]);
-        let id1 = db.intern(&nest);
-        let id2 = db.intern(&nest);
-        let id3 = db.intern(&nest.clone());
-        assert_eq!(id1, id2);
-        assert_eq!(id1, id3);
-        assert_eq!(db.len(), 1);
-        assert_eq!(**db.nest(id1), nest);
-    }
-
-    #[test]
-    fn distinct_layouts_get_distinct_ids_but_share_structure() {
-        let mut db = ProgramDb::new();
-        let id1 = db.intern(&nest_with_bases([0, 100]));
-        let id2 = db.intern(&nest_with_bases([64, 7]));
-        assert_ne!(id1, id2);
-        assert_eq!(db.structural_hash(id1), db.structural_hash(id2));
-        assert_ne!(db.layout_hash(id1), db.layout_hash(id2));
-        assert_eq!(db.len(), 2);
     }
 
     #[test]
@@ -284,15 +134,6 @@ mod tests {
             structural_hash(&nest_with_bases([32, 4])),
             "bases alone must not affect the structural hash"
         );
-    }
-
-    #[test]
-    fn ids_index_in_intern_order() {
-        let mut db = ProgramDb::new();
-        let a = db.intern(&nest_with_bases([0, 100]));
-        let b = db.intern(&nest_with_bases([1, 100]));
-        assert_eq!(a.index(), 0);
-        assert_eq!(b.index(), 1);
-        assert_eq!(format!("{b}"), "nest#1");
+        assert_ne!(layout_hash(&base), layout_hash(&nest_with_bases([32, 4])));
     }
 }

@@ -58,7 +58,7 @@ pub mod validate;
 pub use array::{ArrayDecl, ArrayId};
 pub use builder::NestBuilder;
 pub use cme_math::Affine;
-pub use db::{KeyHasher, NestId, ProgramDb};
+pub use db::KeyHasher;
 pub use nest::{AccessKind, Loop, LoopNest, RefId, Reference};
 pub use space::IterationSpace;
 pub use validate::ValidateNestError;

@@ -14,8 +14,8 @@
 //! before the onset plus per-residue quadratics after it — and
 //! [`fit_eventually_periodic`] recovers one from sampled counts together
 //! with a [`FitCertificate`] recording the sample window and verification
-//! margin. [`fit_periodic`] / [`fit_quasi_linear`] remain as the simpler
-//! onset-free fitters.
+//! margin. It is the one fitter: purely periodic and quasi-linear counts
+//! are its degree-0 and degree-1 cases with onset 0.
 
 use crate::gcd::{floor_div, lcm};
 use std::fmt;
@@ -476,8 +476,8 @@ impl fmt::Display for FitCertificate {
     }
 }
 
-/// Error returned by the fitters when no quasi-polynomial of any
-/// admissible period explains the samples.
+/// Error returned by [`fit_eventually_periodic`] when no quasi-polynomial
+/// of any admissible onset and period explains the samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FitPeriodicError {
     tried: Vec<usize>,
@@ -487,112 +487,13 @@ impl fmt::Display for FitPeriodicError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "no periodic-constant model fits the samples (periods tried: {:?})",
+            "no eventually periodic model fits the samples (periods tried: {:?})",
             self.tried
         )
     }
 }
 
 impl std::error::Error for FitPeriodicError {}
-
-/// Fits a purely periodic quasi-polynomial to `samples[p] = f(p)` for
-/// `p = 0..samples.len()`, trying each candidate period in `periods` in
-/// order and returning the first that reproduces every sample.
-///
-/// Candidate periods for cache problems are the powers of two up to the
-/// cache size, since the set-mapping function has that periodicity.
-///
-/// # Errors
-///
-/// Returns [`FitPeriodicError`] when no candidate period fits; callers fall
-/// back to direct counting (Section 5.1.2 style) in that case.
-///
-/// # Examples
-///
-/// ```
-/// use cme_math::quasipoly::fit_periodic;
-/// let samples = [4, 9, 4, 9, 4, 9, 4, 9];
-/// let q = fit_periodic(&samples, &[1, 2, 4]).unwrap();
-/// assert_eq!(q.period(), 2);
-/// assert_eq!(q.eval(100), 4);
-/// ```
-pub fn fit_periodic(
-    samples: &[i64],
-    periods: &[usize],
-) -> Result<QuasiPolynomial, FitPeriodicError> {
-    for &m in periods {
-        if m == 0 || m > samples.len() {
-            continue;
-        }
-        let ok = samples
-            .iter()
-            .enumerate()
-            .all(|(p, &v)| v == samples[p % m]);
-        if ok {
-            return Ok(QuasiPolynomial::from_constants(samples[..m].to_vec()));
-        }
-    }
-    Err(FitPeriodicError {
-        tried: periods.to_vec(),
-    })
-}
-
-/// Fits a degree-≤1 quasi-polynomial to `samples[p] = f(p)`: per residue
-/// class modulo a candidate period, a line `a + b·p` is derived from the
-/// first two samples of the class and verified against the rest.
-///
-/// This is the shape of a genuine 1-parameter Ehrhart quasi-polynomial of
-/// a 1-D parametric polytope (count grows linearly with the parameter,
-/// with cache-periodic corrections).
-///
-/// # Errors
-///
-/// Returns [`FitPeriodicError`] when no candidate period admits a
-/// consistent linear model (e.g. the counting function is quadratic).
-///
-/// # Examples
-///
-/// ```
-/// use cme_math::quasipoly::fit_quasi_linear;
-/// // f(p) = 2p + (0 if p even else 5).
-/// let samples: Vec<i64> = (0..24).map(|p| 2 * p + if p % 2 == 0 { 0 } else { 5 }).collect();
-/// let q = fit_quasi_linear(&samples, &[1, 2, 4]).unwrap();
-/// assert_eq!(q.period(), 2);
-/// assert_eq!(q.eval(100), 200);
-/// assert_eq!(q.eval(101), 207);
-/// ```
-pub fn fit_quasi_linear(
-    samples: &[i64],
-    periods: &[usize],
-) -> Result<QuasiPolynomial, FitPeriodicError> {
-    'periods: for &m in periods {
-        if m == 0 || samples.len() < 2 * m {
-            continue;
-        }
-        let mut coeffs = Vec::with_capacity(m);
-        for r in 0..m {
-            let p0 = r as i64;
-            let (f0, f1) = (samples[r], samples[r + m]);
-            if (f1 - f0) % (m as i64) != 0 {
-                continue 'periods;
-            }
-            let b = (f1 - f0) / m as i64;
-            let a = f0 - b * p0;
-            coeffs.push((a, b));
-        }
-        let q = QuasiPolynomial::new(coeffs);
-        if samples
-            .iter()
-            .enumerate()
-            .all(|(p, &v)| q.eval(p as i64) == v)
-        {
-            return Ok(q);
-        }
-    }
-    Err(FitPeriodicError {
-        tried: periods.to_vec(),
-    })
-}
 
 /// Fits the minimal-degree polynomial (≤ 2) through one residue class's
 /// samples `(pts[i], vals[i])` with spacing `m` between points, verifying
@@ -802,55 +703,6 @@ mod tests {
         for p in 0..=40 {
             assert_eq!(m.eval(p), f.eval(p).min(g.eval(p)));
         }
-    }
-
-    #[test]
-    fn fit_recovers_true_period() {
-        let samples: Vec<i64> = (0..32).map(|p| [7, 3, 9, 3][p % 4]).collect();
-        let q = fit_periodic(&samples, &[1, 2, 4, 8]).unwrap();
-        assert_eq!(q.period(), 4);
-        for (p, &s) in samples.iter().enumerate() {
-            assert_eq!(q.eval(p as i64), s);
-        }
-    }
-
-    #[test]
-    fn fit_fails_cleanly() {
-        let samples: Vec<i64> = (0..16).map(|p| p as i64 * p as i64).collect();
-        let err = fit_periodic(&samples, &[1, 2, 4]).unwrap_err();
-        assert!(err.to_string().contains("no periodic-constant model"));
-    }
-
-    #[test]
-    fn quasi_linear_recovers_slope_and_period() {
-        let f = |p: i64| 3 * p + [1, 7, 4][(p % 3) as usize];
-        let samples: Vec<i64> = (0..30).map(f).collect();
-        let q = fit_quasi_linear(&samples, &[1, 2, 3, 6]).unwrap();
-        assert_eq!(q.period(), 3);
-        for p in 0..200 {
-            assert_eq!(q.eval(p), f(p));
-        }
-    }
-
-    #[test]
-    fn quasi_linear_rejects_quadratics() {
-        let samples: Vec<i64> = (0..20).map(|p| p * p).collect();
-        assert!(fit_quasi_linear(&samples, &[1, 2, 4]).is_err());
-    }
-
-    #[test]
-    fn quasi_linear_subsumes_constant_fits() {
-        let samples = vec![5i64; 16];
-        let q = fit_quasi_linear(&samples, &[1, 2]).unwrap();
-        assert_eq!(q.period(), 1);
-        assert_eq!(q.eval(1000), 5);
-    }
-
-    #[test]
-    fn fit_constant_is_period_one() {
-        let q = fit_periodic(&[6, 6, 6, 6], &[1, 2]).unwrap();
-        assert_eq!(q.period(), 1);
-        assert_eq!(q.eval(12345), 6);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   kill cross-interference (Equation 9).
 //! - [`fusion`] uses a *solution counting engine* (Section 5.1.2) to decide
 //!   whether fusing two nests lowers the total miss count.
-//! - [`parametric`] derives the miss count as a quasi-polynomial function
-//!   of a layout parameter (Section 5.1.3, Ehrhart-style) and optimizes the
-//!   function instead of searching exhaustively.
+//!
+//! The Section 5.1.3 parametric method (the miss count as an Ehrhart-style
+//! quasi-polynomial of one layout parameter, minimized in closed form) is
+//! [`cme_core::Analyzer::sweep`]; the [`search`] padding search refines
+//! its inter-array pads with it.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -22,14 +24,12 @@
 pub mod diagnose;
 pub mod fusion;
 pub mod padding;
-pub mod parametric;
 pub mod search;
 pub mod tiling;
 
 pub use diagnose::{diagnose, diagnose_with, NestDiagnosis, Recommendation, RefDiagnosis};
 pub use fusion::{evaluate_fusion, evaluate_fusion_with, FusionDecision};
 pub use padding::{plan_padding, PaddingError, PaddingPlan};
-pub use parametric::{optimize_parameter, ParametricResult};
 pub use search::{optimize_padding, optimize_padding_with, PaddingMethod, PaddingOutcome};
 pub use tiling::{
     select_tile_and_layout, select_tile_and_layout_with, select_tile_size, TileChoice,

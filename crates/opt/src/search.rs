@@ -342,11 +342,9 @@ pub fn optimize_padding_with(
     let mut evaluations = 0usize;
     let mut count = |analyzer: &mut Analyzer, column: i64, spacings: &[i64]| -> u64 {
         evaluations += 1;
-        // Intern the candidate and score it by handle: revisited layouts
-        // (the greedy sweeps back-track constantly) dedup in the program
-        // database and skip straight to the memoized stage artifacts.
-        let cand = analyzer.intern(&layout_with(nest, &order, column, spacings));
-        match analyzer.try_analyze_id(cand) {
+        // Revisited layouts (the greedy sweeps back-track constantly)
+        // skip straight to the memoized stage artifacts.
+        match analyzer.try_analyze(&layout_with(nest, &order, column, spacings)) {
             Ok(governed) => {
                 degraded_candidates
                     .set(degraded_candidates.get() + governed.outcome.is_exhausted() as usize);
@@ -517,8 +515,7 @@ pub fn optimize_padding_with(
     }
 
     let optimized = layout_with(nest, &order, best_col, &best_spacings);
-    let optimized_id = analyzer.intern(&optimized);
-    let (replacement_after, total_after) = match analyzer.try_analyze_id(optimized_id) {
+    let (replacement_after, total_after) = match analyzer.try_analyze(&optimized) {
         Ok(governed) => {
             degraded_candidates
                 .set(degraded_candidates.get() + governed.outcome.is_exhausted() as usize);

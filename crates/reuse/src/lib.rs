@@ -189,19 +189,6 @@ impl Default for ReuseOptions {
     }
 }
 
-/// [`reuse_vectors`] for a nest interned in a [`cme_ir::ProgramDb`] — the
-/// handle-based spelling used by staged pipelines that never pass owned
-/// nests around.
-pub fn reuse_vectors_for(
-    db: &cme_ir::ProgramDb,
-    id: cme_ir::NestId,
-    cache: &CacheConfig,
-    dest: RefId,
-    options: &ReuseOptions,
-) -> Vec<ReuseVector> {
-    reuse_vectors(db.nest(id), cache, dest, options)
-}
-
 /// Computes the reuse vectors of `dest`, sorted in lexicographically
 /// increasing order (the processing order of the miss-finding algorithm,
 /// Figure 6), with intra-iteration (zero-vector) group reuse first and, for

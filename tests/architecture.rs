@@ -15,10 +15,12 @@
 //! pipeline's artifacts only, never symbolic equation systems or their
 //! polytope counts. The fifth keeps one trace walk: only `cme-cache`
 //! drives a `Simulator`; everything else replays a nest through its
-//! `simulate_*` entry points. The last keeps one session type: the
+//! `simulate_*` entry points. The sixth keeps one session type: the
 //! `Analyzer` holds the memo tables, store and counters itself, so no
 //! second type offers a way to analyze around the session's budget and
-//! cancel token.
+//! cancel token. The last keeps nests, not handles: every entry point
+//! takes the caller's `&LoopNest`, so no session keeps an interner of
+//! every nest it has seen.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -190,6 +192,27 @@ fn one_session_type() {
                 "{path:?} contains `{needle}`; `Analyzer` is the one session \
                  type, and every entry point runs its driver under the \
                  session's budget"
+            );
+        }
+    }
+}
+
+#[test]
+fn nests_not_handles() {
+    for path in workspace_sources() {
+        let code = code_of(&path);
+        for needle in [
+            "ProgramDb",
+            "NestId",
+            ".intern(",
+            "analyze_id(",
+            "reuse_vectors_for",
+        ] {
+            assert!(
+                !code.contains(needle),
+                "{path:?} contains `{needle}`; entry points take the caller's \
+                 `&LoopNest`, and the engine keys every memo by the nest's \
+                 structural and layout hashes"
             );
         }
     }

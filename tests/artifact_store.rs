@@ -12,6 +12,7 @@ use cme::core::solve::reference_analysis;
 use cme::core::store::{ArtifactKey, ArtifactStore};
 use cme::core::{Analyzer, Budget};
 use cme::ir::codec::{fnv1a64, Encoder};
+use cme::ir::db::{layout_hash, structural_hash};
 use cme::{AnalysisOptions, CacheConfig, LoopNest};
 use cme_testgen::{arb_cache, arb_nest, NestDistribution};
 use proptest::prelude::*;
@@ -31,12 +32,9 @@ fn plain(nest: &LoopNest, cache: CacheConfig) -> cme::NestAnalysis {
 
 /// The store key the engine computes for `nest` under default options.
 fn key_of(nest: &LoopNest, cache: &CacheConfig) -> ArtifactKey {
-    let mut analyzer = Analyzer::new(*cache);
-    let id = analyzer.intern(nest);
-    let db = analyzer.db();
     ArtifactKey::new(
-        db.structural_hash(id),
-        db.layout_hash(id),
+        structural_hash(nest),
+        layout_hash(nest),
         cache,
         &AnalysisOptions::default(),
     )

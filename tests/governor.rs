@@ -210,18 +210,17 @@ fn every_entry_point_runs_under_the_session_budget() {
         let degraded = governed.analysis;
         assert_eq!(degraded.total_misses(), nest.access_count());
 
-        let id = analyzer.intern(&nest);
-        for governed in [
-            analyzer.try_analyze_id(id).expect("governed"),
-            analyzer.try_analyze_batch(&[id]).expect("governed")[0].clone(),
-        ] {
-            assert!(governed.outcome.is_exhausted(), "{:?}", governed.outcome);
-            assert_eq!(governed.analysis, degraded);
-        }
+        let batch = std::slice::from_ref(&nest);
+        let governed = analyzer.try_analyze_batch(batch).expect("governed");
+        assert!(
+            governed[0].outcome.is_exhausted(),
+            "{:?}",
+            governed[0].outcome
+        );
+        assert_eq!(governed[0].analysis, degraded);
         assert_eq!(analyzer.analyze(&nest), degraded, "analyze");
-        assert_eq!(analyzer.analyze_id(id), degraded, "analyze_id");
         assert_eq!(
-            analyzer.analyze_batch(&[id]),
+            analyzer.analyze_batch(batch),
             std::slice::from_ref(&degraded)
         );
         assert_eq!(

@@ -122,22 +122,28 @@ fn selected_tile_beats_bad_tile() {
     );
 }
 
-/// The parametric optimizer finds the same optimum as brute force on a real
-/// miss function (alv inter-array spacing), with far fewer evaluations.
+/// The parametric sweep finds the same optimum as brute force on a real
+/// miss function (alv inter-array spacing).
 #[test]
 fn parametric_spacing_matches_brute_force() {
-    let cache = CacheConfig::new(1024, 1, 32, 4).unwrap(); // 256 elements
-                                                           // One shared session: all sampled spacings are layout siblings, so the
-                                                           // engine re-scores them from its memo tables.
+    // 256 elements. One shared session: all sampled spacings are layout
+    // siblings, so the engine re-scores them from its memo tables.
+    let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
     let mut analyzer = cme::core::Analyzer::new(cache);
-    let mut count = |delta: i64| -> i64 {
-        let nest = kernels::alv_with_layout(16, 6, 16, 256 + delta);
-        let id = analyzer.intern(&nest);
-        analyzer.analyze_id(id).total_misses() as i64
+    let spacing = cme::SweepParameter::BaseSpacing {
+        array: cme::ir::ArrayId::from_index(1),
     };
-    // Periodicity of the set mapping: the cache size in elements.
-    let res = cme::opt::optimize_parameter(&mut count, 0..=255, &[8, 16, 32, 64, 128, 256]);
+    let request = cme::SweepRequest::new(spacing, 0, 256, 1);
+    let res = analyzer
+        .sweep(&kernels::alv_with_layout(16, 6, 16, 256), &request)
+        .unwrap();
     // Brute force over the whole range.
-    let brute = (0..=255).map(count).min().unwrap();
+    let brute = (0..256)
+        .map(|delta| {
+            let nest = kernels::alv_with_layout(16, 6, 16, 256 + delta);
+            analyzer.analyze(&nest).total_misses()
+        })
+        .min()
+        .unwrap();
     assert_eq!(res.best_misses, brute, "{res}");
 }

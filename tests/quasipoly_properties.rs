@@ -2,10 +2,10 @@
 //! in `cme::math::quasipoly` — the closed-form layer that Section 5.1.3's
 //! parametric sweeps fit and optimize over. Every algebraic operation is
 //! checked pointwise against its definition, `argmin_with` against brute
-//! force, and the fitters against round-trips on generated
+//! force, and the fitter against round-trips on generated
 //! eventually-periodic data.
 
-use cme::math::quasipoly::{fit_eventually_periodic, fit_periodic, QuasiPolynomial, TieBreak};
+use cme::math::quasipoly::{fit_eventually_periodic, QuasiPolynomial, TieBreak};
 use proptest::prelude::*;
 
 /// Generated quasi-polynomials stay small enough that evaluating them at
@@ -173,24 +173,6 @@ proptest! {
         prop_assert!(cert.verification_margin >= 1);
         prop_assert!(cert.degree <= 2);
         prop_assert!(periods.contains(&cert.period));
-    }
-
-    /// Round trip through `fit_periodic` on purely periodic constants:
-    /// the fit must reproduce the samples and extrapolate with the same
-    /// periodic pattern (possibly at a divisor of the generating period).
-    #[test]
-    fn fit_periodic_round_trips(
-        consts in proptest::collection::vec(-100i64..=100, 1..8),
-    ) {
-        let m = consts.len();
-        let samples: Vec<i64> = (0..4 * m).map(|p| consts[p % m]).collect();
-        let periods: Vec<usize> = (1..=m).collect();
-        let fitted = fit_periodic(&samples, &periods)
-            .expect("periodic constants must re-fit");
-        for p in 0..(8 * m) as i64 {
-            prop_assert_eq!(fitted.eval(p), consts[p as usize % m], "at p={}", p);
-        }
-        prop_assert!(m % fitted.period() == 0, "fitted period must divide");
     }
 }
 
