@@ -43,13 +43,13 @@ fn bench_full_analysis(c: &mut Criterion) {
     // Equivalence first: the cascade must reproduce the reference
     // implementation bit for bit before its speed means anything.
     let reference = reference_analysis(&nest, cache, &opts);
-    let mut cascade = Analyzer::new(cache).options(opts.clone());
+    let cascade = Analyzer::new(cache).options(opts.clone());
     assert_eq!(
         reference,
         cascade.analyze(&nest),
         "cascade diverged from the reference implementation"
     );
-    let mut sharded = Analyzer::new(cache)
+    let sharded = Analyzer::new(cache)
         .options(opts.clone())
         .parallel(true)
         .threads(4);
@@ -78,7 +78,7 @@ fn bench_full_analysis(c: &mut Criterion) {
         b.iter(|| {
             // A fresh analyzer each iteration: this measures the cold
             // cascade, not the memo tables.
-            let mut a = Analyzer::new(cache).options(opts.clone());
+            let a = Analyzer::new(cache).options(opts.clone());
             black_box(a.analyze(&nest))
         })
     });
@@ -87,13 +87,13 @@ fn bench_full_analysis(c: &mut Criterion) {
         // (an ample solve budget that never trips). The overhead gate
         // below holds this within 2% of the ungoverned run.
         b.iter(|| {
-            let mut a = Analyzer::new(cache).options(opts.clone()).budget(ample);
+            let a = Analyzer::new(cache).options(opts.clone()).budget(ample);
             black_box(a.try_analyze(&nest).expect("ample budget"))
         })
     });
     g.bench_function("cascade-sharded", |b| {
         b.iter(|| {
-            let mut a = Analyzer::new(cache)
+            let a = Analyzer::new(cache)
                 .options(opts.clone())
                 .parallel(true)
                 .threads(4);
@@ -138,13 +138,13 @@ fn bench_table1_n96(c: &mut Criterion) {
     g.sample_size(3);
     g.bench_function("cascade-seq", |b| {
         b.iter(|| {
-            let mut a = Analyzer::new(cache).options(opts.clone());
+            let a = Analyzer::new(cache).options(opts.clone());
             black_box(a.analyze(&nest))
         })
     });
     g.bench_function("cascade-par", |b| {
         b.iter(|| {
-            let mut a = Analyzer::new(cache)
+            let a = Analyzer::new(cache)
                 .options(opts.clone())
                 .parallel(true)
                 .threads(threads);

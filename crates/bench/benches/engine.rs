@@ -5,7 +5,7 @@
 //! `select_tile_and_layout_with`) through the *same* staged pipeline; the
 //! only difference is the `Analyzer`'s caching switch. With caching off
 //! every candidate layout is re-analyzed from scratch, with no memo
-//! tables and no sweep memo. With caching on, candidates that only move
+//! tables. With caching on, candidates that only move
 //! base addresses or restride one array re-solve from the engine's memo
 //! tables. Each bench first proves the two sessions produce bit-identical
 //! transformations and miss counts, then times them; a final check asserts
@@ -38,10 +38,10 @@ fn bench_padding_search(c: &mut Criterion) {
 
     // Equivalence first: the memoized search must land on the same layout
     // with the same counts as an uncached session.
-    let mut engine = Analyzer::new(cache);
-    let mut uncached = Analyzer::new(cache).caching(false);
-    let (nest_e, out_e) = optimize_padding_with(&mut engine, &nest);
-    let (nest_r, out_r) = optimize_padding_with(&mut uncached, &nest);
+    let engine = Analyzer::new(cache);
+    let uncached = Analyzer::new(cache).caching(false);
+    let (nest_e, out_e) = optimize_padding_with(&engine, &nest);
+    let (nest_r, out_r) = optimize_padding_with(&uncached, &nest);
     assert_eq!(nest_e, nest_r, "padding: warm and uncached layouts differ");
     assert_eq!(out_e.method, out_r.method);
     assert_eq!(out_e.total_before, out_r.total_before);
@@ -57,10 +57,10 @@ fn bench_padding_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("optimize-padding");
     g.sample_size(3);
     g.bench_function("engine", |b| {
-        b.iter(|| black_box(optimize_padding_with(&mut engine, &nest)))
+        b.iter(|| black_box(optimize_padding_with(&engine, &nest)))
     });
     g.bench_function("uncached", |b| {
-        b.iter(|| black_box(optimize_padding_with(&mut uncached, &nest)))
+        b.iter(|| black_box(optimize_padding_with(&uncached, &nest)))
     });
     g.finish();
 }
@@ -70,30 +70,21 @@ fn bench_tile_search(c: &mut Criterion) {
     let nest = matmul();
     let n = 32;
 
-    let mut engine = Analyzer::new(cache);
-    let mut uncached = Analyzer::new(cache).caching(false);
-    let pick_e = select_tile_and_layout_with(&mut engine, &nest, 1, 2, n, n)
-        .expect("tiling applies to matmul");
-    let pick_r = select_tile_and_layout_with(&mut uncached, &nest, 1, 2, n, n)
+    let engine = Analyzer::new(cache);
+    let uncached = Analyzer::new(cache).caching(false);
+    let pick_e =
+        select_tile_and_layout_with(&engine, &nest, 1, 2, n, n).expect("tiling applies to matmul");
+    let pick_r = select_tile_and_layout_with(&uncached, &nest, 1, 2, n, n)
         .expect("tiling applies to matmul");
     assert_eq!(pick_e, pick_r, "tiling: warm and uncached choices differ");
 
     let mut g = c.benchmark_group("select-tile-and-layout");
     g.sample_size(3);
     g.bench_function("engine", |b| {
-        b.iter(|| black_box(select_tile_and_layout_with(&mut engine, &nest, 1, 2, n, n)))
+        b.iter(|| black_box(select_tile_and_layout_with(&engine, &nest, 1, 2, n, n)))
     });
     g.bench_function("uncached", |b| {
-        b.iter(|| {
-            black_box(select_tile_and_layout_with(
-                &mut uncached,
-                &nest,
-                1,
-                2,
-                n,
-                n,
-            ))
-        })
+        b.iter(|| black_box(select_tile_and_layout_with(&uncached, &nest, 1, 2, n, n)))
     });
     g.finish();
 }
@@ -141,7 +132,7 @@ fn bench_batch_vs_loop(c: &mut Criterion) {
         .iter()
         .map(|nest| Analyzer::new(cache).analyze(nest))
         .collect();
-    let mut batched = Analyzer::new(cache).threads(threads);
+    let batched = Analyzer::new(cache).threads(threads);
     assert_eq!(
         batched.analyze_batch(&candidates),
         solo,
@@ -192,11 +183,11 @@ fn bench_store_replay(c: &mut Criterion) {
         .collect();
     {
         let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-        let mut writer = Analyzer::new(cache).store(Arc::clone(&store));
+        let writer = Analyzer::new(cache).store(Arc::clone(&store));
         for nest in &suite {
             writer.analyze(nest);
         }
-        let mut warm = Analyzer::new(cache).store(store);
+        let warm = Analyzer::new(cache).store(store);
         let served: Vec<_> = suite.iter().map(|nest| warm.analyze(nest)).collect();
         assert_eq!(served, plain, "store-served counts diverged");
         assert_eq!(
@@ -213,7 +204,7 @@ fn bench_store_replay(c: &mut Criterion) {
             // Empty store: recompute everything, write everything through.
             std::fs::remove_dir_all(&dir).ok();
             let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-            let mut a = Analyzer::new(cache).store(store);
+            let a = Analyzer::new(cache).store(store);
             for nest in &suite {
                 black_box(a.analyze(nest));
             }
@@ -223,7 +214,7 @@ fn bench_store_replay(c: &mut Criterion) {
     {
         std::fs::remove_dir_all(&dir).ok();
         let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-        let mut a = Analyzer::new(cache).store(store);
+        let a = Analyzer::new(cache).store(store);
         for nest in &suite {
             a.analyze(nest);
         }
@@ -233,7 +224,7 @@ fn bench_store_replay(c: &mut Criterion) {
             // A fresh session (cold memo tables) against the populated
             // store: every artifact is served from disk.
             let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-            let mut a = Analyzer::new(cache).store(store);
+            let a = Analyzer::new(cache).store(store);
             for nest in &suite {
                 black_box(a.analyze(nest));
             }

@@ -34,7 +34,7 @@ fn main() {
     });
 
     let opts = AnalysisOptions::builder().collect_miss_points(true).build();
-    let mut analyzer = Analyzer::new(cache).options(opts.clone());
+    let analyzer = Analyzer::new(cache).options(opts.clone());
     let analysis = analyzer.analyze(&nest);
     for (r, ra) in analysis.per_ref.iter().enumerate() {
         let mut cme_points: HashSet<Vec<i64>> = ra.cold_miss_points.iter().cloned().collect();

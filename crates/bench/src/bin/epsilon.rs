@@ -24,7 +24,7 @@ fn main() {
     // One session across the sweep: ε only truncates each reference's
     // reuse-vector cascade, so the per-vector scan results are shared
     // between ε settings through the engine's scan memo.
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     let exact = analyzer.analyze(&nest);
     for eps in [0u64, 1 << 6, 1 << 10, 1 << 14, 1 << 18, 1 << 22] {
         let opts = AnalysisOptions::builder().epsilon(eps).build();

@@ -25,7 +25,7 @@ fn main() {
     // One Analyzer session over the whole sweep: the base-address axis
     // (delta_b) changes only array layout, so the engine re-solves each
     // point from memoized cascades instead of from scratch.
-    let mut analyzer = Analyzer::new(cache).options(AnalysisOptions::default());
+    let analyzer = Analyzer::new(cache).options(AnalysisOptions::default());
     // Sweep the row (column) size around nu and the base distance around
     // a few cache-span multiples, mirroring the paper's axes.
     let row_sizes: Vec<i64> = (0..16).map(|k| nu + k).collect();

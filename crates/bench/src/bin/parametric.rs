@@ -23,7 +23,7 @@ fn main() {
     // window and certifies the fitted function against every sample. One
     // Analyzer session shares its memo tables across every probed spacing.
     let nest = alv_with_layout(nu, nh, nu, base_spacing);
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     let request = SweepRequest::new(
         SweepParameter::BaseSpacing {
             array: ArrayId::from_index(1),

@@ -54,7 +54,7 @@ fn main() {
         reference.total_misses()
     );
 
-    let mut seq = Analyzer::new(cache).options(opts.clone());
+    let seq = Analyzer::new(cache).options(opts.clone());
     let t = Instant::now();
     let seq_res = seq.analyze(&nest);
     let seq_s = t.elapsed().as_secs_f64();
@@ -76,7 +76,7 @@ fn main() {
     let mut par_stats = seq_stats.clone();
     let mut par_threads = seq.thread_count();
     for &t_count in &sweep_counts {
-        let mut par = Analyzer::new(cache)
+        let par = Analyzer::new(cache)
             .options(opts.clone())
             .parallel(true)
             .threads(t_count);
@@ -117,7 +117,7 @@ fn main() {
         4096,
         cache.line_bytes(),
     );
-    let mut closed = Analyzer::new(cache).options(opts.clone());
+    let closed = Analyzer::new(cache).options(opts.clone());
     let t = Instant::now();
     let sweep_res = closed.sweep(&nest, &request).expect("sweep never errors");
     let sweep_s = t.elapsed().as_secs_f64();

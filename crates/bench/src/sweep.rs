@@ -146,7 +146,7 @@ pub fn run_sweep(nests: &[LoopNest], grid: &SweepGrid) -> Result<Vec<SweepRow>, 
                     let model = CacheModel::new(cache).policy(policy);
                     // One session per cell: every kernel shares this
                     // engine's memo tables and work pool.
-                    let mut analyzer = Analyzer::with_model(model)
+                    let analyzer = Analyzer::with_model(model)
                         .options(opts.clone())
                         .parallel(true);
                     let analytic = analyzer.analyze_batch(nests);

@@ -34,7 +34,7 @@
 //! // Analyze 32x32 matmul on an 8KB direct-mapped cache with 32B lines.
 //! let nest = mmult(32);
 //! let cfg = CacheConfig::new(8192, 1, 32, 4)?;
-//! let mut analyzer = Analyzer::new(cfg);
+//! let analyzer = Analyzer::new(cfg);
 //! let analysis = analyzer.analyze(&nest);
 //! println!("{analysis}");
 //! assert!(analysis.total_misses() > 0);
@@ -49,7 +49,10 @@
 //! worker pool across the whole batch. The session keeps no nest it has
 //! analyzed: its capped memo tables hold artifacts keyed by each nest's
 //! structural and layout hashes. [`core::Analyzer::sweep`] answers a
-//! Section 5.1.3 parametric layout sweep in certified closed form.
+//! Section 5.1.3 parametric layout sweep in certified closed form; its
+//! samples share those memo tables, and it keeps no cache of its own.
+//! Every entry point takes `&self`, so the optimizers and any number of
+//! threads can share one session by reference.
 //! `analyzer.stats()` reports what was reused, stage by stage; the
 //! invalidation keys are derived in `docs/ENGINE.md`. Every session runs
 //! the one staged pipeline; `.caching(false)` runs it without memos. The
@@ -97,6 +100,6 @@ pub use cme_cache::{CacheConfig, CacheConfigError};
 pub use cme_core::{
     AnalysisError, AnalysisOptions, Analyzer, ArtifactKey, ArtifactStore, Budget, CancelToken,
     EngineStats, FaultPlan, GovernedAnalysis, NestAnalysis, Outcome, RefAnalysis, StoreError,
-    StoreStats, SweepMetric, SweepParameter, SweepRecord, SweepRequest, SweepResult,
+    StoreStats, SweepMetric, SweepParameter, SweepRequest, SweepResult,
 };
 pub use cme_ir::{LoopNest, NestBuilder};

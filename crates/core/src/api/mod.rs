@@ -966,14 +966,14 @@ impl Analyzer {
     ///
     /// Budget exhaustion is a *success* with `outcome.complete = false`,
     /// never an error.
-    pub fn serve(&mut self, request: &AnalyzeRequest) -> AnalyzeResponse {
+    pub fn serve(&self, request: &AnalyzeRequest) -> AnalyzeResponse {
         match self.serve_inner(request) {
             Ok(result) => AnalyzeResponse::ok(&request.id, result),
             Err(e) => AnalyzeResponse::err(&request.id, e),
         }
     }
 
-    fn serve_inner(&mut self, request: &AnalyzeRequest) -> Result<AnalyzeResult, Error> {
+    fn serve_inner(&self, request: &AnalyzeRequest) -> Result<AnalyzeResult, Error> {
         let model = request.cache_model()?;
         if &model != self.model() {
             return Err(Error::new(
@@ -987,9 +987,9 @@ impl Analyzer {
         let nest = request.parse_program()?;
         let options = request.options()?;
         let budget = request.budget();
-        let hits_before = self.stats().store_hits;
-        let governed = self.run_one(&nest, &options, budget)?;
-        let store_hit = self.stats().store_hits > hits_before;
+        // The driver says whether the store answered this request; the
+        // session's hit counter is shared with concurrent callers.
+        let (governed, store_hit) = self.run_one(&nest, &options, budget)?;
         if model.is_baseline() {
             return Ok(AnalyzeResult::of(&governed, store_hit));
         }
@@ -1147,7 +1147,7 @@ mod tests {
     fn serving_a_fifo_model_attaches_bound_and_provenance() {
         let mut s = spec();
         s.policy = PolicyKind::Fifo;
-        let mut analyzer = Analyzer::with_model(s.model().unwrap());
+        let analyzer = Analyzer::with_model(s.model().unwrap());
         let resp = analyzer.serve(&AnalyzeRequest::new("f", sweep_source(), s));
         let result = resp.result.as_ref().unwrap();
         assert_eq!(result.provenance, Some(Provenance::Simulator));
@@ -1165,7 +1165,7 @@ mod tests {
     #[test]
     fn model_mismatch_against_the_session_is_invalid_cache() {
         let cfg = spec().build().unwrap();
-        let mut analyzer = Analyzer::new(cfg); // baseline session
+        let analyzer = Analyzer::new(cfg); // baseline session
         let mut s = spec();
         s.policy = PolicyKind::Plru;
         let resp = analyzer.serve(&AnalyzeRequest::new("p", sweep_source(), s));
@@ -1175,7 +1175,7 @@ mod tests {
     #[test]
     fn serve_answers_and_echoes_id() {
         let cfg = spec().build().unwrap();
-        let mut analyzer = Analyzer::new(cfg);
+        let analyzer = Analyzer::new(cfg);
         let resp = analyzer.serve(&AnalyzeRequest::new("abc", sweep_source(), spec()));
         assert_eq!(resp.id, "abc");
         let result = resp.result.unwrap();
@@ -1190,7 +1190,7 @@ mod tests {
     #[test]
     fn serve_matches_in_process_analysis() {
         let cfg = spec().build().unwrap();
-        let mut analyzer = Analyzer::new(cfg);
+        let analyzer = Analyzer::new(cfg);
         let req = AnalyzeRequest::new("q", sweep_source(), spec());
         let nest = req.parse_program().unwrap();
         let direct = analyzer.analyze(&nest);
@@ -1203,7 +1203,7 @@ mod tests {
     #[test]
     fn serve_reports_coded_errors() {
         let cfg = spec().build().unwrap();
-        let mut analyzer = Analyzer::new(cfg);
+        let analyzer = Analyzer::new(cfg);
         let resp = analyzer.serve(&AnalyzeRequest::new("x", "DO i = ENDDO", spec()));
         assert_eq!(resp.result.unwrap_err().code, ErrorCode::Parse);
         let mut req = AnalyzeRequest::new("y", sweep_source(), spec());
@@ -1219,7 +1219,7 @@ mod tests {
     #[test]
     fn serve_surfaces_exhaustion_as_degraded_success() {
         let cfg = spec().build().unwrap();
-        let mut analyzer = Analyzer::new(cfg);
+        let analyzer = Analyzer::new(cfg);
         let mut req = AnalyzeRequest::new("tight", sweep_source(), spec());
         req.max_solves = Some(1);
         let result = analyzer.serve(&req).result.unwrap();

@@ -6,19 +6,19 @@
 //! capped.
 //!
 //! Every analyze entry point (and [`Analyzer::serve`],
-//! [`Analyzer::sweep`]) funnels into the one crate-private driver in
-//! `engine/mod.rs`: store lookup, governed batch, write-through. The
-//! session's threads and cancel token always apply; the session's
-//! options and budget apply unless the entry point names its own
-//! (`analyze_with_options`'s one-off options, a served request's options
-//! and budget).
+//! [`Analyzer::sweep`]) takes `&self` and funnels into the one
+//! crate-private driver in `engine/mod.rs`: store lookup, governed batch,
+//! write-through. The session's threads and cancel token always apply;
+//! the session's options and budget apply unless the entry point names
+//! its own (`analyze_with_options`'s one-off options, a served request's
+//! options and budget). The memo tables are behind locks and the counters
+//! are atomic, so one session can serve several threads at once.
 
 use super::stages::cascade::CascadeResult;
 use super::stages::lower::LoweredNest;
 use super::stages::reuse::ReusePlan;
 use super::stages::solve::SolveSet;
 use super::stats::Counters;
-use super::sweep::SweepResult;
 use crate::governor::{AnalysisError, Budget, CancelToken, GovernedAnalysis};
 use crate::solve::{AnalysisOptions, NestAnalysis};
 use crate::store::ArtifactStore;
@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex};
 /// let nest = b.build().unwrap();
 ///
 /// let cfg = CacheConfig::new(8192, 1, 32, 4)?;
-/// let mut analyzer = Analyzer::new(cfg)
+/// let analyzer = Analyzer::new(cfg)
 ///     .options(AnalysisOptions::default())
 ///     .parallel(true);
 /// let analysis = analyzer.analyze(&nest);
@@ -74,9 +74,6 @@ pub struct Analyzer {
     threads: usize,
     budget: Budget,
     pub(super) cancel: Option<CancelToken>,
-    /// Session memo of fitted parametric sweeps (see [`SweepResult`]);
-    /// only complete, fitted results are ever inserted.
-    pub(super) sweep_memo: HashMap<u128, SweepResult>,
 }
 
 impl Analyzer {
@@ -109,7 +106,6 @@ impl Analyzer {
             threads: 0,
             budget: Budget::unlimited(),
             cancel: None,
-            sweep_memo: HashMap::new(),
         }
     }
 
@@ -157,7 +153,7 @@ impl Analyzer {
 
     /// Enables or disables memoization. An uncached session runs the
     /// same staged pipeline but rebuilds every stage artifact, and
-    /// bypasses the artifact store and the sweep memo.
+    /// bypasses the artifact store.
     pub fn caching(mut self, on: bool) -> Self {
         self.caching = on;
         self
@@ -212,7 +208,7 @@ impl Analyzer {
     /// # Panics
     ///
     /// On [`AnalysisError`] — worker panic or address overflow.
-    pub fn analyze(&mut self, nest: &LoopNest) -> NestAnalysis {
+    pub fn analyze(&self, nest: &LoopNest) -> NestAnalysis {
         expect_ok(self.try_analyze(nest)).analysis
     }
 
@@ -225,7 +221,7 @@ impl Analyzer {
     /// # Panics
     ///
     /// On [`AnalysisError`].
-    pub fn analyze_batch(&mut self, nests: &[LoopNest]) -> Vec<NestAnalysis> {
+    pub fn analyze_batch(&self, nests: &[LoopNest]) -> Vec<NestAnalysis> {
         expect_ok(self.try_analyze_batch(nests))
             .into_iter()
             .map(|g| g.analysis)
@@ -238,12 +234,10 @@ impl Analyzer {
     /// # Panics
     ///
     /// On [`AnalysisError`].
-    pub fn analyze_with_options(
-        &mut self,
-        nest: &LoopNest,
-        options: &AnalysisOptions,
-    ) -> NestAnalysis {
-        expect_ok(self.run_one(nest, options, self.budget)).analysis
+    pub fn analyze_with_options(&self, nest: &LoopNest, options: &AnalysisOptions) -> NestAnalysis {
+        expect_ok(self.run_one(nest, options, self.budget))
+            .0
+            .analysis
     }
 
     /// The governed, panic-free entry point: analyzes under the session's
@@ -259,8 +253,8 @@ impl Analyzer {
     /// this query is lost; the session and its memo tables stay usable)
     /// and [`AnalysisError::Overflow`] when the nest's address arithmetic
     /// cannot be performed in 64 bits.
-    pub fn try_analyze(&mut self, nest: &LoopNest) -> Result<GovernedAnalysis, AnalysisError> {
-        self.run_one(nest, &self.options, self.budget)
+    pub fn try_analyze(&self, nest: &LoopNest) -> Result<GovernedAnalysis, AnalysisError> {
+        Ok(self.run_one(nest, &self.options, self.budget)?.0)
     }
 
     /// Governed batch analysis: each nest runs under its *own* fresh
@@ -274,11 +268,12 @@ impl Analyzer {
     /// See [`Analyzer::try_analyze`]; one failing nest fails the whole
     /// batch (the session stays usable).
     pub fn try_analyze_batch(
-        &mut self,
+        &self,
         nests: &[LoopNest],
     ) -> Result<Vec<GovernedAnalysis>, AnalysisError> {
         let nests: Vec<&LoopNest> = nests.iter().collect();
-        self.run(&nests, &self.options, self.budget)
+        let served = self.run(&nests, &self.options, self.budget)?;
+        Ok(served.into_iter().map(|(governed, _)| governed).collect())
     }
 
     /// The work-pool width the session's analyses actually run at:

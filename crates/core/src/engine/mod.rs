@@ -25,9 +25,11 @@
 //!   skip the scans entirely.
 //!
 //! Every entry point — `analyze*`, `try_analyze*`, `serve`, `sweep` —
-//! calls the one crate-private driver here: a persistent-store lookup,
-//! then the governed batch over the store misses, then the exact-only
-//! write-through, under the session's threads and cancel token.
+//! takes `&self` and calls the one crate-private driver here: a
+//! persistent-store lookup, then the governed batch over the store
+//! misses, then the exact-only write-through, under the session's threads
+//! and cancel token. A sweep keeps no cache of its own; its samples run
+//! through this same driver.
 //!
 //! [`Analyzer::analyze_batch`] analyzes many nests in one call:
 //! every `(nest, reference)` work item and every scan shard of the whole
@@ -45,7 +47,7 @@
 //! nothing in the engine calls it.
 //!
 //! There is one pipeline. An uncached session (`.caching(false)`: no memo
-//! tables, store, or sweep memo) and a nest whose iteration space exceeds
+//! tables or store) and a nest whose iteration space exceeds
 //! the memo size cap (no memo tables) run the very same governed stage
 //! code; their artifacts are just never stored.
 
@@ -115,20 +117,21 @@ impl Analyzer {
     /// under its own fresh query governor built from `budget`, honoring
     /// the session's cancel token, at the session's thread count. Each
     /// nest is hashed once here; its `(structural, layout)` pair keys the
-    /// store, the lower memo and every other memo's prefix.
+    /// store, the lower memo and every other memo's prefix. Each result
+    /// comes with whether the store answered it.
     pub(crate) fn run(
         &self,
         nests: &[&LoopNest],
         options: &AnalysisOptions,
         budget: Budget,
-    ) -> Result<Vec<GovernedAnalysis>, AnalysisError> {
+    ) -> Result<Vec<(GovernedAnalysis, bool)>, AnalysisError> {
         let t_hash = Instant::now();
         let hashes: Vec<(u128, u128)> = nests.iter().map(|n| keys::nest_hashes(n)).collect();
         Counters::add_time(&self.counters.lower_ns, t_hash.elapsed());
         // A store hit is always a complete analysis, so it satisfies any
         // budget.
         let keys = self.artifact_keys(&hashes, options);
-        let served = self.consult_store(&keys);
+        let served = self.consult_store(nests, &keys);
         let miss_idx: Vec<usize> = served
             .iter()
             .enumerate()
@@ -155,7 +158,7 @@ impl Analyzer {
         nest: &LoopNest,
         options: &AnalysisOptions,
         budget: Budget,
-    ) -> Result<GovernedAnalysis, AnalysisError> {
+    ) -> Result<(GovernedAnalysis, bool), AnalysisError> {
         match self.run(&[nest], options, budget)?.pop() {
             Some(governed) => Ok(governed),
             None => unreachable!("batch of one returns one result"),

@@ -9,6 +9,7 @@ use super::Analyzer;
 use crate::governor::{GovernedAnalysis, Outcome, QueryGovernor};
 use crate::solve::{AnalysisOptions, NestAnalysis};
 use crate::store::ArtifactKey;
+use cme_ir::LoopNest;
 use std::sync::atomic::Ordering;
 
 impl Analyzer {
@@ -44,15 +45,25 @@ impl Analyzer {
     /// Read-side consult, ahead of every pipeline stage: one pre-served
     /// analysis per keyed slot. A stored artifact is always a *complete*
     /// analysis (truncated results are never persisted), so a hit
-    /// satisfies any budget.
-    pub(super) fn consult_store(&self, keys: &[Option<ArtifactKey>]) -> Vec<Option<NestAnalysis>> {
+    /// satisfies any budget. The store key carries no names, so a hit
+    /// takes its nest name and reference labels from the caller's nest,
+    /// as a memo hit does.
+    pub(super) fn consult_store(
+        &self,
+        nests: &[&LoopNest],
+        keys: &[Option<ArtifactKey>],
+    ) -> Vec<Option<NestAnalysis>> {
         let mut served: Vec<Option<NestAnalysis>> = vec![None; keys.len()];
         if let Some(store) = &self.store {
-            for (slot, key) in served.iter_mut().zip(keys) {
+            for ((slot, key), nest) in served.iter_mut().zip(keys).zip(nests) {
                 if let Some(key) = key {
                     match store.get(key) {
-                        Some(analysis) => {
+                        Some(mut analysis) => {
                             self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
+                            analysis.nest_name = nest.name().to_string();
+                            for (r, src) in analysis.per_ref.iter_mut().zip(nest.references()) {
+                                r.label = src.label().to_string();
+                            }
                             *slot = Some(analysis);
                         }
                         None => {
@@ -79,7 +90,8 @@ impl Analyzer {
     /// Assembles the batch result in batch order from store hits
     /// (`served`, always [`Outcome::Complete`]) and pipeline results
     /// (`computed`, in `miss_idx` order), tallying exhaustion and
-    /// writing exact artifacts through to the store.
+    /// writing exact artifacts through to the store. Each result is
+    /// paired with whether the store answered it.
     pub(super) fn merge_batch_results(
         &self,
         served: Vec<Option<NestAnalysis>>,
@@ -87,13 +99,13 @@ impl Analyzer {
         miss_idx: &[usize],
         computed: Vec<NestAnalysis>,
         govs: &[QueryGovernor],
-    ) -> Vec<GovernedAnalysis> {
-        let mut out: Vec<Option<GovernedAnalysis>> = served
+    ) -> Vec<(GovernedAnalysis, bool)> {
+        let mut out: Vec<Option<(GovernedAnalysis, bool)>> = served
             .into_iter()
             .map(|s| {
-                s.map(|analysis| GovernedAnalysis {
-                    analysis,
-                    outcome: Outcome::Complete,
+                s.map(|analysis| {
+                    let outcome = Outcome::Complete;
+                    (GovernedAnalysis { analysis, outcome }, true)
                 })
             })
             .collect();
@@ -109,7 +121,7 @@ impl Analyzer {
             } else {
                 self.persist_exact(keys[i].as_ref(), &analysis);
             }
-            out[i] = Some(GovernedAnalysis { analysis, outcome });
+            out[i] = Some((GovernedAnalysis { analysis, outcome }, false));
         }
         out.into_iter()
             .map(|g| match g {

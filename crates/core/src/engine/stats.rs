@@ -64,7 +64,6 @@ pub(crate) struct Counters {
     pub(crate) sim_exhausted: AtomicU64,
     pub(crate) sweeps_fitted: AtomicU64,
     pub(crate) sweeps_fallback: AtomicU64,
-    pub(crate) sweep_memo_hits: AtomicU64,
     pub(crate) sweep_samples: AtomicU64,
     pub(crate) lower_ns: AtomicU64,
     pub(crate) reuse_ns: AtomicU64,
@@ -191,13 +190,11 @@ pub struct EngineStats {
     /// Model replays abandoned by budget exhaustion or cancellation (the
     /// query degraded to the analytic LRU bound).
     pub sim_exhausted: u64,
-    /// Parametric sweeps answered by a certified closed form (fresh fits
-    /// plus store rehydrations; see [`crate::SweepResult`]).
+    /// Parametric sweeps answered by a certified closed form (see
+    /// [`crate::SweepResult`]).
     pub sweeps_fitted: u64,
     /// Parametric sweeps that degraded to direct evaluation.
     pub sweeps_fallback: u64,
-    /// Sweeps answered verbatim from the session sweep memo.
-    pub sweep_memo_hits: u64,
     /// Numeric analyses run on behalf of sweeps (samples + fallback
     /// evaluations).
     pub sweep_samples: u64,
@@ -304,8 +301,8 @@ impl fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "  sweeps:        {} fitted, {} fallback, {} memo hits, {} samples",
-            self.sweeps_fitted, self.sweeps_fallback, self.sweep_memo_hits, self.sweep_samples
+            "  sweeps:        {} fitted, {} fallback, {} samples",
+            self.sweeps_fitted, self.sweeps_fallback, self.sweep_samples
         )?;
         writeln!(f, "  memo hit rate: {:.1}%", self.memo_hit_rate() * 100.0)?;
         write!(
@@ -359,7 +356,6 @@ impl Analyzer {
             sim_exhausted: c.sim_exhausted.load(Ordering::Relaxed),
             sweeps_fitted: c.sweeps_fitted.load(Ordering::Relaxed),
             sweeps_fallback: c.sweeps_fallback.load(Ordering::Relaxed),
-            sweep_memo_hits: c.sweep_memo_hits.load(Ordering::Relaxed),
             sweep_samples: c.sweep_samples.load(Ordering::Relaxed),
             time_lower: ns(&c.lower_ns),
             time_reuse: ns(&c.reuse_ns),

@@ -24,20 +24,19 @@
 //!    when any sample came back budget-exhausted — a truncated sample is
 //!    a sound overcount, never fit material).
 //!
-//! Fitted functions are memoized in the session and persisted through the
-//! artifact store under a sweep key ([`crate::store::SweepRecord`]).
-//! Results that involved *any* degraded sample are neither memoized nor
-//! persisted. `cme-diffcheck` replays every fitted function against the
+//! A sweep keeps no cache of its own: every sample runs through the
+//! session's pipeline memos and, when one is attached, the artifact
+//! store's analysis entries, so a repeated sweep re-fits from warm
+//! samples. `cme-diffcheck` replays every fitted function against the
 //! numeric engine at adversarial points (period boundaries, onset edge,
 //! range endpoints, random interior) and flags divergence as a
 //! first-class soundness violation.
 
-use super::{keys, Analyzer};
+use super::Analyzer;
 use crate::governor::AnalysisError;
 use crate::solve::NestAnalysis;
-use crate::store::{options_fingerprint, ArtifactKey, SweepRecord};
 use cme_cache::CacheConfig;
-use cme_ir::{ArrayId, KeyHasher, LoopNest};
+use cme_ir::{ArrayId, LoopNest};
 use cme_math::gcd::gcd;
 use cme_math::quasipoly::{fit_eventually_periodic, FitCertificate, QuasiPolynomial, TieBreak};
 use std::fmt;
@@ -69,21 +68,12 @@ pub enum SweepParameter {
         /// The rank-2 array whose column is padded.
         array: ArrayId,
     },
-    /// Tile loop `level` of the nest with the parameter value as the tile
-    /// size ([`cme_ir::transform::tile_nest`]). Unlike the layout
-    /// parameters, tile-size periodicity is *heuristic* (small candidate
-    /// periods, no geometric guarantee): fits are still certified against
-    /// the sample window, and the differential tier cross-validates them.
-    TileSize {
-        /// The loop level (outermost = 0) to tile.
-        level: usize,
-    },
 }
 
 impl SweepParameter {
     /// Applies the parameter at `value` to a clone of the nest. `None`
     /// means the value is infeasible for this nest (shrinking a column,
-    /// a non-dividing tile size, an unknown array, a negative shift).
+    /// an unknown array, a negative shift).
     pub fn apply(&self, nest: &LoopNest, cache: &CacheConfig, value: i64) -> Option<LoopNest> {
         match *self {
             SweepParameter::BaseSpacing { array } => {
@@ -122,37 +112,20 @@ impl SweepParameter {
                 a.pad_column_to(value);
                 Some(out)
             }
-            SweepParameter::TileSize { level } => {
-                if value < 1 || level >= nest.depth() {
-                    return None;
-                }
-                cme_ir::transform::tile_nest(nest, &[(level, value)]).ok()
-            }
         }
     }
 
-    /// The geometric period of the miss function in raw parameter units,
-    /// when one is guaranteed: shifting any base by the way span `Cs/k`
-    /// elements preserves every set index and line offset, so base
-    /// shifts, pads, and leading-dimension changes are exactly periodic.
-    /// Tile size has no such guarantee (`None` → heuristic periods).
-    fn raw_period(&self, cache: &CacheConfig) -> Option<i64> {
+    /// The geometric period of the miss function in raw parameter units:
+    /// shifting any base by the way span `Cs/k` elements preserves every
+    /// set index and line offset, so base shifts, pads, and
+    /// leading-dimension changes are exactly periodic.
+    fn raw_period(&self, cache: &CacheConfig) -> i64 {
         match self {
             SweepParameter::BaseSpacing { .. } | SweepParameter::LeadingDimension { .. } => {
-                Some(cache.way_span_elems())
+                cache.way_span_elems()
             }
-            SweepParameter::PadBytes { .. } => Some(cache.way_span_elems() * cache.elem_bytes()),
-            SweepParameter::TileSize { .. } => None,
+            SweepParameter::PadBytes { .. } => cache.way_span_elems() * cache.elem_bytes(),
         }
-    }
-
-    fn feed_key(&self, h: &mut KeyHasher) {
-        match *self {
-            SweepParameter::BaseSpacing { array } => h.feed(&0u8).feed(&array.index()),
-            SweepParameter::PadBytes { after } => h.feed(&1u8).feed(&after.index()),
-            SweepParameter::LeadingDimension { array } => h.feed(&2u8).feed(&array.index()),
-            SweepParameter::TileSize { level } => h.feed(&3u8).feed(&level),
-        };
     }
 }
 
@@ -164,7 +137,6 @@ impl fmt::Display for SweepParameter {
             SweepParameter::LeadingDimension { array } => {
                 write!(f, "leading-dimension({array})")
             }
-            SweepParameter::TileSize { level } => write!(f, "tile-size(level {level})"),
         }
     }
 }
@@ -227,19 +199,6 @@ impl SweepRequest {
     pub fn value_at(&self, k: usize) -> i64 {
         self.start + k as i64 * self.step
     }
-
-    /// The sweep's identity for memoization and persistence: everything
-    /// the result depends on besides the nest and session already pinned
-    /// by the [`ArtifactKey`].
-    pub fn fingerprint(&self) -> u128 {
-        let mut h = KeyHasher::new(0x5e37);
-        self.parameter.feed_key(&mut h);
-        h.feed(&self.start)
-            .feed(&self.count)
-            .feed(&self.step)
-            .feed(&matches!(self.metric, SweepMetric::ReplacementMisses));
-        h.finish()
-    }
 }
 
 /// The answer to a parametric sweep.
@@ -264,8 +223,7 @@ pub struct SweepResult {
     /// Numeric analyses actually run.
     pub evaluations: usize,
     /// Samples or candidates that came back budget-exhausted (their
-    /// scores are sound overcounts; such sweeps are never fitted,
-    /// memoized, or persisted).
+    /// scores are sound overcounts; such sweeps are never fitted).
     pub degraded: usize,
     /// Candidates that were infeasible or failed to analyze.
     pub failed: usize,
@@ -275,10 +233,6 @@ pub struct SweepResult {
     pub best_value: i64,
     /// The metric at `best_value` (an overcount if that score degraded).
     pub best_misses: u64,
-    /// Whether this result was answered from the session sweep memo.
-    pub memo_hit: bool,
-    /// Whether this result was answered from the persistent store.
-    pub store_hit: bool,
 }
 
 impl SweepResult {
@@ -322,23 +276,12 @@ fn used_arrays(nest: &LoopNest) -> Vec<ArrayId> {
     ids
 }
 
-/// Candidate periods over the sweep's step lattice, smallest first. For
-/// geometric parameters every divisor of `raw/gcd(raw, step)` is sound
-/// (the true period divides it, and all samples are verified); tile-size
-/// sweeps try small heuristic periods instead.
-fn period_candidates(
-    parameter: &SweepParameter,
-    cache: &CacheConfig,
-    step: i64,
-    count: usize,
-) -> Vec<usize> {
-    let pk = match parameter.raw_period(cache) {
-        Some(raw) => raw / gcd(raw, step),
-        // Heuristic: tile-size functions are usually low-period; cap the
-        // largest candidate so sampling stays a fraction of the range.
-        None => ((count / 4).max(1).next_power_of_two().min(64)) as i64,
-    };
-    let pk = pk.max(1) as usize;
+/// Candidate periods over the sweep's step lattice, smallest first: every
+/// divisor of `raw/gcd(raw, step)` is sound (the true period divides it,
+/// and all samples are verified).
+fn period_candidates(parameter: &SweepParameter, cache: &CacheConfig, step: i64) -> Vec<usize> {
+    let raw = parameter.raw_period(cache);
+    let pk = (raw / gcd(raw, step)).max(1) as usize;
     let mut divisors: Vec<usize> = (1..=pk)
         .filter(|&d| pk.is_multiple_of(d))
         .take(64)
@@ -369,34 +312,14 @@ impl Analyzer {
     ///
     /// Panics if `request.count == 0` or `request.step < 1`.
     pub fn sweep(
-        &mut self,
+        &self,
         nest: &LoopNest,
         request: &SweepRequest,
     ) -> Result<SweepResult, AnalysisError> {
         assert!(request.count >= 1, "sweep needs at least one candidate");
         assert!(request.step >= 1, "sweep step must be positive");
         let cache = *self.cache();
-        let hashes = keys::nest_hashes(nest);
-        let key = self.sweep_key(hashes, request);
-
-        if let Some(key) = key {
-            if let Some(cached) = self.sweep_memo.get(&key) {
-                self.counters
-                    .sweep_memo_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut hit = cached.clone();
-                hit.memo_hit = true;
-                return Ok(hit);
-            }
-            if let Some(record) = self.consult_sweep_store(hashes, request) {
-                if let Some(result) = self.rehydrate(record, request) {
-                    self.sweep_memo.insert(key, result.clone());
-                    return Ok(result);
-                }
-            }
-        }
-
-        let periods = period_candidates(&request.parameter, &cache, request.step, request.count);
+        let periods = period_candidates(&request.parameter, &cache, request.step);
         let p_max = periods.last().copied().unwrap_or(0);
         let w = verification_window(p_max);
         let stage1 = request.count.min(2 * p_max + w);
@@ -444,17 +367,11 @@ impl Analyzer {
                         degraded: 0,
                         failed: 0,
                         best_k: best_k as usize,
-                        memo_hit: false,
-                        store_hit: false,
                     };
                     self.counters.sweeps_fitted.fetch_add(1, Ordering::Relaxed);
                     self.counters
                         .sweep_samples
                         .fetch_add(result.evaluations as u64, Ordering::Relaxed);
-                    if let Some(key) = key {
-                        self.persist_sweep(hashes, request, &result);
-                        self.sweep_memo.insert(key, result.clone());
-                    }
                     return Ok(result);
                 }
             }
@@ -504,8 +421,6 @@ impl Analyzer {
             best_value: request.value_at(best_k),
             best_misses,
             best_k,
-            memo_hit: false,
-            store_hit: false,
         })
     }
 
@@ -513,7 +428,7 @@ impl Analyzer {
     /// `(metric, degraded)` per candidate (`u64::MAX` for infeasible
     /// values). Returns whether every candidate was feasible.
     fn sample_range(
-        &mut self,
+        &self,
         nest: &LoopNest,
         cache: &CacheConfig,
         request: &SweepRequest,
@@ -539,87 +454,13 @@ impl Analyzer {
         }
         Ok(feasible)
     }
-
-    /// The session memo key, or `None` when the session's caching is off
-    /// (a sweep on an uncached session is a true recompute).
-    fn sweep_key(
-        &self,
-        (structural, layout): (u128, u128),
-        request: &SweepRequest,
-    ) -> Option<u128> {
-        if !self.caching {
-            return None;
-        }
-        let mut h = KeyHasher::new(0x5eed);
-        h.feed(&structural)
-            .feed(&layout)
-            .feed(&options_fingerprint(self.current_options()))
-            .feed(&request.fingerprint());
-        let cache = self.cache;
-        h.feed(&cache.size_bytes())
-            .feed(&cache.assoc())
-            .feed(&cache.line_bytes())
-            .feed(&cache.elem_bytes());
-        Some(h.finish())
-    }
-
-    fn sweep_artifact_key(&self, (structural, layout): (u128, u128)) -> ArtifactKey {
-        ArtifactKey::new(structural, layout, &self.cache, self.current_options())
-    }
-
-    fn consult_sweep_store(
-        &self,
-        hashes: (u128, u128),
-        request: &SweepRequest,
-    ) -> Option<SweepRecord> {
-        let store = self.store.as_ref()?;
-        store.get_sweep(&self.sweep_artifact_key(hashes), request.fingerprint())
-    }
-
-    /// Rebuilds a [`SweepResult`] from a persisted record, recomputing the
-    /// argmin (closed-form, cheap) instead of trusting a stored optimum.
-    fn rehydrate(&self, record: SweepRecord, request: &SweepRequest) -> Option<SweepResult> {
-        let function = record.function()?;
-        let certificate = record.certificate();
-        let hi = request.count as i64 - 1;
-        let (best_k, best) = function.argmin_with(0..=hi, TieBreak::SmallestParameter);
-        self.counters.sweeps_fitted.fetch_add(1, Ordering::Relaxed);
-        Some(SweepResult {
-            best_value: request.value_at(best_k as usize),
-            best_misses: best as u64,
-            function: Some(function),
-            certificate: Some(certificate),
-            fallback: false,
-            candidates: request.count,
-            evaluations: record.evaluations as usize,
-            degraded: 0,
-            failed: 0,
-            best_k: best_k as usize,
-            memo_hit: false,
-            store_hit: true,
-        })
-    }
-
-    /// Write-through of a *fitted, complete* sweep. Fallback and degraded
-    /// results never reach this point.
-    fn persist_sweep(&self, hashes: (u128, u128), request: &SweepRequest, result: &SweepResult) {
-        let key = self.sweep_artifact_key(hashes);
-        if let (Some(store), Some(function), Some(cert)) =
-            (&self.store, &result.function, &result.certificate)
-        {
-            let record = SweepRecord::new(function, cert, result.evaluations as u64);
-            store.put_sweep(&key, request.fingerprint(), &record);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::governor::Budget;
-    use crate::store::ArtifactStore;
     use cme_ir::{AccessKind, NestBuilder};
-    use std::sync::Arc;
 
     /// Two arrays streamed in lockstep: the miss count is a pure function
     /// of their base spacing modulo the way span, with heavy conflict
@@ -650,14 +491,14 @@ mod tests {
         };
         let request = SweepRequest::new(param, 0, 128, 8);
 
-        let mut swept = Analyzer::new(small_cache());
+        let swept = Analyzer::new(small_cache());
         let result = swept.sweep(&nest, &request).expect("sweep");
         let function = result.function.as_ref().expect("fit");
         assert!(!result.fallback);
         assert!(result.certificate.is_some(), "fit must carry a certificate");
         assert!(result.evaluations < request.count);
 
-        let mut exhaustive = Analyzer::new(small_cache());
+        let exhaustive = Analyzer::new(small_cache());
         let mut best = None;
         for k in 0..request.count {
             let candidate = param
@@ -679,27 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_sweeps_hit_the_session_memo() {
-        let nest = spacing_nest(300);
-        let request = SweepRequest::new(
-            SweepParameter::BaseSpacing {
-                array: second_array(&nest),
-            },
-            0,
-            64,
-            8,
-        );
-        let mut analyzer = Analyzer::new(small_cache());
-        let first = analyzer.sweep(&nest, &request).expect("sweep");
-        assert!(!first.memo_hit);
-        let second = analyzer.sweep(&nest, &request).expect("sweep");
-        assert!(second.memo_hit);
-        assert_eq!(first.function, second.function);
-        assert_eq!(first.best_value, second.best_value);
-        assert_eq!(analyzer.stats().sweep_memo_hits, 1);
-    }
-
-    #[test]
     fn truncated_sweeps_fall_back_and_are_never_memoized() {
         let nest = spacing_nest(256);
         let request = SweepRequest::new(
@@ -710,68 +530,32 @@ mod tests {
             32,
             8,
         );
-        let mut analyzer =
-            Analyzer::new(small_cache()).budget(Budget::unlimited().with_max_points(1));
+        let analyzer = Analyzer::new(small_cache()).budget(Budget::unlimited().with_max_points(1));
         let result = analyzer.sweep(&nest, &request).expect("sweep");
         assert!(result.fallback, "a truncated sweep must not ship a fit");
         assert!(result.function.is_none());
         assert!(result.degraded > 0);
-        assert!(
-            analyzer.sweep_memo.is_empty(),
-            "degraded results are not memoized"
-        );
         let again = analyzer.sweep(&nest, &request).expect("sweep");
-        assert!(!again.memo_hit);
+        assert_eq!(again, result, "a repeat recomputes the same fallback");
         assert_eq!(analyzer.stats().sweeps_fallback, 2);
     }
 
     #[test]
-    fn fitted_sweeps_persist_and_rehydrate_across_sessions() {
-        let dir = std::env::temp_dir().join(format!("cme-sweep-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(ArtifactStore::open(&dir).expect("open store"));
-        let nest = spacing_nest(256);
-        let request = SweepRequest::new(
-            SweepParameter::BaseSpacing {
-                array: second_array(&nest),
-            },
-            0,
-            96,
-            8,
-        );
-
-        let mut first = Analyzer::new(small_cache()).store(Arc::clone(&store));
-        let fitted = first.sweep(&nest, &request).expect("sweep");
-        assert!(!fitted.fallback && !fitted.store_hit);
-
-        let mut second = Analyzer::new(small_cache()).store(Arc::clone(&store));
-        let rehydrated = second.sweep(&nest, &request).expect("sweep");
-        assert!(
-            rehydrated.store_hit,
-            "second session answers from the store"
-        );
-        assert_eq!(rehydrated.function, fitted.function);
-        assert_eq!(rehydrated.best_value, fitted.best_value);
-        assert_eq!(rehydrated.best_misses, fitted.best_misses);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn infeasible_candidates_force_the_fallback_path() {
-        // Tile sizes that do not divide the trip count are infeasible, so
-        // the sweep cannot fit and must evaluate directly.
+        // Leading dimensions below the declared column (16) are
+        // infeasible, so the sweep cannot fit and must evaluate directly.
         let mut b = NestBuilder::new();
-        b.ct_loop("i", 0, 15); // 16 trips: tiles 2 and 4 divide, 3/5/6/7 do not
-        b.ct_loop("j", 0, 15);
+        b.ct_loop("i", 0, 15).ct_loop("j", 0, 15);
         let a = b.array("A", &[16, 16], 0);
         b.reference(a, AccessKind::Read, &[("i", 0), ("j", 0)]);
         let nest = b.build().expect("valid nest");
-        let request = SweepRequest::new(SweepParameter::TileSize { level: 0 }, 2, 6, 1);
-        let mut analyzer = Analyzer::new(small_cache());
-        let result = analyzer.sweep(&nest, &request).expect("sweep");
+        let request = SweepRequest::new(SweepParameter::LeadingDimension { array: a }, 14, 6, 1);
+        let result = Analyzer::new(small_cache())
+            .sweep(&nest, &request)
+            .expect("sweep");
         assert!(result.fallback);
-        assert!(result.failed > 0, "non-dividing tiles count as failed");
-        assert!(result.best_misses < u64::MAX, "some tile size is feasible");
+        assert_eq!(result.failed, 2, "columns 14 and 15 are infeasible");
+        assert!(result.best_misses < u64::MAX, "columns 16.. are feasible");
     }
 
     #[test]
@@ -786,8 +570,7 @@ mod tests {
             1,
         );
         request.exhaustive_fallback = false;
-        let mut analyzer =
-            Analyzer::new(small_cache()).budget(Budget::unlimited().with_max_points(1));
+        let analyzer = Analyzer::new(small_cache()).budget(Budget::unlimited().with_max_points(1));
         let result = analyzer.sweep(&nest, &request).expect("sweep");
         assert!(result.fallback);
         assert!(

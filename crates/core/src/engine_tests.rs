@@ -23,7 +23,7 @@ fn matmul(n: i64, bz: i64, bx: i64, by: i64) -> LoopNest {
 fn engine_matches_reference_warm_and_cold() {
     let cache = CacheConfig::new(2048, 2, 32, 4).unwrap();
     let opts = AnalysisOptions::builder().collect_miss_points(true).build();
-    let mut analyzer = Analyzer::new(cache).options(opts.clone());
+    let analyzer = Analyzer::new(cache).options(opts.clone());
     for bases in [[0, 300, 777], [0, 300, 777], [32, 300, 777], [5, 311, 801]] {
         let nest = matmul(12, bases[0], bases[1], bases[2]);
         let reference = reference_analysis(&nest, cache, &opts);
@@ -50,7 +50,7 @@ fn engine_matches_reference_with_epsilon_and_exact() {
     ] {
         let nest = matmul(8, 0, 4096, 8192);
         let reference = reference_analysis(&nest, cache, &opts);
-        let mut analyzer = Analyzer::new(cache).options(opts.clone());
+        let analyzer = Analyzer::new(cache).options(opts.clone());
         assert_eq!(reference, analyzer.analyze(&nest));
         assert_eq!(reference, analyzer.analyze(&nest), "warm pass diverged");
     }
@@ -65,21 +65,21 @@ fn batch_is_bit_identical_to_per_nest_analyses() {
         matmul(10, 0, 300, 777 + ls), // shares structure + most artifacts
         matmul(7, 5, 311, 801),       // different structure entirely
     ];
-    let mut solo = Analyzer::new(cache).threads(3);
+    let solo = Analyzer::new(cache).threads(3);
     let one_by_one: Vec<NestAnalysis> = nests.iter().map(|n| solo.analyze(n)).collect();
 
     // The batch shares memo tables across its nests: planned in order on
     // one thread, the layout twin always reuses the first nest's solve
     // sets in the same call. (With more threads two workers may both miss
     // and build the same set, so the reuse count is scheduling-dependent.)
-    let mut serial = Analyzer::new(cache).threads(1);
+    let serial = Analyzer::new(cache).threads(1);
     assert_eq!(serial.analyze_batch(&nests), one_by_one);
     let stats = serial.stats();
     assert!(stats.cascades_reused > 0, "{stats}");
 
     // Pooled, the results are the same, and re-batching is a pure memo
     // sweep.
-    let mut batched = Analyzer::new(cache).threads(3);
+    let batched = Analyzer::new(cache).threads(3);
     assert_eq!(batched.analyze_batch(&nests), one_by_one);
     let built = batched.stats().cascades_built;
     assert_eq!(batched.analyze_batch(&nests), one_by_one);
@@ -90,7 +90,7 @@ fn batch_is_bit_identical_to_per_nest_analyses() {
 fn governed_batch_tags_outcomes_per_nest() {
     let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
     let nests = [matmul(6, 0, 100, 200), matmul(8, 0, 128, 256)];
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     let governed = analyzer.try_analyze_batch(&nests).unwrap();
     assert_eq!(governed.len(), 2);
     for g in &governed {
@@ -101,7 +101,7 @@ fn governed_batch_tags_outcomes_per_nest() {
     // A cancelled batch degrades every nest to the sound all-cold bound.
     let token = CancelToken::new();
     token.cancel();
-    let mut cancelled = Analyzer::new(cache).cancel_token(token);
+    let cancelled = Analyzer::new(cache).cancel_token(token);
     let degraded = cancelled.try_analyze_batch(&nests).unwrap();
     for (g, nest) in degraded.iter().zip(&nests) {
         assert!(g.outcome.is_exhausted());
@@ -114,7 +114,7 @@ fn governed_batch_tags_outcomes_per_nest() {
 fn caching_off_is_a_passthrough() {
     let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
     let nest = matmul(6, 0, 100, 200);
-    let mut analyzer = Analyzer::new(cache).caching(false);
+    let analyzer = Analyzer::new(cache).caching(false);
     let a = analyzer.analyze(&nest);
     let b = analyzer.analyze(&nest);
     assert_eq!(a, b);
@@ -139,7 +139,7 @@ fn caching_off_is_a_passthrough() {
 fn moving_one_array_reuses_other_cascades() {
     let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
     let ls = cache.line_elems();
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     let n1 = matmul(8, 0, 128, 256);
     let n2 = matmul(8, 0, 128, 256 + ls); // move Y by a whole line
     let reference = reference_analysis(&n2, cache, &AnalysisOptions::default());
@@ -155,7 +155,7 @@ fn moving_one_array_reuses_other_cascades() {
 #[test]
 fn lower_memo_is_capped() {
     let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     for base in 0..=memo::REUSE_CAP as i64 {
         let mut b = NestBuilder::new();
         b.ct_loop("i", 1, 2);
@@ -180,7 +180,7 @@ fn memo_hits_keep_the_callers_names() {
         b.build().unwrap()
     };
     let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     let (first, second) = (named("first", "A"), named("second", "B"));
     let a = analyzer.analyze(&first);
     let b = analyzer.analyze(&second);
@@ -205,7 +205,7 @@ fn memo_hits_keep_the_callers_names() {
 #[test]
 fn stage_times_are_populated() {
     let cache = CacheConfig::new(2048, 2, 32, 4).unwrap();
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     analyzer.analyze(&matmul(12, 0, 300, 777));
     let stats = analyzer.stats();
     assert!(stats.time_lower > Duration::ZERO, "{stats}");
@@ -262,7 +262,7 @@ fn stats_hit_rate_counts_all_four_memo_families() {
 fn traced_analysis_collects_points_and_stays_memoized() {
     let cache = CacheConfig::new(1024, 2, 32, 4).unwrap();
     let nest = matmul(8, 0, 100, 200);
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     let plain = analyzer.analyze(&nest);
     let options = AnalysisOptions {
         collect_miss_points: true,

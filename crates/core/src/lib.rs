@@ -35,7 +35,9 @@
 //!   structural and layout hashes; [`Analyzer::analyze_batch`] analyzes
 //!   many nests in one shared-pool session, and [`Analyzer::sweep`]
 //!   answers a Section 5.1.3 parametric layout sweep in certified closed
-//!   form (see `docs/ENGINE.md`).
+//!   form from samples that run through those same memos (see
+//!   `docs/ENGINE.md`). Every entry point takes `&self`, so one session
+//!   can be shared by reference, across threads included.
 //! - [`governor`] — the resource governor: per-query [`Budget`]s,
 //!   cooperative [`CancelToken`]s, and graceful degradation of exhausted
 //!   queries to sound overcounts (the paper's `ε > 0` semantics), plus
@@ -67,7 +69,7 @@
 //! let nest = b.build().unwrap();
 //!
 //! let cfg = CacheConfig::new(8192, 1, 32, 4)?;
-//! let mut analyzer = Analyzer::new(cfg);
+//! let analyzer = Analyzer::new(cfg);
 //! let analysis = analyzer.analyze(&nest);
 //! assert_eq!(analysis.total_misses(), 8);
 //! // Re-analyses of structurally similar nests hit the engine's memos.
@@ -103,4 +105,4 @@ pub use solve::{
     AnalysisOptions, AnalysisOptionsBuilder, InvalidOptions, NestAnalysis, RefAnalysis,
     VectorReport,
 };
-pub use store::{ArtifactKey, ArtifactStore, StoreError, StoreStats, SweepRecord};
+pub use store::{ArtifactKey, ArtifactStore, StoreError, StoreStats};

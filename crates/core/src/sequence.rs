@@ -55,7 +55,7 @@ pub fn analyze_sequence(
     cache: CacheConfig,
     options: &AnalysisOptions,
 ) -> SequenceAnalysis {
-    let mut analyzer = Analyzer::new(cache).options(options.clone());
+    let analyzer = Analyzer::new(cache).options(options.clone());
     SequenceAnalysis {
         per_nest: nests.iter().map(|n| analyzer.analyze(n)).collect(),
     }

@@ -40,7 +40,6 @@ use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis, VectorReport};
 use cme_cache::{CacheConfig, CacheModel};
 use cme_ir::codec::{fnv1a64, CodecError, Decoder, Encoder};
 use cme_ir::{KeyHasher, RefId};
-use cme_math::quasipoly::{FitCertificate, QuasiPolynomial};
 use cme_reuse::{ReuseKind, ReuseVector};
 use std::fmt;
 use std::fs;
@@ -59,13 +58,6 @@ pub const STORE_FORMAT_VERSION: u32 = 1;
 pub const ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 const MAGIC: &[u8; 4] = b"CMEA";
-
-/// Magic of persisted parametric-sweep entries ([`SweepRecord`]). Sweep
-/// entries share the store directory, extension, size bound, and LRU
-/// eviction with analysis entries; the distinct magic (plus a distinct
-/// filename salt) keeps the two namespaces from ever decoding as each
-/// other.
-const SWEEP_MAGIC: &[u8; 4] = b"CMES";
 
 /// Extension of live entries; temp files use `.tmp` and are ignored.
 const ENTRY_EXT: &str = "cmea";
@@ -392,44 +384,22 @@ impl ArtifactStore {
     /// echo mismatch, or read error — and means "recompute". A hit
     /// touches the entry's mtime, making eviction least-recently-used.
     pub fn get(&self, key: &ArtifactKey) -> Option<NestAnalysis> {
-        self.get_framed(&key.file_name(), |bytes| {
-            decode_framed(bytes, MAGIC, key, None, decode_analysis)
-        })
-    }
-
-    /// Persists a **complete** analysis under `key`, then enforces the
-    /// size bound. Truncated (exhausted) analyses must never be offered:
-    /// they are sound overcounts, not exact artifacts, and a later reader
-    /// could not tell the difference. I/O failures are counted and
-    /// swallowed — persistence is an optimization, not a contract.
-    pub fn put(&self, key: &ArtifactKey, analysis: &NestAnalysis) {
-        let bytes = encode_framed(MAGIC, key, None, |e| encode_analysis(e, analysis));
-        self.put_framed(&key.file_name(), &bytes);
-    }
-
-    /// The read side shared by every entry kind: read the file, `decode`
-    /// it, then LRU-touch a hit, leave a key-echo mismatch alone (someone
-    /// else's entry under a colliding name), and delete a corrupt or
-    /// version-skewed entry. Anything but a hit counts as a miss.
-    fn get_framed<T>(
-        &self,
-        file_name: &str,
-        decode: impl FnOnce(&[u8]) -> Result<Option<T>, EntryReject>,
-    ) -> Option<T> {
-        let path = self.dir.join(file_name);
+        let path = self.dir.join(key.file_name());
         let decoded = match self.read_entry_bytes(&path) {
-            Ok(bytes) => decode(&bytes),
+            Ok(bytes) => decode_framed(&bytes, key),
             Err(_) => Ok(None),
         };
         match decoded {
-            Ok(Some(value)) => {
+            Ok(Some(analysis)) => {
                 // LRU touch; best-effort (a read-only store still serves).
                 if let Ok(f) = fs::File::options().append(true).open(&path) {
                     let _ = f.set_modified(SystemTime::now());
                 }
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(value);
+                return Some(analysis);
             }
+            // A key-echo mismatch is someone else's entry under a
+            // colliding name: not ours to evict.
             Ok(None) => {}
             Err(kind) => {
                 let slot = match kind {
@@ -444,14 +414,18 @@ impl ArtifactStore {
         None
     }
 
-    /// The write side shared by every entry kind: skip entries above the
-    /// per-entry cap, write atomically, then enforce the size bound.
-    fn put_framed(&self, file_name: &str, bytes: &[u8]) {
+    /// Persists a **complete** analysis under `key`, then enforces the
+    /// size bound. Truncated (exhausted) analyses must never be offered:
+    /// they are sound overcounts, not exact artifacts, and a later reader
+    /// could not tell the difference. I/O failures are counted and
+    /// swallowed — persistence is an optimization, not a contract.
+    pub fn put(&self, key: &ArtifactKey, analysis: &NestAnalysis) {
+        let bytes = encode_framed(key, analysis);
         if bytes.len() as u64 > self.max_entry_bytes {
             self.counters.skipped_large.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if self.write_entry(&self.dir.join(file_name), bytes) {
+        if self.write_entry(&self.dir.join(key.file_name()), &bytes) {
             self.counters.writes.fetch_add(1, Ordering::Relaxed);
             self.evict_to_fit();
         }
@@ -581,42 +555,27 @@ enum EntryReject {
     Version,
 }
 
-/// Serializes one entry: header (magic, versions, key echo, and for sweep
-/// entries the sweep fingerprint), payload, trailing FNV-1a checksum over
-/// everything before it.
-fn encode_framed(
-    magic: &[u8; 4],
-    key: &ArtifactKey,
-    param_fp: Option<u128>,
-    payload: impl FnOnce(&mut Encoder),
-) -> Vec<u8> {
+/// Serializes one entry: header (magic, versions, key echo), the
+/// analysis, trailing FNV-1a checksum over everything before it.
+fn encode_framed(key: &ArtifactKey, analysis: &NestAnalysis) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.raw(magic);
+    e.raw(MAGIC);
     e.u32(STORE_FORMAT_VERSION);
     e.str(ENGINE_VERSION);
     key.encode(&mut e);
-    if let Some(fp) = param_fp {
-        e.u128(fp);
-    }
-    payload(&mut e);
+    encode_analysis(&mut e, analysis);
     let checksum = fnv1a64(e.bytes());
     e.u64(checksum);
     e.into_bytes()
 }
 
 /// Decodes one entry framed by [`encode_framed`]. `Ok(None)` = well-formed
-/// entry for a *different* key or fingerprint (filename collision — not
-/// ours to evict). `Err` says whether the entry is corrupt or merely
-/// version-skewed; either way it is safe to delete.
-fn decode_framed<T>(
-    bytes: &[u8],
-    magic: &[u8; 4],
-    key: &ArtifactKey,
-    param_fp: Option<u128>,
-    payload: impl FnOnce(&mut Decoder<'_>) -> Result<T, CodecError>,
-) -> Result<Option<T>, EntryReject> {
+/// entry for a *different* key (filename collision — not ours to evict).
+/// `Err` says whether the entry is corrupt or merely version-skewed;
+/// either way it is safe to delete.
+fn decode_framed(bytes: &[u8], key: &ArtifactKey) -> Result<Option<NestAnalysis>, EntryReject> {
     // Checksum first: nothing else in the file is trusted before it.
-    if bytes.len() < magic.len() + 8 {
+    if bytes.len() < MAGIC.len() + 8 {
         return Err(EntryReject::Corrupt);
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
@@ -626,7 +585,7 @@ fn decode_framed<T>(
         return Err(EntryReject::Corrupt);
     }
     let mut d = Decoder::new(body);
-    if d.raw(magic.len()).map_err(|_| EntryReject::Corrupt)? != magic {
+    if d.raw(MAGIC.len()).map_err(|_| EntryReject::Corrupt)? != MAGIC {
         return Err(EntryReject::Corrupt);
     }
     if d.u32().map_err(|_| EntryReject::Corrupt)? != STORE_FORMAT_VERSION {
@@ -636,18 +595,14 @@ fn decode_framed<T>(
         return Err(EntryReject::Version);
     }
     let echoed = ArtifactKey::decode(&mut d).map_err(|_| EntryReject::Corrupt)?;
-    let echoed_fp = match param_fp {
-        Some(_) => Some(d.u128().map_err(|_| EntryReject::Corrupt)?),
-        None => None,
-    };
-    if &echoed != key || echoed_fp != param_fp {
+    if &echoed != key {
         return Ok(None);
     }
-    let value = payload(&mut d).map_err(|_| EntryReject::Corrupt)?;
+    let analysis = decode_analysis(&mut d).map_err(|_| EntryReject::Corrupt)?;
     if !d.is_exhausted() {
         return Err(EntryReject::Corrupt);
     }
-    Ok(Some(value))
+    Ok(Some(analysis))
 }
 
 fn encode_analysis(e: &mut Encoder, a: &NestAnalysis) {
@@ -787,134 +742,6 @@ fn decode_vector_report(d: &mut Decoder<'_>) -> Result<VectorReport, CodecError>
     })
 }
 
-/// A persisted fitted sweep: the quasi-polynomial, its certificate, and
-/// the sample cost that produced it. Pure data — the argmin is always
-/// recomputed from the function on rehydration, never trusted from disk.
-/// Only *fitted, complete* sweeps are ever recorded (the same contract as
-/// [`ArtifactStore::put`]: degraded results are sound overcounts, not
-/// artifacts).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepRecord {
-    head: Vec<i64>,
-    coeffs: Vec<(i64, i64, i64)>,
-    degree: u8,
-    samples: u64,
-    margin: u64,
-    /// Numeric analyses the original fit consumed.
-    pub evaluations: u64,
-}
-
-impl SweepRecord {
-    /// Captures a fitted function and its certificate for persistence.
-    pub fn new(function: &QuasiPolynomial, cert: &FitCertificate, evaluations: u64) -> Self {
-        SweepRecord {
-            head: function.head().to_vec(),
-            coeffs: function.coefficients().to_vec(),
-            degree: cert.degree,
-            samples: cert.samples as u64,
-            margin: cert.verification_margin as u64,
-            evaluations,
-        }
-    }
-
-    /// The fitted function; `None` if the record is malformed (empty
-    /// residue table — cannot happen through [`SweepRecord::new`]).
-    pub fn function(&self) -> Option<QuasiPolynomial> {
-        if self.coeffs.is_empty() {
-            return None;
-        }
-        Some(QuasiPolynomial::with_head(
-            self.head.clone(),
-            self.coeffs.clone(),
-        ))
-    }
-
-    /// The exact-fit certificate backing the function.
-    pub fn certificate(&self) -> FitCertificate {
-        FitCertificate {
-            period: self.coeffs.len(),
-            onset: self.head.len() as i64,
-            degree: self.degree,
-            samples: self.samples as usize,
-            verification_margin: self.margin as usize,
-        }
-    }
-}
-
-/// File name of a sweep entry: the composite hash of the artifact key
-/// plus the sweep fingerprint (parameter, range, step, metric). Same
-/// collision posture as [`ArtifactKey::file_name`] — the key and
-/// fingerprint are echoed inside the file, so a name collision is a
-/// miss, never a wrong result.
-fn sweep_file_name(key: &ArtifactKey, param_fp: u128) -> String {
-    let mut h = KeyHasher::new(0x53e9);
-    h.feed(&key.structural)
-        .feed(&key.layout)
-        .feed(&key.cache)
-        .feed(&key.options_fp)
-        .feed(&param_fp);
-    format!("{:032x}.{ENTRY_EXT}", h.finish())
-}
-
-fn encode_sweep(e: &mut Encoder, rec: &SweepRecord) {
-    e.i64s(&rec.head);
-    e.u32(rec.coeffs.len() as u32);
-    for &(a, b, c) in &rec.coeffs {
-        e.i64(a);
-        e.i64(b);
-        e.i64(c);
-    }
-    e.u8(rec.degree);
-    e.u64(rec.samples);
-    e.u64(rec.margin);
-    e.u64(rec.evaluations);
-}
-
-fn decode_sweep(d: &mut Decoder<'_>) -> Result<SweepRecord, CodecError> {
-    let head = d.i64s()?;
-    let n = d.u32()? as usize;
-    if n == 0 {
-        // An empty residue table in a checksummed entry is no function at
-        // all, so the entry is corrupt as far as the caller is concerned.
-        return Err(CodecError::BadDiscriminant {
-            at: d.position(),
-            value: 0,
-            what: "sweep residue count",
-        });
-    }
-    let mut coeffs = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        coeffs.push((d.i64()?, d.i64()?, d.i64()?));
-    }
-    Ok(SweepRecord {
-        head,
-        coeffs,
-        degree: d.u8()?,
-        samples: d.u64()?,
-        margin: d.u64()?,
-        evaluations: d.u64()?,
-    })
-}
-
-impl ArtifactStore {
-    /// Looks up a persisted sweep for `(key, param_fp)`. Same trust and
-    /// miss model as [`ArtifactStore::get`]: any anomaly is a miss, and
-    /// corrupt or version-skewed entries are evicted on contact.
-    pub fn get_sweep(&self, key: &ArtifactKey, param_fp: u128) -> Option<SweepRecord> {
-        self.get_framed(&sweep_file_name(key, param_fp), |bytes| {
-            decode_framed(bytes, SWEEP_MAGIC, key, Some(param_fp), decode_sweep)
-        })
-    }
-
-    /// Persists a **fitted, complete** sweep, then enforces the size
-    /// bound. The caller contract mirrors [`ArtifactStore::put`]:
-    /// fallback or budget-degraded sweeps must never be offered.
-    pub fn put_sweep(&self, key: &ArtifactKey, param_fp: u128, rec: &SweepRecord) {
-        let bytes = encode_framed(SWEEP_MAGIC, key, Some(param_fp), |e| encode_sweep(e, rec));
-        self.put_framed(&sweep_file_name(key, param_fp), &bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -953,57 +780,6 @@ mod tests {
         assert_eq!(got, analysis);
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.writes), (1, 1, 1));
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn sweep_entries_round_trip_and_share_the_namespace_safely() {
-        let store = temp_store("sweep-roundtrip");
-        let key = sample_key(7);
-        let q = QuasiPolynomial::with_head(vec![41, 37], vec![(5, 1, 0), (9, 0, 0)]);
-        let cert = FitCertificate {
-            period: 2,
-            onset: 2,
-            degree: 1,
-            samples: 12,
-            verification_margin: 3,
-        };
-        let rec = SweepRecord::new(&q, &cert, 12);
-        let fp = 0x1234_5678_u128;
-        assert!(store.get_sweep(&key, fp).is_none());
-        store.put_sweep(&key, fp, &rec);
-        let got = store.get_sweep(&key, fp).expect("warm sweep read");
-        assert_eq!(got, rec);
-        assert_eq!(got.function().expect("function"), q);
-        assert_eq!(got.certificate(), cert);
-        // A different fingerprint is a different entry, not a collision.
-        assert!(store.get_sweep(&key, fp ^ 1).is_none());
-        // The analysis namespace never sees the sweep entry.
-        assert!(store.get(&key).is_none());
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn corrupt_sweep_entries_are_evicted_not_trusted() {
-        let store = temp_store("sweep-corrupt");
-        let key = sample_key(9);
-        let q = QuasiPolynomial::with_head(vec![], vec![(3, 0, 0)]);
-        let cert = FitCertificate {
-            period: 1,
-            onset: 0,
-            degree: 0,
-            samples: 8,
-            verification_margin: 7,
-        };
-        store.put_sweep(&key, 5, &SweepRecord::new(&q, &cert, 8));
-        let path = store.dir().join(sweep_file_name(&key, 5));
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
-        assert!(store.get_sweep(&key, 5).is_none());
-        assert!(!path.exists(), "corrupt sweep entry must be deleted");
-        assert_eq!(store.stats().corrupt_evicted, 1);
         let _ = fs::remove_dir_all(store.dir());
     }
 
@@ -1081,10 +857,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cme-store-test-lru-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let analysis = sample_analysis();
-        let one = encode_framed(MAGIC, &sample_key(0), None, |e| {
-            encode_analysis(e, &analysis)
-        })
-        .len() as u64;
+        let one = encode_framed(&sample_key(0), &analysis).len() as u64;
         // Room for about three entries.
         let store = ArtifactStore::open_bounded(&dir, one * 3 + one / 2, u64::MAX).unwrap();
         for salt in 0..6u128 {

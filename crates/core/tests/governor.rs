@@ -27,7 +27,7 @@ fn assert_took_dense_path(analyzer: &Analyzer) {
 #[test]
 fn tiny_budget_truncates_the_dense_path_to_a_sound_bound() {
     let nest = mmult(16);
-    let mut exact_session = Analyzer::new(cache());
+    let exact_session = Analyzer::new(cache());
     let exact = exact_session.analyze(&nest);
     assert_took_dense_path(&exact_session);
 
@@ -50,13 +50,13 @@ fn tiny_budget_truncates_the_dense_path_to_a_sound_bound() {
 #[test]
 fn truncated_dense_scans_are_never_memoized() {
     let nest = mmult(16);
-    let mut exact_session = Analyzer::new(cache());
+    let exact_session = Analyzer::new(cache());
     let exact = exact_session.analyze(&nest);
     assert_took_dense_path(&exact_session);
 
     // A solve budget (not a point ceiling) trips *mid-pipeline*: the
     // first reference's scans still run, truncated by the dead governor.
-    let mut analyzer = Analyzer::new(cache()).budget(Budget::unlimited().with_max_solves(50));
+    let analyzer = Analyzer::new(cache()).budget(Budget::unlimited().with_max_solves(50));
     let first = analyzer.try_analyze(&nest).unwrap();
     assert!(first.outcome.is_exhausted(), "{:?}", first.outcome);
     assert!(first.analysis.total_misses() >= exact.total_misses());
@@ -89,7 +89,7 @@ fn truncated_dense_analyses_are_never_persisted() {
     let store = Arc::new(ArtifactStore::open(&dir).unwrap());
     let nest = mmult(16);
 
-    let mut truncated = Analyzer::new(cache())
+    let truncated = Analyzer::new(cache())
         .budget(Budget::unlimited().with_max_solves(50))
         .store(store.clone());
     let g = truncated.try_analyze(&nest).unwrap();
@@ -102,7 +102,7 @@ fn truncated_dense_analyses_are_never_persisted() {
     assert_eq!(store.entry_count(), 0);
 
     // The same session shape with no budget persists normally.
-    let mut complete = Analyzer::new(cache()).store(store.clone());
+    let complete = Analyzer::new(cache()).store(store.clone());
     let full = complete.analyze(&nest);
     assert_took_dense_path(&complete);
     assert!(complete.stats().store_writes > 0);

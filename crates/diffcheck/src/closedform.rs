@@ -48,7 +48,6 @@ pub fn request_of(spec: &SweepSpec) -> SweepRequest {
         ParamKind::LeadingDimension => SweepParameter::LeadingDimension {
             array: ArrayId::from_index(spec.target),
         },
-        ParamKind::TileSize => SweepParameter::TileSize { level: spec.target },
     };
     SweepRequest::new(parameter, spec.start, spec.count, spec.step)
 }
@@ -64,7 +63,6 @@ pub fn spec_of(request: &SweepRequest) -> Option<SweepSpec> {
         SweepParameter::BaseSpacing { array } => (ParamKind::BaseSpacing, array.index()),
         SweepParameter::PadBytes { after } => (ParamKind::PadBytes, after.index()),
         SweepParameter::LeadingDimension { array } => (ParamKind::LeadingDimension, array.index()),
-        SweepParameter::TileSize { level } => (ParamKind::TileSize, level),
     };
     Some(SweepSpec {
         kind,
@@ -134,7 +132,7 @@ impl SweepCheckReport {
     }
 }
 
-fn metric_of(metric: SweepMetric, analyzer: &mut Analyzer, variant: &LoopNest) -> u64 {
+fn metric_of(metric: SweepMetric, analyzer: &Analyzer, variant: &LoopNest) -> u64 {
     let analysis = analyzer.analyze(variant);
     match metric {
         SweepMetric::TotalMisses => analysis.total_misses(),
@@ -153,7 +151,7 @@ fn metric_of(metric: SweepMetric, analyzer: &mut Analyzer, variant: &LoopNest) -
 /// all-feasible sample window, but the replayed range may extend beyond
 /// it.
 pub fn replay_function(
-    analyzer: &mut Analyzer,
+    analyzer: &Analyzer,
     nest: &LoopNest,
     request: &SweepRequest,
     function: &QuasiPolynomial,
@@ -219,7 +217,7 @@ pub fn check_sweep_case(
     request: &SweepRequest,
     seed: u64,
 ) -> Result<SweepCheckReport, String> {
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     let result = analyzer.sweep(nest, request).map_err(|e| e.to_string())?;
     let Some(function) = result.function.clone() else {
         return Ok(SweepCheckReport {
@@ -231,7 +229,7 @@ pub fn check_sweep_case(
         });
     };
     let (violation, engine_points, sim_points) =
-        replay_function(&mut analyzer, nest, request, &function, seed);
+        replay_function(&analyzer, nest, request, &function, seed);
     Ok(SweepCheckReport {
         verdict: match violation {
             Some(v) => Verdict::Violation(v),
@@ -339,7 +337,7 @@ mod tests {
         // ever stops catching this, the closed-form tier is dead weight.
         let nest = spacing_nest(256);
         let request = spacing_request();
-        let mut analyzer = Analyzer::new(small_cache());
+        let analyzer = Analyzer::new(small_cache());
         let result = analyzer.sweep(&nest, &request).expect("sweep");
         let function = result.function.expect("fit");
         let corrupt = QuasiPolynomial::with_head(
@@ -350,7 +348,7 @@ mod tests {
                 .map(|&(a, b, c)| (a, b, c + 1))
                 .collect(),
         );
-        let (violation, _, _) = replay_function(&mut analyzer, &nest, &request, &corrupt, 42);
+        let (violation, _, _) = replay_function(&analyzer, &nest, &request, &corrupt, 42);
         assert!(
             matches!(
                 violation,
@@ -367,14 +365,14 @@ mod tests {
     fn undercounting_fit_is_caught_by_the_simulator_first() {
         let nest = spacing_nest(256);
         let request = spacing_request();
-        let mut analyzer = Analyzer::new(small_cache());
+        let analyzer = Analyzer::new(small_cache());
         let result = analyzer.sweep(&nest, &request).expect("sweep");
         let function = result.function.expect("fit");
         // Deflate below any possible miss count: soundness (vs the
         // simulator) is checked before exactness, so the graver rule
         // names the violation.
         let corrupt = function.add(&QuasiPolynomial::from_constants(vec![-1_000_000]));
-        let (violation, _, _) = replay_function(&mut analyzer, &nest, &request, &corrupt, 42);
+        let (violation, _, _) = replay_function(&analyzer, &nest, &request, &corrupt, 42);
         assert!(
             matches!(
                 violation,
@@ -423,14 +421,15 @@ mod tests {
 
     #[test]
     fn fallback_sweeps_have_nothing_to_replay() {
-        // Non-dividing tile sizes force the fallback path: no function,
-        // no replay points, trivially exact.
+        // Leading dimensions below the declared column (16) are
+        // infeasible and force the fallback path: no function, no replay
+        // points, trivially exact.
         let mut b = NestBuilder::new();
-        b.ct_loop("i", 0, 12).ct_loop("j", 0, 12); // 13 trips: prime
+        b.ct_loop("i", 0, 12).ct_loop("j", 0, 12);
         let a = b.array("A", &[16, 16], 0);
         b.reference(a, AccessKind::Read, &[("i", 0), ("j", 0)]);
         let nest = b.build().expect("valid nest");
-        let request = SweepRequest::new(SweepParameter::TileSize { level: 0 }, 2, 6, 1);
+        let request = SweepRequest::new(SweepParameter::LeadingDimension { array: a }, 14, 6, 1);
         let report = check_sweep_case(&nest, small_cache(), &request, 0).expect("sweep succeeds");
         assert!(!report.fitted);
         assert_eq!(report.engine_points, 0);
@@ -448,7 +447,7 @@ mod tests {
         let nest = spacing_nest(256);
         let cache = small_cache();
         let request = spacing_request();
-        let mut analyzer = Analyzer::new(cache);
+        let analyzer = Analyzer::new(cache);
         let function = analyzer
             .sweep(&nest, &request)
             .expect("sweep")
@@ -458,7 +457,7 @@ mod tests {
         // diverges (the function is not constant).
         let mut skewed = request;
         skewed.step = 4;
-        let (violation, _, _) = replay_function(&mut analyzer, &nest, &skewed, &function, 3);
+        let (violation, _, _) = replay_function(&analyzer, &nest, &skewed, &function, 3);
         let Some(ViolationKind::ClosedFormDivergence { .. }) = violation else {
             panic!("skewed lattice must diverge, got {violation:?}");
         };
@@ -466,22 +465,22 @@ mod tests {
         // shrink_case keeps any predicate; here: "a fresh sweep still
         // fits and its fit still diverges on the skewed lattice".
         let (small, small_cache_cfg) = crate::shrink_case(&nest, cache, |n, c| {
-            let mut a = Analyzer::new(c);
+            let a = Analyzer::new(c);
             let Ok(r) = a.sweep(n, &request) else {
                 return false;
             };
             let Some(f) = r.function else { return false };
-            replay_function(&mut a, n, &skewed, &f, 3).0.is_some()
+            replay_function(&a, n, &skewed, &f, 3).0.is_some()
         });
         assert!(small.access_count() <= nest.access_count());
-        let mut a = Analyzer::new(small_cache_cfg);
+        let a = Analyzer::new(small_cache_cfg);
         let f = a
             .sweep(&small, &request)
             .expect("sweep")
             .function
             .expect("fit");
         assert!(
-            replay_function(&mut a, &small, &skewed, &f, 3).0.is_some(),
+            replay_function(&a, &small, &skewed, &f, 3).0.is_some(),
             "the minimized case still reproduces"
         );
     }

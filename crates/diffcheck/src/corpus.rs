@@ -672,7 +672,7 @@ mod tests {
         let request = case.to_request().unwrap();
         assert_eq!(request.id, case.name);
         assert!(request.budget().is_unlimited());
-        let mut analyzer = cme_core::Analyzer::new(request.cache_config().unwrap());
+        let analyzer = cme_core::Analyzer::new(request.cache_config().unwrap());
         let served = analyzer.serve(&request).result.unwrap();
         assert!(served.outcome.complete);
         assert_eq!(served.total_misses, report.cme_total);

@@ -114,7 +114,7 @@ impl Oracle for CmeOracle {
         threads: usize,
     ) -> Vec<u64> {
         let options = AnalysisOptions::builder().epsilon(epsilon).build();
-        let mut analyzer = Analyzer::new(cache)
+        let analyzer = Analyzer::new(cache)
             .options(options)
             .threads(threads.max(1));
         analyzer

@@ -145,8 +145,8 @@ pub fn diagnose(
     cache: &CacheConfig,
     options: &AnalysisOptions,
 ) -> Result<NestDiagnosis, CacheConfigError> {
-    let mut analyzer = Analyzer::new(*cache).options(options.clone());
-    diagnose_with(&mut analyzer, nest)
+    let analyzer = Analyzer::new(*cache).options(options.clone());
+    diagnose_with(&analyzer, nest)
 }
 
 /// [`diagnose`] driven through a caller-owned [`Analyzer`] session.
@@ -162,7 +162,7 @@ pub fn diagnose(
 /// Propagates [`CacheConfigError`] from constructing the fully-associative
 /// twin cache used for the conflict/capacity split.
 pub fn diagnose_with(
-    analyzer: &mut Analyzer,
+    analyzer: &Analyzer,
     nest: &LoopNest,
 ) -> Result<NestDiagnosis, CacheConfigError> {
     let cache = *analyzer.cache();
@@ -439,7 +439,7 @@ mod tests {
         );
         // And following the advice actually helps:
         let swapped = cme_ir::transform::interchange(&nest, &[1, 0]).unwrap();
-        let mut analyzer = Analyzer::new(cache());
+        let analyzer = Analyzer::new(cache());
         let before = analyzer.analyze(&nest).total_misses();
         let after = analyzer.analyze(&swapped).total_misses();
         assert!(
@@ -451,8 +451,8 @@ mod tests {
     #[test]
     fn attribution_sums_match_total() {
         let nest = cme_kernels::tom(16);
-        let mut analyzer = Analyzer::new(cache());
-        let d = diagnose_with(&mut analyzer, &nest).unwrap();
+        let analyzer = Analyzer::new(cache());
+        let d = diagnose_with(&analyzer, &nest).unwrap();
         let a = analyzer.analyze(&nest);
         let attributed: u64 = d.per_ref.iter().map(RefDiagnosis::total).sum();
         assert_eq!(attributed, a.total_misses());

@@ -61,15 +61,15 @@ pub fn evaluate_fusion(
     cache: CacheConfig,
     options: &AnalysisOptions,
 ) -> FusionDecision {
-    let mut analyzer = Analyzer::new(cache).options(options.clone());
-    evaluate_fusion_with(&mut analyzer, originals, fused)
+    let analyzer = Analyzer::new(cache).options(options.clone());
+    evaluate_fusion_with(&analyzer, originals, fused)
 }
 
 /// [`evaluate_fusion`] driven through a caller-owned [`Analyzer`] session —
 /// useful when scoring many fusion candidates over the same nests (the
 /// unfused baselines re-count from the engine's memos).
 pub fn evaluate_fusion_with(
-    analyzer: &mut Analyzer,
+    analyzer: &Analyzer,
     originals: &[&LoopNest],
     fused: &LoopNest,
 ) -> FusionDecision {

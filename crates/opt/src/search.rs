@@ -165,10 +165,10 @@ pub fn optimize_padding(
     cache: &CacheConfig,
     options: &AnalysisOptions,
 ) -> (LoopNest, PaddingOutcome) {
-    let mut analyzer = Analyzer::new(*cache)
+    let analyzer = Analyzer::new(*cache)
         .options(options.clone())
         .parallel(true);
-    optimize_padding_with(&mut analyzer, nest)
+    optimize_padding_with(&analyzer, nest)
 }
 
 /// [`optimize_padding`] driven through a caller-owned [`Analyzer`] session.
@@ -185,10 +185,7 @@ pub fn optimize_padding(
 /// pessimistically instead of panicking; a candidate whose analysis errors
 /// outright scores `u64::MAX` and is never selected. The search itself
 /// never panics on governed sessions.
-pub fn optimize_padding_with(
-    analyzer: &mut Analyzer,
-    nest: &LoopNest,
-) -> (LoopNest, PaddingOutcome) {
+pub fn optimize_padding_with(analyzer: &Analyzer, nest: &LoopNest) -> (LoopNest, PaddingOutcome) {
     let cache = *analyzer.cache();
     let cache = &cache;
     let degraded_candidates = std::cell::Cell::new(0usize);
@@ -340,7 +337,7 @@ pub fn optimize_padding_with(
     col_cands.dedup();
 
     let mut evaluations = 0usize;
-    let mut count = |analyzer: &mut Analyzer, column: i64, spacings: &[i64]| -> u64 {
+    let mut count = |column: i64, spacings: &[i64]| -> u64 {
         evaluations += 1;
         // Revisited layouts (the greedy sweeps back-track constantly)
         // skip straight to the memoized stage artifacts.
@@ -378,14 +375,14 @@ pub fn optimize_padding_with(
         .windows(2)
         .map(|w| padded_len(nest, w[0], orig_col))
         .collect();
-    let mut best_score = count(analyzer, best_col, &best_spacings);
+    let mut best_score = count(best_col, &best_spacings);
     'outer: for &col in &col_cands {
         let mut spacings: Vec<i64> = order
             .windows(2)
             .map(|w| padded_len(nest, w[0], col))
             .collect();
         // Two greedy sweeps over the gaps.
-        let mut local = count(analyzer, col, &spacings);
+        let mut local = count(col, &spacings);
         for _pass in 0..2 {
             for g in 0..ngaps {
                 for cand in spacing_cands(col, order[g]) {
@@ -394,7 +391,7 @@ pub fn optimize_padding_with(
                     }
                     let old = spacings[g];
                     spacings[g] = cand;
-                    let s = count(analyzer, col, &spacings);
+                    let s = count(col, &spacings);
                     if s < local {
                         local = s;
                     } else {
@@ -442,7 +439,7 @@ pub fn optimize_padding_with(
                     }
                     let old = best_spacings[g];
                     best_spacings[g] = cand;
-                    let s = count(analyzer, best_col, &best_spacings);
+                    let s = count(best_col, &best_spacings);
                     if s < best_score {
                         best_score = s;
                     } else {
@@ -501,7 +498,7 @@ pub fn optimize_padding_with(
                 let extra = result.best_value / cache.elem_bytes();
                 let old = best_spacings[g];
                 best_spacings[g] = old + extra;
-                let s = count(analyzer, best_col, &best_spacings);
+                let s = count(best_col, &best_spacings);
                 if s < best_score {
                     best_score = s;
                 } else {
@@ -613,8 +610,8 @@ mod tests {
         b.reference(c, AccessKind::Read, &[("i", 0)]);
         let nest = b.build().unwrap();
 
-        let mut analyzer = Analyzer::new(cache).parallel(true);
-        let (optimized, outcome) = optimize_padding_with(&mut analyzer, &nest);
+        let analyzer = Analyzer::new(cache).parallel(true);
+        let (optimized, outcome) = optimize_padding_with(&analyzer, &nest);
         assert!(
             outcome.replacement_after > 0,
             "the way-span self conflict is not fixable by layout: {outcome}"
@@ -676,10 +673,10 @@ mod tests {
         // degradation is surfaced instead of hidden.
         let cache = table1_cache();
         let nest = cme_kernels::adi(32);
-        let mut analyzer = Analyzer::new(cache)
+        let analyzer = Analyzer::new(cache)
             .parallel(true)
             .budget(cme_core::Budget::unlimited().with_max_solves(50));
-        let (_, outcome) = optimize_padding_with(&mut analyzer, &nest);
+        let (_, outcome) = optimize_padding_with(&analyzer, &nest);
         assert!(
             outcome.degraded_candidates > 0,
             "a 50-solve budget must exhaust on adi(32): {outcome}"

@@ -144,17 +144,17 @@ pub fn select_tile_and_layout(
     col: i64,
     options: &cme_core::AnalysisOptions,
 ) -> Result<Option<(cme_ir::LoopNest, TileChoice)>, cme_ir::transform::TransformError> {
-    let mut analyzer = cme_core::Analyzer::new(*cache)
+    let analyzer = cme_core::Analyzer::new(*cache)
         .options(options.clone())
         .parallel(true);
-    select_tile_and_layout_with(&mut analyzer, nest, k_level, j_level, n, col)
+    select_tile_and_layout_with(&analyzer, nest, k_level, j_level, n, col)
 }
 
 /// [`select_tile_and_layout`] driven through a caller-owned
 /// [`cme_core::Analyzer`] session, so the layout search after tiling shares
 /// (and warms) the session's memo tables.
 pub fn select_tile_and_layout_with(
-    analyzer: &mut cme_core::Analyzer,
+    analyzer: &cme_core::Analyzer,
     nest: &cme_ir::LoopNest,
     k_level: usize,
     j_level: usize,
@@ -264,8 +264,8 @@ mod tests {
             .total_misses();
         assert_eq!(cme, after);
         // The session-driven variant lands on the same transformation.
-        let mut analyzer = cme_core::Analyzer::new(cache);
-        let (optimized2, choice2) = select_tile_and_layout_with(&mut analyzer, &plain, 1, 2, n, n)
+        let analyzer = cme_core::Analyzer::new(cache);
+        let (optimized2, choice2) = select_tile_and_layout_with(&analyzer, &plain, 1, 2, n, n)
             .expect("tiling applies")
             .expect("a tile exists");
         assert_eq!(choice, choice2);

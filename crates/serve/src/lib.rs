@@ -777,7 +777,7 @@ mod tests {
 
         // In-process reference: each request served on one fresh
         // session, no store.
-        let mut session = Analyzer::new(spec().build().unwrap());
+        let session = Analyzer::new(spec().build().unwrap());
         let reference: Vec<u64> = requests
             .iter()
             .map(|r| session.serve(r).result.unwrap().total_misses)

@@ -44,7 +44,7 @@ fn workload() -> Vec<AnalyzeRequest> {
 
 /// Ground truth: each request served on one storeless in-process session.
 fn reference(requests: &[AnalyzeRequest]) -> Vec<u64> {
-    let mut session = Analyzer::new(spec().build().expect("geometry"));
+    let session = Analyzer::new(spec().build().expect("geometry"));
     requests
         .iter()
         .map(|r| {

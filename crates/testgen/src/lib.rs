@@ -148,11 +148,10 @@ pub fn random_cache(rng: &mut CaseRng) -> CacheConfig {
     .expect("every sampled geometry is organizable")
 }
 
-/// The kind of layout/transform parameter a parametric sweep ranges
-/// over. This is `cme-testgen`'s own mirror of the engine's
-/// `SweepParameter` (this crate sits below `cme-core` in the dependency
-/// order); `cme-diffcheck` converts a [`SweepSpec`] into the engine's
-/// request type.
+/// The kind of layout parameter a parametric sweep ranges over. This is
+/// `cme-testgen`'s own mirror of the engine's `SweepParameter` (this
+/// crate sits below `cme-core` in the dependency order); `cme-diffcheck`
+/// converts a [`SweepSpec`] into the engine's request type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParamKind {
     /// Shift one array's base address (elements).
@@ -161,8 +160,6 @@ pub enum ParamKind {
     PadBytes,
     /// Grow one rank-2 array's leading dimension (elements).
     LeadingDimension,
-    /// Tile one loop level with the parameter as the tile size.
-    TileSize,
 }
 
 impl ParamKind {
@@ -172,7 +169,6 @@ impl ParamKind {
             ParamKind::BaseSpacing => "base-spacing",
             ParamKind::PadBytes => "pad-bytes",
             ParamKind::LeadingDimension => "leading-dimension",
-            ParamKind::TileSize => "tile-size",
         }
     }
 
@@ -182,7 +178,6 @@ impl ParamKind {
             "base-spacing" => Some(ParamKind::BaseSpacing),
             "pad-bytes" => Some(ParamKind::PadBytes),
             "leading-dimension" => Some(ParamKind::LeadingDimension),
-            "tile-size" => Some(ParamKind::TileSize),
             _ => None,
         }
     }
@@ -190,12 +185,12 @@ impl ParamKind {
 
 /// One generated parametric sweep: candidate `k ∈ 0..count` sets the
 /// parameter to `start + k·step` (elements for spacings and leading
-/// dimensions, bytes for pads, a tile size for tiling).
+/// dimensions, bytes for pads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepSpec {
     /// The parameter kind.
     pub kind: ParamKind,
-    /// Array index (layout kinds) or loop level (tile size) it targets.
+    /// Index of the array it targets.
     pub target: usize,
     /// Parameter value of candidate 0.
     pub start: i64,
@@ -216,8 +211,8 @@ pub fn random_sweep(rng: &mut CaseRng, nest: &LoopNest, cache: CacheConfig) -> S
     let rank2: Vec<usize> = (0..narrays)
         .filter(|&a| nest.arrays()[a].rank() == 2)
         .collect();
-    // Layout kinds dominate (they carry the geometric period guarantee);
-    // leading-dimension only when a rank-2 array exists.
+    // Base spacing dominates; leading-dimension only when a rank-2
+    // array exists.
     let kind = match rng.below(4) {
         0 | 1 => ParamKind::BaseSpacing,
         2 => ParamKind::PadBytes,

@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("patient:\n{nest}\ncache: {cache}\n");
     // One Analyzer session covers the diagnosis, the before/after counts,
     // and (for padding) the layout search — each step reuses the last.
-    let mut analyzer = Analyzer::new(cache);
-    let diagnosis = diagnose_with(&mut analyzer, &nest)?;
+    let analyzer = Analyzer::new(cache);
+    let diagnosis = diagnose_with(&analyzer, &nest)?;
     println!("{diagnosis}");
 
     let before_cme = analyzer.analyze(&nest).total_misses();
@@ -50,13 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for l in treated.loops() {
                 println!("  DO {}", l.name());
             }
-            report(&mut analyzer, &treated, cache, before_cme, before_sim);
+            report(&analyzer, &treated, cache, before_cme, before_sim);
         }
         Some(Recommendation::InterVariablePadding { .. })
         | Some(Recommendation::IntraVariablePadding { .. }) => {
-            let (treated, outcome) = optimize_padding_with(&mut analyzer, &nest);
+            let (treated, outcome) = optimize_padding_with(&analyzer, &nest);
             println!("treatment: padding ({})", outcome.method);
-            report(&mut analyzer, &treated, cache, before_cme, before_sim);
+            report(&analyzer, &treated, cache, before_cme, before_sim);
         }
         Some(Recommendation::Tile) => {
             // Tile the loop carrying the longest reuse distance (here: the
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         "treatment: tile loop `{}` by {t}",
                         nest.loops()[level].name()
                     );
-                    report(&mut analyzer, &treated, cache, before_cme, before_sim);
+                    report(&analyzer, &treated, cache, before_cme, before_sim);
                     applied = true;
                     break;
                 }
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn report(
-    analyzer: &mut Analyzer,
+    analyzer: &Analyzer,
     treated: &cme::ir::LoopNest,
     cache: CacheConfig,
     before_cme: u64,

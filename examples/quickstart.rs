@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Count the misses from the equations (Figure 6). The `Analyzer`
     //    session is reusable: subsequent calls on transformed variants of
     //    the nest re-solve incrementally from its memo tables.
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     let analysis = analyzer.analyze(&nest);
     println!("{analysis}\n");
 

@@ -42,7 +42,7 @@ fn requests_round_trip_with_all_optional_fields() {
 
 #[test]
 fn responses_round_trip_including_degraded_outcomes() {
-    let mut analyzer = Analyzer::new(spec().build().unwrap());
+    let analyzer = Analyzer::new(spec().build().unwrap());
     let mut req = AnalyzeRequest::new("tight", sweep(), spec());
     req.max_solves = Some(1);
     let resp = analyzer.serve(&req);
@@ -225,7 +225,7 @@ fn model_result_fields_decode_leniently() {
 fn non_lru_serves_carry_exact_counts_and_the_lru_bound() {
     let mut s = spec();
     s.policy = PolicyKind::Fifo;
-    let mut analyzer = Analyzer::with_model(s.model().unwrap());
+    let analyzer = Analyzer::with_model(s.model().unwrap());
     let resp = analyzer.serve(&AnalyzeRequest::new("f", sweep(), s));
     let result = resp.result.as_ref().unwrap();
     assert_eq!(result.provenance, Some(Provenance::Simulator));
@@ -263,7 +263,7 @@ proptest! {
         if let Some(req) = AnalyzeRequest::from_nest("gen", &nest, spec) {
             let decoded = AnalyzeRequest::decode(&req.encode()).unwrap();
             prop_assert_eq!(&decoded, &req);
-            let mut a = Analyzer::new(cache);
+            let a = Analyzer::new(cache);
             let first = a.serve(&req);
             let second = a.serve(&decoded);
             prop_assert_eq!(first.result.unwrap(), second.result.unwrap());

@@ -18,9 +18,12 @@
 //! `simulate_*` entry points. The sixth keeps one session type: the
 //! `Analyzer` holds the memo tables, store and counters itself, so no
 //! second type offers a way to analyze around the session's budget and
-//! cancel token. The last keeps nests, not handles: every entry point
+//! cancel token. The seventh keeps nests, not handles: every entry point
 //! takes the caller's `&LoopNest`, so no session keeps an interner of
-//! every nest it has seen.
+//! every nest it has seen. The last keeps sweeps free of caches of their
+//! own: a sweep's samples run through the pipeline memos and the store's
+//! analysis entries, and with no session state left to mutate, every
+//! `Analyzer` entry point takes `&self`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -213,6 +216,36 @@ fn nests_not_handles() {
                 "{path:?} contains `{needle}`; entry points take the caller's \
                  `&LoopNest`, and the engine keys every memo by the nest's \
                  structural and layout hashes"
+            );
+        }
+    }
+}
+
+/// Whether an identifier in `code` starts with `needle`, so `get_sweep`
+/// matches `store.get_sweep(` but not `tiny_budget_sweep`.
+fn names(code: &str, needle: &str) -> bool {
+    code.match_indices(needle)
+        .any(|(at, _)| !code[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+}
+
+#[test]
+fn sweeps_keep_no_cache_of_their_own() {
+    for path in workspace_sources() {
+        let code = code_of(&path);
+        for needle in [
+            "sweep_memo",
+            "SweepRecord",
+            "get_sweep",
+            "put_sweep",
+            "TileSize",
+            "&mut Analyzer",
+            "&mut cme_core::Analyzer",
+        ] {
+            assert!(
+                !names(&code, needle),
+                "{path:?} names `{needle}`; a sweep runs its samples through \
+                 the pipeline memos and the store's analysis entries, keeps no \
+                 result cache, and every `Analyzer` entry point takes `&self`"
             );
         }
     }

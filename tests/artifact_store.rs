@@ -6,14 +6,18 @@
 //! the engine *recomputes* — never panics, never serves a stale or
 //! damaged artifact. Also pins the two safety invariants of the write
 //! path: exhausted (governor-truncated) analyses are never persisted, and
-//! the LRU size bound actually bounds the directory.
+//! the LRU size bound actually bounds the directory. A store hit carries
+//! the caller's names, and on a session shared between threads every
+//! served request reports its own store hit.
 
+use cme::api::{AnalyzeRequest, CacheSpec};
 use cme::core::solve::reference_analysis;
 use cme::core::store::{ArtifactKey, ArtifactStore};
 use cme::core::{Analyzer, Budget};
 use cme::ir::codec::{fnv1a64, Encoder};
 use cme::ir::db::{layout_hash, structural_hash};
-use cme::{AnalysisOptions, CacheConfig, LoopNest};
+use cme::ir::AccessKind;
+use cme::{AnalysisOptions, CacheConfig, LoopNest, NestBuilder};
 use cme_testgen::{arb_cache, arb_nest, NestDistribution};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -54,7 +58,7 @@ proptest! {
         let dir = temp_dir("roundtrip");
         {
             let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-            let mut writer = Analyzer::new(cache).store(Arc::clone(&store));
+            let writer = Analyzer::new(cache).store(Arc::clone(&store));
             let computed = writer.analyze(&nest);
             prop_assert_eq!(writer.stats().store_writes, 1);
 
@@ -64,7 +68,7 @@ proptest! {
             prop_assert_eq!(&read_back, &computed);
 
             // A fresh session (cold memo tables) must serve from disk.
-            let mut reader = Analyzer::new(cache).store(store);
+            let reader = Analyzer::new(cache).store(store);
             let served = reader.analyze(&nest);
             prop_assert_eq!(reader.stats().store_hits, 1);
             prop_assert_eq!(&served, &computed);
@@ -103,7 +107,7 @@ fn corrupted_entries_are_evicted_and_recomputed() {
     assert_eq!(flipped, 1, "the analysis persisted exactly one artifact");
 
     let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-    let mut analyzer = Analyzer::new(cache).store(Arc::clone(&store));
+    let analyzer = Analyzer::new(cache).store(Arc::clone(&store));
     let recomputed = analyzer.analyze(&nest);
     assert_eq!(recomputed, expect, "recompute, never trust corrupt bytes");
     let stats = store.stats();
@@ -112,7 +116,7 @@ fn corrupted_entries_are_evicted_and_recomputed() {
     assert_eq!(stats.writes, 1, "the fresh result was re-persisted");
 
     // The rewritten artifact is healthy again.
-    let mut reader = Analyzer::new(cache).store(Arc::clone(&store));
+    let reader = Analyzer::new(cache).store(Arc::clone(&store));
     assert_eq!(reader.analyze(&nest), expect);
     assert_eq!(reader.stats().store_hits, 1);
 
@@ -139,7 +143,7 @@ fn version_skewed_entries_are_evicted_and_recomputed() {
     std::fs::write(dir.join(key.file_name()), e.into_bytes()).unwrap();
 
     let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-    let mut analyzer = Analyzer::new(cache).store(Arc::clone(&store));
+    let analyzer = Analyzer::new(cache).store(Arc::clone(&store));
     assert_eq!(analyzer.analyze(&nest), expect);
     let stats = store.stats();
     assert_eq!(stats.version_evicted, 1, "the skewed entry was deleted");
@@ -156,7 +160,7 @@ fn exhausted_analyses_are_never_persisted() {
     let nest = cme::kernels::mmult(10);
 
     let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-    let mut tight = Analyzer::new(cache)
+    let tight = Analyzer::new(cache)
         .store(Arc::clone(&store))
         .budget(Budget::unlimited().with_max_solves(1));
     let governed = tight.try_analyze(&nest).unwrap();
@@ -169,7 +173,7 @@ fn exhausted_analyses_are_never_persisted() {
 
     // A later full-budget session finds nothing to reuse — it recomputes
     // the exact counts and only *then* persists.
-    let mut full = Analyzer::new(cache).store(Arc::clone(&store));
+    let full = Analyzer::new(cache).store(Arc::clone(&store));
     let exact = full.analyze(&nest);
     assert_eq!(full.stats().store_hits, 0);
     assert_eq!(exact, plain(&nest, cache));
@@ -187,7 +191,7 @@ fn lru_eviction_enforces_the_size_bound() {
     // Measure the footprint of the full set, unbounded.
     let total = {
         let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-        let mut a = Analyzer::new(cache).store(Arc::clone(&store));
+        let a = Analyzer::new(cache).store(Arc::clone(&store));
         for nest in &nests {
             a.analyze(nest);
         }
@@ -219,5 +223,77 @@ fn lru_eviction_enforces_the_size_bound() {
     );
     assert!(store.entry_count() < nests.len());
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The store key carries no names, so a hit must take the nest name and
+/// reference labels from the caller's nest, not from the entry's writer.
+#[test]
+fn store_hits_keep_the_callers_names() {
+    let named = |nest: &str, arrays: [&str; 2]| {
+        let mut b = NestBuilder::new();
+        b.name(nest);
+        b.ct_loop("i", 1, 16).ct_loop("j", 1, 16);
+        let x = b.array(arrays[0], &[16, 16], 0);
+        let y = b.array(arrays[1], &[16, 16], 300);
+        b.reference(x, AccessKind::Read, &[("j", 0), ("i", 0)]);
+        b.reference(y, AccessKind::Write, &[("j", 0), ("i", 0)]);
+        b.build().unwrap()
+    };
+    let dir = temp_dir("names");
+    let cache = CacheConfig::new(1024, 2, 32, 4).unwrap();
+    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+    let (writer, reader) = (named("writer", ["X", "Y"]), named("reader", ["A", "B"]));
+    Analyzer::new(cache)
+        .store(Arc::clone(&store))
+        .analyze(&writer);
+
+    let session = Analyzer::new(cache).store(store);
+    let served = session.analyze(&reader);
+    assert_eq!(
+        session.stats().store_hits,
+        1,
+        "names must not split the store"
+    );
+    assert_eq!(served.nest_name, "reader");
+    assert_eq!(served, plain(&reader, cache));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One store-backed session shared by two threads: each response's
+/// `store_hit` says whether the store answered *that* request, however
+/// the other thread's queries move the session's hit counter.
+#[test]
+fn a_shared_session_reports_each_requests_own_store_hit() {
+    let dir = temp_dir("shared");
+    let request = |i: i64| {
+        let nest = cme::kernels::mmult_with_bases(8, 0, 64 + i, 4096 + 3 * i);
+        AnalyzeRequest::from_nest(format!("q{i}"), &nest, CacheSpec::new(1024, 2, 32, 4))
+            .expect("mmult has a textual form")
+    };
+    let primed = request(0);
+    let model = primed.cache_model().unwrap();
+    let session = Analyzer::with_model(model).store(Arc::new(ArtifactStore::open(&dir).unwrap()));
+    assert!(!session.serve(&primed).result.unwrap().store_hit);
+    let fresh: Vec<AnalyzeRequest> = (1..=48).map(request).collect();
+    // Both loops start together, so the primed hits land while the fresh
+    // requests are being analyzed.
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            for _ in 0..48 {
+                let result = session.serve(&primed).result.unwrap();
+                assert!(result.store_hit, "a primed request is a store hit");
+            }
+        });
+        s.spawn(|| {
+            start.wait();
+            for req in &fresh {
+                let storeless = Analyzer::with_model(model).serve(req);
+                assert_eq!(session.serve(req), storeless, "a first-sight request");
+            }
+        });
+    });
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -84,7 +84,7 @@ proptest! {
         pad in 0i64..3,
     ) {
         for opts in option_sets() {
-            let mut analyzer = Analyzer::new(cache).options(opts.clone());
+            let analyzer = Analyzer::new(cache).options(opts.clone());
             // Prime the memo tables on mutated layouts first.
             analyzer.analyze(&mutate_layout(&nest, shift, pad));
             analyzer.analyze(&mutate_layout(&nest, 2 * shift, 0));
@@ -109,7 +109,7 @@ proptest! {
     ) {
         let opts = AnalysisOptions::default();
         let reference = reference_analysis(&nest, cache, &opts);
-        let mut analyzer = Analyzer::new(cache).options(opts.clone());
+        let analyzer = Analyzer::new(cache).options(opts.clone());
         let first = analyzer.analyze(&nest);
         let replay = analyzer.analyze(&nest);
         prop_assert_eq!(&first, &replay, "memo replay not idempotent");
@@ -130,7 +130,7 @@ fn warm_reuse_actually_happens() {
     let cache = CacheConfig::new(2048, 2, 32, 4).unwrap();
     let n = 12;
     let nest = cme::kernels::mmult_with_bases(n, 0, n * n, 2 * n * n);
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     analyzer.analyze(&nest);
     let moved = mutate_layout(&nest, 160, 0);
     analyzer.analyze(&moved);
@@ -170,7 +170,7 @@ proptest! {
             .iter()
             .map(|n| Analyzer::new(cache).analyze(n))
             .collect();
-        let mut batched = Analyzer::new(cache).threads(3);
+        let batched = Analyzer::new(cache).threads(3);
         prop_assert_eq!(batched.analyze_batch(&variants), solo);
     }
 }

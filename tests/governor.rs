@@ -25,7 +25,7 @@ use std::time::Duration;
 
 /// Exact per-reference misses from a fresh, ungoverned session.
 fn exact_misses(nest: &LoopNest, cache: CacheConfig, threads: usize) -> Vec<u64> {
-    let mut analyzer = Analyzer::new(cache).threads(threads);
+    let analyzer = Analyzer::new(cache).threads(threads);
     analyzer
         .analyze(nest)
         .per_ref
@@ -202,7 +202,7 @@ fn every_entry_point_runs_under_the_session_budget() {
         Analyzer::new(cache).budget(Budget::unlimited().with_max_solves(10)),
         Analyzer::new(cache).cancel_token(token),
     ];
-    for mut analyzer in sessions {
+    for analyzer in sessions {
         let governed = analyzer
             .try_analyze(&nest)
             .expect("governed paths never error");
@@ -235,7 +235,7 @@ fn every_entry_point_runs_under_the_session_budget() {
 fn tiny_budget_truncation_is_visible_in_stats() {
     let nest = cme::kernels::mmult(12);
     let cache = CacheConfig::new(1024, 2, 32, 4).expect("geometry");
-    let mut analyzer = Analyzer::new(cache).budget(Budget::unlimited().with_max_solves(10));
+    let analyzer = Analyzer::new(cache).budget(Budget::unlimited().with_max_solves(10));
     let governed = analyzer.try_analyze(&nest).expect("no error path here");
     assert!(governed.outcome.is_exhausted());
     let stats = analyzer.stats();
@@ -263,7 +263,7 @@ fn tiny_budget_truncation_is_visible_in_stats() {
 fn worker_panic_poisons_one_query_not_the_session() {
     let nest = cme::kernels::sor(16);
     let cache = CacheConfig::new(1024, 2, 32, 4).expect("geometry");
-    let mut analyzer = Analyzer::new(cache).parallel(true).threads(3);
+    let analyzer = Analyzer::new(cache).parallel(true).threads(3);
     let baseline = analyzer.analyze(&nest);
 
     analyzer.inject_worker_panic(0);
@@ -320,8 +320,8 @@ fn full_budget_governed_run_is_bit_identical_to_ungoverned() {
 
 /// Governed parametric sweeps (Section 5.1.3 under a budget): a sweep
 /// whose samples truncate must degrade to the exhaustive fallback whole —
-/// never a half-fitted function — and truncated results must never enter
-/// the session memo or the persistent store.
+/// never a half-fitted function — and its truncated samples must never
+/// reach the session's memos or the persistent store.
 mod sweeps {
     use super::*;
     use cme::core::{SweepParameter, SweepRequest};
@@ -368,7 +368,7 @@ mod sweeps {
     fn tiny_budget_sweep_degrades_whole_never_half_fitted() {
         let nest = spacing_nest();
         let request = spacing_request();
-        let mut analyzer = Analyzer::new(small_cache()).budget(tiny_budget());
+        let analyzer = Analyzer::new(small_cache()).budget(tiny_budget());
         let result = analyzer
             .sweep(&nest, &request)
             .expect("budgets never error");
@@ -382,17 +382,22 @@ mod sweeps {
     }
 
     /// Repeating the identical truncated sweep in the same session must
-    /// recompute — degraded results never enter the sweep memo — while a
-    /// full-budget session fits and *does* memoize.
+    /// recompute — truncated samples never enter the session's pipeline
+    /// memos — while a full-budget session fits and serves its repeat
+    /// from those memos without re-scanning.
     #[test]
     fn truncated_sweeps_are_never_memoized() {
         let nest = spacing_nest();
         let request = spacing_request();
-        let mut governed = Analyzer::new(small_cache()).budget(tiny_budget());
+        let governed = Analyzer::new(small_cache()).budget(tiny_budget());
         let first = governed.sweep(&nest, &request).expect("no error path");
         let second = governed.sweep(&nest, &request).expect("no error path");
         assert!(first.fallback && second.fallback);
-        assert!(!second.memo_hit, "degraded result must not be memoized");
+        assert!(
+            second.degraded > 0,
+            "the repeat must truncate again: {second}"
+        );
+        assert_eq!(second, first, "a repeat recomputes the same fallback");
         assert_eq!(
             governed.stats().sweeps_fallback,
             2,
@@ -400,18 +405,27 @@ mod sweeps {
             governed.stats()
         );
 
-        let mut full = Analyzer::new(small_cache());
+        let full = Analyzer::new(small_cache());
         let cold = full.sweep(&nest, &request).expect("no error path");
+        let scanned = full.stats().scans_executed;
         let warm = full.sweep(&nest, &request).expect("no error path");
         assert!(cold.function.is_some(), "full budget must fit: {cold}");
-        assert!(warm.memo_hit, "complete results are memoized");
-        assert_eq!(warm.best_k, cold.best_k);
-        assert_eq!(warm.best_misses, cold.best_misses);
+        let stats = full.stats();
+        assert_eq!(
+            stats.scans_executed, scanned,
+            "complete scans are memoized: {stats}"
+        );
+        assert!(
+            stats.scans_reused > 0,
+            "the repeat is served by the memos: {stats}"
+        );
+        assert_eq!(warm, cold);
     }
 
     /// Truncated sweeps never reach the artifact store: a fresh session
-    /// over the same store sees a cold miss, and only its own complete
-    /// fit is persisted for the session after it.
+    /// over the same store sees only cold misses and fits exactly as a
+    /// storeless sweep does, and only its complete samples are persisted
+    /// for the session after it.
     #[test]
     fn truncated_sweeps_are_never_persisted() {
         let nest = spacing_nest();
@@ -419,31 +433,43 @@ mod sweeps {
         let dir = store_dir("persist");
         {
             let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-            let mut governed = Analyzer::new(small_cache())
+            let governed = Analyzer::new(small_cache())
                 .store(Arc::clone(&store))
                 .budget(tiny_budget());
             let truncated = governed.sweep(&nest, &request).expect("no error path");
-            assert!(truncated.fallback && truncated.degraded > 0);
+            assert!(truncated.fallback && truncated.degraded > 0, "{truncated}");
+            assert_eq!(store.entry_count(), 0, "truncated samples never land");
+            assert_eq!(store.stats().writes, 0);
         }
         let cold = {
             let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-            let mut full = Analyzer::new(small_cache()).store(store);
-            full.sweep(&nest, &request).expect("no error path")
+            let full = Analyzer::new(small_cache()).store(store);
+            let cold = full.sweep(&nest, &request).expect("no error path");
+            let stats = full.stats();
+            assert_eq!(
+                stats.store_hits, 0,
+                "no truncated sample was served: {stats}"
+            );
+            assert!(stats.store_writes > 0, "complete samples persist: {stats}");
+            cold
         };
-        assert!(
-            !cold.store_hit && !cold.memo_hit,
-            "truncated sweep must not have been persisted: {cold}"
-        );
         assert!(cold.function.is_some(), "full budget must fit: {cold}");
-        // The complete fit *is* persisted: a third session reads it back
-        // bit-identically without re-analyzing.
+        let storeless = Analyzer::new(small_cache())
+            .sweep(&nest, &request)
+            .expect("no error path");
+        assert_eq!(cold, storeless);
+        // The complete samples *are* persisted: a third session reads them
+        // back and re-fits bit-identically without re-analyzing.
         let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-        let mut reader = Analyzer::new(small_cache()).store(store);
+        let reader = Analyzer::new(small_cache()).store(store);
         let warm = reader.sweep(&nest, &request).expect("no error path");
-        assert!(warm.store_hit, "complete fit must persist: {warm}");
-        assert_eq!(warm.best_k, cold.best_k);
-        assert_eq!(warm.best_misses, cold.best_misses);
-        assert_eq!(warm.function, cold.function);
+        let stats = reader.stats();
+        assert!(
+            stats.store_hits > 0,
+            "complete samples must persist: {stats}"
+        );
+        assert_eq!(stats.store_misses, 0, "every sample was persisted: {stats}");
+        assert_eq!(warm, cold);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

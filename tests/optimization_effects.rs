@@ -129,7 +129,7 @@ fn parametric_spacing_matches_brute_force() {
     // 256 elements. One shared session: all sampled spacings are layout
     // siblings, so the engine re-scores them from its memo tables.
     let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
-    let mut analyzer = cme::core::Analyzer::new(cache);
+    let analyzer = cme::core::Analyzer::new(cache);
     let spacing = cme::SweepParameter::BaseSpacing {
         array: cme::ir::ArrayId::from_index(1),
     };

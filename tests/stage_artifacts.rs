@@ -29,7 +29,7 @@ fn golden_path() -> PathBuf {
 /// Renders the per-stage fingerprint of one cold sequential analysis.
 fn render(nest: &cme::ir::LoopNest, cache: CacheConfig) -> String {
     let mut out = String::new();
-    let mut analyzer = Analyzer::new(cache);
+    let analyzer = Analyzer::new(cache);
     let analysis = analyzer.analyze(nest);
     let stats = analyzer.stats();
 

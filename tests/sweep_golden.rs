@@ -36,7 +36,7 @@ fn render(nest: &cme::ir::LoopNest, cache: CacheConfig) -> String {
         96,
         16 * cache.elem_bytes(),
     );
-    let mut analyzer = Analyzer::new(cache).threads(1);
+    let analyzer = Analyzer::new(cache).threads(1);
     let result = analyzer
         .sweep(nest, &request)
         .expect("table-1 sweeps never error");
