@@ -49,10 +49,7 @@ fn bench_full_analysis(c: &mut Criterion) {
         cascade.analyze(&nest),
         "cascade diverged from the reference implementation"
     );
-    let sharded = Analyzer::new(cache)
-        .options(opts.clone())
-        .parallel(true)
-        .threads(4);
+    let sharded = Analyzer::new(cache).options(opts.clone()).threads(4);
     assert_eq!(
         reference,
         sharded.analyze(&nest),
@@ -93,10 +90,7 @@ fn bench_full_analysis(c: &mut Criterion) {
     });
     g.bench_function("cascade-sharded", |b| {
         b.iter(|| {
-            let a = Analyzer::new(cache)
-                .options(opts.clone())
-                .parallel(true)
-                .threads(4);
+            let a = Analyzer::new(cache).options(opts.clone()).threads(4);
             black_box(a.analyze(&nest))
         })
     });
@@ -128,7 +122,6 @@ fn bench_table1_n96(c: &mut Criterion) {
         reference,
         Analyzer::new(cache)
             .options(opts.clone())
-            .parallel(true)
             .threads(threads)
             .analyze(&nest),
         "sharded cascade diverged at N=96"
@@ -144,10 +137,7 @@ fn bench_table1_n96(c: &mut Criterion) {
     });
     g.bench_function("cascade-par", |b| {
         b.iter(|| {
-            let a = Analyzer::new(cache)
-                .options(opts.clone())
-                .parallel(true)
-                .threads(threads);
+            let a = Analyzer::new(cache).options(opts.clone()).threads(threads);
             black_box(a.analyze(&nest))
         })
     });

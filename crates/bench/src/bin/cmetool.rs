@@ -38,9 +38,11 @@
 //!
 //! `client` speaks the `cme-serve` line protocol (`docs/SERVE.md`) over
 //! `--connect HOST:PORT` or `--unix PATH`. It sends one request built from
-//! the same kernel/cache/budget flags as `analyze` (or a control op via
-//! `--op ping|stats|shutdown`), prints the decoded response (`--json` for
-//! the raw line), and exits 0 on success or with the stable
+//! the same kernel/cache/budget flags as `analyze` (a `--file` with a
+//! `! cache:` directive is a corpus case and brings its own name,
+//! geometry, model and ε), or a control op via
+//! `--op ping|stats|shutdown`. It prints the decoded response (`--json` for
+//! the raw line) and exits 0 on success or with the stable
 //! [`ErrorCode::exit_code`] of the coded failure. Transport is the shared
 //! resilient client (`cme_serve::client`): connect/read deadlines and
 //! bounded jittered retry of idempotent requests across connect failures,
@@ -57,6 +59,7 @@ use cme_core::api::{AnalyzeRequest, AnalyzeResponse, CacheSpec, ErrorCode};
 use cme_core::{
     compare_with_simulation, AnalysisOptions, Analyzer, ArtifactStore, Budget, CmeSystem,
 };
+use cme_diffcheck::corpus::parse_case;
 use cme_kernels::kernel_names;
 use cme_opt::{diagnose, optimize_padding};
 use cme_reuse::ReuseOptions;
@@ -116,7 +119,7 @@ fn main() {
             println!("{nest}");
             let mut analyzer = Analyzer::new(cache)
                 .options(opts.clone())
-                .parallel(true)
+                .threads(0)
                 .budget(budget);
             if let Some(dir) = args.value_str("--store") {
                 match ArtifactStore::open(dir) {
@@ -265,6 +268,33 @@ fn run_sweep_cmd(args: &BenchArgs) {
     print!("{rendered}");
 }
 
+/// The request for `client --file`. A file with a `! cache:` directive
+/// is a corpus case (`cme_diffcheck::corpus`) and is sent with its own
+/// name, geometry, model and ε; any other file is sent as program text
+/// with the CLI geometry.
+fn file_request(path: &str, cli_cache: CacheSpec) -> AnalyzeRequest {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read `{path}`: {e}");
+        std::process::exit(ErrorCode::Io.exit_code());
+    });
+    let is_cache_directive = |line: &str| {
+        let directive = line
+            .trim()
+            .strip_prefix('!')
+            .and_then(|d| d.split_once(':'));
+        directive.is_some_and(|(key, _)| key.trim() == "cache")
+    };
+    if !text.lines().any(is_cache_directive) {
+        return AnalyzeRequest::new("cmetool", text, cli_cache);
+    }
+    let case = parse_case(path, &text).unwrap_or_else(|e| {
+        eprintln!("`{path}`: {e}");
+        std::process::exit(ErrorCode::BadRequest.exit_code());
+    });
+    // Parsed text declares origin-1 arrays only, so it always re-renders.
+    case.to_request().expect("a parsed nest has a textual form")
+}
+
 /// The `client` subcommand: build the request line, ship it to a
 /// `cme-serve` instance through the shared resilient client
 /// ([`cme_serve::client`] — connect/read deadlines, bounded backoff,
@@ -273,20 +303,18 @@ fn run_client(args: &BenchArgs) {
     let op = args.value_str("--op").unwrap_or("analyze");
     let line = match op {
         "analyze" => {
-            let program = if let Some(path) = args.value_str("--file") {
-                std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read `{path}`: {e}");
-                    std::process::exit(ErrorCode::Io.exit_code());
-                })
+            let cli_cache = CacheSpec::of(&args.cache());
+            let mut request = if let Some(path) = args.value_str("--file") {
+                file_request(path, cli_cache)
             } else {
                 let kernel = args.positional(1).unwrap_or("mmult");
                 let nest = resolve_kernel(kernel, args.n(64));
-                cme_ir::parse::to_source(&nest).unwrap_or_else(|| {
+                let program = cme_ir::parse::to_source(&nest).unwrap_or_else(|| {
                     eprintln!("kernel `{kernel}` has no textual form");
                     std::process::exit(2);
-                })
+                });
+                AnalyzeRequest::new("cmetool", program, cli_cache)
             };
-            let mut request = AnalyzeRequest::new("cmetool", program, CacheSpec::of(&args.cache()));
             if let Some(e) = args.value("--epsilon") {
                 request.epsilon = e.max(0) as u64;
             }

@@ -29,18 +29,16 @@ use cme_ir::ArrayId;
 fn main() {
     let args = BenchArgs::from_env();
     let n = args.n(64);
-    let threads = args.value_or("--threads", 0).max(0) as usize;
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
-    };
+    let cache = args.cache();
+    // `--threads 0` (the default) is every available core, as for any session.
+    let threads = Analyzer::new(cache)
+        .threads(args.value_or("--threads", 0).max(0) as usize)
+        .thread_count();
     let out_path = args
         .value_str("--out")
         .unwrap_or("BENCH_cascade.json")
         .to_string();
 
-    let cache = args.cache();
     let nest = cme_kernels::mmult_with_bases(n, 0, n * n, 2 * n * n);
     let opts = AnalysisOptions::default();
 
@@ -76,10 +74,7 @@ fn main() {
     let mut par_stats = seq_stats.clone();
     let mut par_threads = seq.thread_count();
     for &t_count in &sweep_counts {
-        let par = Analyzer::new(cache)
-            .options(opts.clone())
-            .parallel(true)
-            .threads(t_count);
+        let par = Analyzer::new(cache).options(opts.clone()).threads(t_count);
         let t = Instant::now();
         let par_res = par.analyze(&nest);
         let secs = t.elapsed().as_secs_f64();

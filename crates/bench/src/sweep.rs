@@ -146,9 +146,7 @@ pub fn run_sweep(nests: &[LoopNest], grid: &SweepGrid) -> Result<Vec<SweepRow>, 
                     let model = CacheModel::new(cache).policy(policy);
                     // One session per cell: every kernel shares this
                     // engine's memo tables and work pool.
-                    let analyzer = Analyzer::with_model(model)
-                        .options(opts.clone())
-                        .parallel(true);
+                    let analyzer = Analyzer::with_model(model).options(opts.clone()).threads(0);
                     let analytic = analyzer.analyze_batch(nests);
                     for (nest, analysis) in nests.iter().zip(&analytic) {
                         let sim = simulate_nest_model(nest, &model).total();

@@ -84,7 +84,7 @@ pub fn compare_with_simulation(
 ) -> AccuracyRow {
     let analysis = Analyzer::new(cache)
         .options(options.clone())
-        .parallel(true)
+        .threads(0)
         .analyze(nest);
     let simulation = simulate_nest(nest, cache);
     let arrays: HashSet<usize> = nest

@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 /// let cfg = CacheConfig::new(8192, 1, 32, 4)?;
 /// let analyzer = Analyzer::new(cfg)
 ///     .options(AnalysisOptions::default())
-///     .parallel(true);
+///     .threads(0);
 /// let analysis = analyzer.analyze(&nest);
 /// assert_eq!(analysis.total_misses(), 8);
 ///
@@ -70,7 +70,6 @@ pub struct Analyzer {
     /// (`u64::MAX` = disarmed).
     pub(super) panic_countdown: AtomicU64,
     options: AnalysisOptions,
-    parallel: bool,
     threads: usize,
     budget: Budget,
     pub(super) cancel: Option<CancelToken>,
@@ -102,8 +101,7 @@ impl Analyzer {
             max_cached_points: 1 << 22,
             panic_countdown: AtomicU64::new(u64::MAX),
             options: AnalysisOptions::default(),
-            parallel: false,
-            threads: 0,
+            threads: 1,
             budget: Budget::unlimited(),
             cancel: None,
         }
@@ -139,13 +137,8 @@ impl Analyzer {
         self
     }
 
-    /// Spreads each analysis over the machine's cores.
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
-
-    /// Pins the work-pool width explicitly (overrides [`Analyzer::parallel`]).
+    /// Sets the work-pool width: `threads` workers per analysis, or one
+    /// per available core for `0`. The default is 1.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -276,18 +269,13 @@ impl Analyzer {
         Ok(served.into_iter().map(|(governed, _)| governed).collect())
     }
 
-    /// The work-pool width the session's analyses actually run at:
-    /// [`Analyzer::threads`] when pinned, the machine's available
-    /// parallelism under [`Analyzer::parallel`], 1 otherwise.
+    /// The work-pool width the session's analyses actually run at: the
+    /// [`Analyzer::threads`] setting, with `0` resolved to the machine's
+    /// available parallelism.
     pub fn thread_count(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else if self.parallel {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            1
+        match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         }
     }
 }

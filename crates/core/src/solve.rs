@@ -975,7 +975,7 @@ mod tests {
         let serial = reference_analysis(&nest, cache, &opts);
         let parallel = crate::Analyzer::new(cache)
             .options(opts)
-            .parallel(true)
+            .threads(0)
             .analyze(&nest);
         assert_eq!(serial, parallel);
     }

@@ -165,9 +165,7 @@ pub fn optimize_padding(
     cache: &CacheConfig,
     options: &AnalysisOptions,
 ) -> (LoopNest, PaddingOutcome) {
-    let analyzer = Analyzer::new(*cache)
-        .options(options.clone())
-        .parallel(true);
+    let analyzer = Analyzer::new(*cache).options(options.clone()).threads(0);
     optimize_padding_with(&analyzer, nest)
 }
 
@@ -610,7 +608,7 @@ mod tests {
         b.reference(c, AccessKind::Read, &[("i", 0)]);
         let nest = b.build().unwrap();
 
-        let analyzer = Analyzer::new(cache).parallel(true);
+        let analyzer = Analyzer::new(cache).threads(0);
         let (optimized, outcome) = optimize_padding_with(&analyzer, &nest);
         assert!(
             outcome.replacement_after > 0,
@@ -674,7 +672,7 @@ mod tests {
         let cache = table1_cache();
         let nest = cme_kernels::adi(32);
         let analyzer = Analyzer::new(cache)
-            .parallel(true)
+            .threads(0)
             .budget(cme_core::Budget::unlimited().with_max_solves(50));
         let (_, outcome) = optimize_padding_with(&analyzer, &nest);
         assert!(

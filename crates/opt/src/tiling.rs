@@ -146,7 +146,7 @@ pub fn select_tile_and_layout(
 ) -> Result<Option<(cme_ir::LoopNest, TileChoice)>, cme_ir::transform::TransformError> {
     let analyzer = cme_core::Analyzer::new(*cache)
         .options(options.clone())
-        .parallel(true);
+        .threads(0);
     select_tile_and_layout_with(&analyzer, nest, k_level, j_level, n, col)
 }
 

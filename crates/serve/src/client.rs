@@ -26,6 +26,7 @@
 //! this module, so there is exactly one implementation of the protocol's
 //! client side.
 
+use crate::Transport;
 use cme_core::api::json::{self, Json};
 use cme_core::api::ErrorCode;
 use std::io::{self, Read, Write};
@@ -111,25 +112,8 @@ pub struct ClientStats {
 /// fragments; bytes past the first newline belong to no one and are
 /// discarded with the connection).
 struct Conn {
-    stream: Box<dyn Stream>,
+    stream: Box<dyn Transport + Send>,
     buf: Vec<u8>,
-}
-
-/// Object-safe subset of socket behavior the client needs.
-trait Stream: Read + Write + Send {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl Stream for TcpStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        TcpStream::set_read_timeout(self, timeout)
-    }
-}
-
-impl Stream for UnixStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        UnixStream::set_read_timeout(self, timeout)
-    }
 }
 
 /// A reconnecting, retrying line-protocol client. Construction is free;
@@ -250,7 +234,7 @@ impl Client {
     }
 
     fn connect(&self) -> io::Result<Conn> {
-        let stream: Box<dyn Stream> = match &self.config.endpoint {
+        let stream: Box<dyn Transport + Send> = match &self.config.endpoint {
             Endpoint::Tcp(addr) => {
                 let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
                     io::Error::new(

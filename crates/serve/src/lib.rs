@@ -10,7 +10,7 @@
 //!
 //! Resource governance doubles as admission control: a server-wide
 //! `max_budget_ms` caps (and, for unbudgeted requests, supplies) the
-//! per-request deadline, so no client can monopolize a shared session.
+//! per-request deadline, so no client can monopolize the server.
 //! Exhausted requests come back as *degraded successes*
 //! (`outcome.complete = false`, a sound overcount) — never as errors, and
 //! never persisted to the store.
@@ -45,14 +45,15 @@ pub mod client;
 use cme_cache::CacheModel;
 use cme_core::api::json::{self, obj, Json};
 use cme_core::api::{AnalyzeRequest, AnalyzeResponse, Error, ErrorCode};
-use cme_core::{Analyzer, ArtifactStore};
+use cme_core::{Analyzer, ArtifactStore, EngineStats};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -80,7 +81,7 @@ pub struct ServerConfig {
     /// Size bound of the store in bytes (`None` =
     /// [`ArtifactStore::DEFAULT_MAX_BYTES`]).
     pub store_max_bytes: Option<u64>,
-    /// Worker threads per analysis (`0` = sequential).
+    /// Worker threads per analysis (`0` = every available core).
     pub threads: usize,
     /// Admission control: every request's wall-clock budget is clamped to
     /// this many milliseconds, and requests that arrive without a deadline
@@ -103,10 +104,8 @@ pub struct ServerConfig {
     /// LRU cap on the per-geometry session map
     /// ([`ServerStats::sessions_evicted`]). `0` disables.
     pub max_sessions: usize,
-    /// Poll tick of the accept loops in milliseconds (min 1).
-    pub accept_tick_ms: u64,
     /// Drain deadline after shutdown: the accept loops stop accepting at
-    /// once and join in-flight connections for at most this long.
+    /// once and wait at most this long for live connections to finish.
     pub drain_ms: u64,
 }
 
@@ -115,13 +114,12 @@ impl Default for ServerConfig {
         ServerConfig {
             store_dir: None,
             store_max_bytes: None,
-            threads: 0,
+            threads: 1,
             max_budget_ms: None,
             idle_timeout_ms: 30_000,
             max_line_bytes: 4 << 20,
             max_connections: 128,
             max_sessions: 32,
-            accept_tick_ms: 5,
             drain_ms: 5_000,
         }
     }
@@ -148,7 +146,7 @@ pub struct ServerStats {
     pub oversized_lines: u64,
     /// Sessions evicted by the LRU cap on the session map.
     pub sessions_evicted: u64,
-    /// Connection threads that panicked (joined and counted, never
+    /// Connection threads that panicked (counted as they unwind, never
     /// silently dropped).
     pub worker_panics: u64,
 }
@@ -156,8 +154,49 @@ pub struct ServerStats {
 /// One per-geometry analyzer session plus its LRU stamp.
 #[derive(Debug)]
 struct SessionSlot {
-    analyzer: Arc<Mutex<Analyzer>>,
+    analyzer: Arc<Analyzer>,
     last_used: u64,
+}
+
+/// The engine counters the `stats` op reports, under its names.
+type EngineCounters = [(&'static str, u64); 8];
+
+fn engine_counters(s: &EngineStats) -> EngineCounters {
+    [
+        ("analyses", s.analyses),
+        ("store_hits", s.store_hits),
+        ("store_misses", s.store_misses),
+        ("store_writes", s.store_writes),
+        ("exhausted", s.exhausted_analyses),
+        ("sim_classifications", s.sim_classifications),
+        ("writebacks", s.sim_writebacks),
+        ("sim_exhausted", s.sim_exhausted),
+    ]
+}
+
+/// Adds one session's engine counters to `totals`.
+fn add_engine_counters(totals: &mut EngineCounters, analyzer: &Analyzer) {
+    for (total, (_, n)) in totals.iter_mut().zip(engine_counters(&analyzer.stats())) {
+        total.1 += n;
+    }
+}
+
+/// The live sessions, plus the engine counters of the sessions the LRU
+/// cap has evicted, so the `stats` op's totals never go backwards.
+#[derive(Debug)]
+struct Sessions {
+    live: HashMap<CacheModel, SessionSlot>,
+    evicted: EngineCounters,
+}
+
+/// A duplicate of one accept loop's listening socket, held as a stream
+/// only so [`Server::request_shutdown`] can `shutdown(2)` it: that fails
+/// the loop's blocked `accept` at once, whatever the listener's address
+/// (a Unix socket whose file was unlinked included).
+#[derive(Debug)]
+enum Wake {
+    Tcp(TcpStream),
+    Unix(UnixStream),
 }
 
 /// The shared server state: per-geometry [`Analyzer`] sessions, the
@@ -172,9 +211,11 @@ struct SessionSlot {
 pub struct Server {
     config: ServerConfig,
     store: Option<Arc<ArtifactStore>>,
-    sessions: Mutex<HashMap<CacheModel, SessionSlot>>,
+    sessions: Mutex<Sessions>,
     session_clock: AtomicU64,
     shutdown: AtomicBool,
+    /// Every live accept loop's listening socket, for the shutdown wake.
+    listeners: Mutex<Vec<Weak<Wake>>>,
     requests: AtomicU64,
     errors: AtomicU64,
     connections: AtomicU64,
@@ -186,14 +227,14 @@ pub struct Server {
     worker_panics: AtomicU64,
 }
 
-/// Locks a mutex, riding through poisoning: a panicking worker must not
-/// wedge every other client of the session.
+/// Locks a mutex, riding through poisoning: a panicking thread must not
+/// wedge every other client.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A duplex byte stream with socket deadlines — the connection-side
-/// surface the server needs from TCP and Unix sockets.
+/// A duplex byte stream with socket deadlines — the surface the server
+/// and the [`client`] need from TCP and Unix sockets.
 pub trait Transport: Read + Write {
     /// Sets the read timeout (the server uses a short tick so reads stay
     /// shutdown-aware).
@@ -220,12 +261,16 @@ impl Transport for UnixStream {
     }
 }
 
-/// Decrements the live-connection gauge when a connection thread exits,
+/// Counts a detached connection thread out as it exits: a panic is added
+/// to `worker_panics`, and the live-connection gauge is decremented,
 /// panic or not — a leaked increment would shed forever.
 struct ActiveGuard(Arc<Server>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.worker_panics.fetch_add(1, Ordering::Relaxed);
+        }
         self.0.active.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -262,9 +307,13 @@ impl Server {
         Arc::new(Server {
             config,
             store,
-            sessions: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(Sessions {
+                live: HashMap::new(),
+                evicted: engine_counters(&EngineStats::default()),
+            }),
             session_clock: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            listeners: Mutex::new(Vec::new()),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
@@ -289,9 +338,22 @@ impl Server {
     }
 
     /// Requests shutdown from the host process (equivalent to the wire
-    /// `shutdown` op).
+    /// `shutdown` op): sets the latch, then wakes each accept loop by
+    /// shutting down its listening socket. The latch is set under the lock
+    /// that listeners register under, so a listener either is woken here
+    /// or sees the latch before its first accept.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        let listeners = lock(&self.listeners);
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for wake in listeners.iter().filter_map(Weak::upgrade) {
+            // An error leaves nothing to wake: the socket is already down.
+            let _ = match &*wake {
+                Wake::Tcp(socket) => socket.shutdown(Shutdown::Read),
+                Wake::Unix(socket) => socket.shutdown(Shutdown::Read),
+            };
+        }
     }
 
     /// Snapshot of the server's own counters.
@@ -299,7 +361,7 @@ impl Server {
         ServerStats {
             requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            sessions: lock(&self.sessions).len() as u64,
+            sessions: lock(&self.sessions).live.len() as u64,
             connections: self.connections.load(Ordering::Relaxed),
             active_connections: self.active.load(Ordering::Relaxed),
             shed_connections: self.shed_connections.load(Ordering::Relaxed),
@@ -315,25 +377,29 @@ impl Server {
     /// at [`ServerConfig::max_sessions`], so a cold model evicts the
     /// least-recently-used one. In-flight requests keep their own handle
     /// to an evicted session — eviction only forgets memo state for
-    /// *future* requests, it never breaks a running one. Two requests that
-    /// share a geometry but differ in policy, write semantics, or L2 get
-    /// distinct sessions — their artifacts are keyed differently too.
-    fn session(&self, request: &AnalyzeRequest) -> Result<Arc<Mutex<Analyzer>>, Error> {
+    /// *future* requests, it never breaks a running one. An evicted
+    /// session's counters are kept for the `stats` op, as read at
+    /// eviction. Two requests that share a geometry but differ in policy,
+    /// write semantics, or L2 get distinct sessions — their artifacts are
+    /// keyed differently too.
+    fn session(&self, request: &AnalyzeRequest) -> Result<Arc<Analyzer>, Error> {
         let key = request.cache_model()?;
         let stamp = self.session_clock.fetch_add(1, Ordering::Relaxed);
         let mut sessions = lock(&self.sessions);
-        if let Some(slot) = sessions.get_mut(&key) {
+        if let Some(slot) = sessions.live.get_mut(&key) {
             slot.last_used = stamp;
             return Ok(Arc::clone(&slot.analyzer));
         }
         let cap = self.config.max_sessions;
-        if cap > 0 && sessions.len() >= cap {
+        if cap > 0 && sessions.live.len() >= cap {
             if let Some(lru) = sessions
+                .live
                 .iter()
                 .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(k, _)| *k)
             {
-                sessions.remove(&lru);
+                let slot = sessions.live.remove(&lru).expect("the LRU key is live");
+                add_engine_counters(&mut sessions.evicted, &slot.analyzer);
                 self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -341,8 +407,8 @@ impl Server {
         if let Some(store) = &self.store {
             analyzer = analyzer.store(Arc::clone(store));
         }
-        let session = Arc::new(Mutex::new(analyzer));
-        sessions.insert(
+        let session = Arc::new(analyzer);
+        sessions.live.insert(
             key,
             SessionSlot {
                 analyzer: Arc::clone(&session),
@@ -407,7 +473,7 @@ impl Server {
                 return AnalyzeResponse::err(&request.id, e);
             }
         };
-        let response = lock(&session).serve(request);
+        let response = session.serve(request);
         if response.result.is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -437,41 +503,18 @@ impl Server {
         )
     }
 
-    /// The `stats` op payload: server, per-session engine, and store
-    /// counters.
+    /// The `stats` op payload: server, engine, and store counters. The
+    /// engine counters sum the live sessions and the evicted ones; session
+    /// counters are atomics, so no read waits on an analysis.
     fn stats_json(&self) -> Json {
         let server = self.stats();
         let engine = {
             let sessions = lock(&self.sessions);
-            let mut analyses = 0u64;
-            let mut store_hits = 0u64;
-            let mut store_misses = 0u64;
-            let mut store_writes = 0u64;
-            let mut exhausted = 0u64;
-            let mut sim_classifications = 0u64;
-            let mut sim_writebacks = 0u64;
-            let mut sim_exhausted = 0u64;
-            for slot in sessions.values() {
-                let s = lock(&slot.analyzer).stats();
-                analyses += s.analyses;
-                store_hits += s.store_hits;
-                store_misses += s.store_misses;
-                store_writes += s.store_writes;
-                exhausted += s.exhausted_analyses;
-                sim_classifications += s.sim_classifications;
-                sim_writebacks += s.sim_writebacks;
-                sim_exhausted += s.sim_exhausted;
+            let mut totals = sessions.evicted;
+            for slot in sessions.live.values() {
+                add_engine_counters(&mut totals, &slot.analyzer);
             }
-            obj([
-                ("analyses", Json::UInt(analyses)),
-                ("store_hits", Json::UInt(store_hits)),
-                ("store_misses", Json::UInt(store_misses)),
-                ("store_writes", Json::UInt(store_writes)),
-                ("exhausted", Json::UInt(exhausted)),
-                ("sim_classifications", Json::UInt(sim_classifications)),
-                ("writebacks", Json::UInt(sim_writebacks)),
-                ("sim_exhausted", Json::UInt(sim_exhausted)),
-            ])
+            obj(totals.map(|(key, n)| (key, Json::UInt(n))))
         };
         let store = self.store.as_ref().map(|store| {
             let s = store.stats();
@@ -600,98 +643,68 @@ impl Server {
         self.write_best_effort(&mut stream, &line);
     }
 
-    /// Joins every finished connection thread, counting panics — a
-    /// panicking connection thread is evidence, not garbage to drop on
-    /// the floor.
-    fn reap(&self, workers: &mut Vec<thread::JoinHandle<()>>) {
-        let mut i = 0;
-        while i < workers.len() {
-            if workers[i].is_finished() {
-                if workers.swap_remove(i).join().is_err() {
-                    self.worker_panics.fetch_add(1, Ordering::Relaxed);
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Accept loop over TCP: one thread per connection up to the pool
-    /// bound (beyond it, shed), polling the shutdown latch between
-    /// accepts. Returns once shutdown is requested and in-flight
-    /// connections have drained (or the drain deadline passed).
+    /// Accept loop over TCP: one detached thread per connection up to the
+    /// pool bound (beyond it, shed). Blocks in `accept` and checks the
+    /// shutdown latch after every accept; [`Server::request_shutdown`]
+    /// wakes it by shutting down the listening socket. Returns
+    /// once shutdown is requested and live connections have drained (or
+    /// the drain deadline passed).
     ///
     /// # Errors
     ///
-    /// Propagates listener setup failures; per-connection errors only drop
-    /// that connection.
+    /// Propagates listener failures; per-connection errors only drop that
+    /// connection.
     pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        self.accept_loop(|| match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).ok();
-                Some(Ok(stream))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-            Err(e) => Some(Err(e)),
-        })
+        let wake = Wake::Tcp(TcpStream::from(OwnedFd::from(listener.try_clone()?)));
+        self.accept_loop(wake, || listener.accept().map(|(stream, _)| stream))
     }
 
     /// Accept loop over a Unix socket; semantics as [`Server::serve_tcp`].
     ///
     /// # Errors
     ///
-    /// Propagates listener setup failures.
+    /// Propagates listener failures.
     pub fn serve_unix(self: &Arc<Self>, listener: UnixListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        self.accept_loop(|| match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).ok();
-                Some(Ok(stream))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-            Err(e) => Some(Err(e)),
-        })
+        let wake = Wake::Unix(UnixStream::from(OwnedFd::from(listener.try_clone()?)));
+        self.accept_loop(wake, || listener.accept().map(|(stream, _)| stream))
     }
 
-    fn accept_loop<S, A>(self: &Arc<Self>, mut accept: A) -> io::Result<()>
+    fn accept_loop<S, A>(self: &Arc<Self>, wake: Wake, mut accept: A) -> io::Result<()>
     where
         S: Transport + Send + 'static,
-        A: FnMut() -> Option<io::Result<S>>,
+        A: FnMut() -> io::Result<S>,
     {
-        let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
-        let tick = Duration::from_millis(self.config.accept_tick_ms.max(1));
+        // Registered under the lock `request_shutdown` sets the latch
+        // under, and the latch is checked before the first accept. The
+        // loop holds the one strong handle, so the duplicate socket closes
+        // when the loop returns.
+        let wake = Arc::new(wake);
+        lock(&self.listeners).push(Arc::downgrade(&wake));
         while !self.is_shutdown() {
-            match accept() {
-                Some(Ok(stream)) => {
-                    let cap = self.config.max_connections;
-                    if cap > 0 && self.active.load(Ordering::Relaxed) >= cap as u64 {
-                        self.shed(stream);
-                    } else {
-                        self.connections.fetch_add(1, Ordering::Relaxed);
-                        self.active.fetch_add(1, Ordering::Relaxed);
-                        let server = Arc::clone(self);
-                        workers.push(thread::spawn(move || {
-                            let _guard = ActiveGuard(Arc::clone(&server));
-                            let _ = server.handle_connection(stream);
-                        }));
-                    }
-                }
-                Some(Err(e)) => return Err(e),
-                None => thread::sleep(tick),
+            let accepted = accept();
+            if self.is_shutdown() {
+                break; // woken by `request_shutdown`, or a peer that raced it
             }
-            self.reap(&mut workers);
+            let stream = accepted?;
+            let cap = self.config.max_connections;
+            if cap > 0 && self.active.load(Ordering::Relaxed) >= cap as u64 {
+                self.shed(stream);
+                continue;
+            }
+            self.connections.fetch_add(1, Ordering::Relaxed);
+            self.active.fetch_add(1, Ordering::Relaxed);
+            let server = Arc::clone(self);
+            thread::spawn(move || {
+                let _guard = ActiveGuard(Arc::clone(&server));
+                let _ = server.handle_connection(stream);
+            });
         }
-        // Drain: in-flight connections observe the latch within one read
-        // tick; join what finishes inside the deadline and abandon the
-        // rest (they exit on their own moments later — the deadline
-        // bounds *our* return, not their lifetime).
+        // Drain: live connections observe the latch within one read tick;
+        // wait for them inside the deadline and leave the rest detached
+        // (they exit on their own moments later — the deadline bounds
+        // *our* return, not their lifetime).
         let deadline = Instant::now() + Duration::from_millis(self.config.drain_ms);
-        loop {
-            self.reap(&mut workers);
-            if workers.is_empty() || Instant::now() >= deadline {
-                break;
-            }
+        while self.active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
             thread::sleep(READ_TICK);
         }
         Ok(())
@@ -726,8 +739,8 @@ mod tests {
         dir
     }
 
-    fn start_tcp(server: &Arc<Server>) -> (SocketAddr, thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    fn start_tcp(server: &Arc<Server>, bind: &str) -> (SocketAddr, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind(bind).unwrap();
         let addr = listener.local_addr().unwrap();
         let srv = Arc::clone(server);
         let handle = thread::spawn(move || {
@@ -767,7 +780,7 @@ mod tests {
             ..ServerConfig::default()
         })
         .unwrap();
-        let (addr, listener) = start_tcp(&server);
+        let (addr, listener) = start_tcp(&server, "127.0.0.1:0");
 
         let sizes = [6i64, 8, 10];
         let requests: Vec<AnalyzeRequest> = sizes
@@ -814,7 +827,7 @@ mod tests {
             ..ServerConfig::default()
         })
         .unwrap();
-        let (addr, listener) = start_tcp(&server);
+        let (addr, listener) = start_tcp(&server, "127.0.0.1:0");
 
         let mut tight = AnalyzeRequest::new("tight", mmult(8), spec());
         tight.max_solves = Some(1);
@@ -876,7 +889,8 @@ mod tests {
     #[test]
     fn protocol_ops_ping_stats_shutdown_and_errors() {
         let server = Server::new(ServerConfig::default()).unwrap();
-        let (addr, listener) = start_tcp(&server);
+        // An unspecified bind address: the shutdown wake must reach it.
+        let (addr, listener) = start_tcp(&server, "0.0.0.0:0");
 
         let responses = roundtrip(
             addr,
@@ -946,6 +960,8 @@ mod tests {
         });
 
         let stream = UnixStream::connect(&path).unwrap();
+        // The shutdown must wake the listener without its socket file.
+        std::fs::remove_file(&path).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
         let req = AnalyzeRequest::new("u", mmult(4), spec());
@@ -985,6 +1001,36 @@ mod tests {
         let req = AnalyzeRequest::new("again", mmult(4), spec());
         let resp = AnalyzeResponse::decode(&server.handle_line(&req.encode())).unwrap();
         assert!(resp.result.is_ok());
+        // Two evictions later, the engine counters still count all four.
+        let stats = server.handle_line(r#"{"op":"stats","id":"s"}"#);
+        assert!(stats.contains(r#""engine":{"analyses":4,"#), "{stats}");
+    }
+
+    #[test]
+    fn stats_never_waits_on_an_analysis() {
+        let server = Server::new(ServerConfig::default()).unwrap();
+        let mut request = AnalyzeRequest::new("big", mmult(256), spec());
+        request.budget_ms = Some(2000);
+        let srv = Arc::clone(&server);
+        let analysis = thread::spawn(move || srv.handle_line(&request.encode()));
+        while server.stats().requests < 1 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        let stats = server.handle_line(r#"{"op":"stats","id":"s"}"#);
+        let waited = started.elapsed();
+        assert!(!analysis.is_finished(), "the analysis ended first");
+        assert!(
+            waited < Duration::from_millis(500),
+            "stats waited {waited:?}"
+        );
+        assert!(stats.contains(r#""ok":{"#), "{stats}");
+        let response = AnalyzeResponse::decode(&analysis.join().unwrap()).unwrap();
+        assert!(
+            !response.result.unwrap().outcome.complete,
+            "a degraded success"
+        );
     }
 
     #[test]
@@ -998,7 +1044,7 @@ mod tests {
             ..ServerConfig::default()
         })
         .unwrap();
-        let (addr, listener) = start_tcp(&server);
+        let (addr, listener) = start_tcp(&server, "127.0.0.1:0");
         let idle = TcpStream::connect(addr).unwrap();
         // Half a request, never terminated.
         (&idle).write_all(b"{\"op\":\"pi").unwrap();

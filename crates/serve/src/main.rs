@@ -32,7 +32,9 @@ OPTIONS:
                            no live server behind it)
     --store DIR            Persistent artifact store directory
     --store-max-bytes N    Store size bound in bytes (default 256 MiB)
-    --threads N            Worker threads per analysis (default 1)
+    --threads N            Worker threads per analysis; requests for one
+                           cache model run side by side, each on N
+                           (default 1, 0 = every available core)
     --max-budget-ms N      Admission ceiling: clamp every request's
                            wall-clock budget to N milliseconds
     --idle-timeout-ms N    Close a connection that takes longer than N ms
@@ -44,7 +46,6 @@ OPTIONS:
                            response (default 128, 0 = off)
     --max-sessions N       LRU cap on per-geometry analyzer sessions
                            (default 32, 0 = off)
-    --accept-tick-ms N     Accept-loop poll tick (default 5)
     --drain-ms N           Shutdown drain deadline (default 5000)
     --help                 Show this help
 ";
@@ -149,9 +150,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--max-sessions" => {
                 args.config.max_sessions = parse("--max-sessions", value("--max-sessions")?)?
-            }
-            "--accept-tick-ms" => {
-                args.config.accept_tick_ms = parse("--accept-tick-ms", value("--accept-tick-ms")?)?
             }
             "--drain-ms" => args.config.drain_ms = parse("--drain-ms", value("--drain-ms")?)?,
             "--help" | "-h" => return Err(String::new()),

@@ -283,7 +283,6 @@ fn hostile_connections_never_wedge_or_corrupt_the_server() {
     let (server, addr, listener) = start_server(ServerConfig {
         idle_timeout_ms: IDLE_TIMEOUT_MS,
         max_connections: 64,
-        accept_tick_ms: 1,
         drain_ms: 2_000,
         ..ServerConfig::default()
     });

@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 fn slowloris_is_cut_off_at_the_line_deadline() {
     let (server, addr, listener) = start_server(ServerConfig {
         idle_timeout_ms: 150,
-        accept_tick_ms: 1,
         drain_ms: 2_000,
         ..ServerConfig::default()
     });
@@ -60,7 +59,6 @@ fn slowloris_is_cut_off_at_the_line_deadline() {
 fn unterminated_oversized_line_is_rejected_and_closed() {
     let (server, addr, listener) = start_server(ServerConfig {
         max_line_bytes: 4096,
-        accept_tick_ms: 1,
         drain_ms: 2_000,
         ..ServerConfig::default()
     });
@@ -96,7 +94,6 @@ fn unterminated_oversized_line_is_rejected_and_closed() {
 fn connection_flood_is_shed_with_overloaded_and_recovers() {
     let (server, addr, listener) = start_server(ServerConfig {
         max_connections: 3,
-        accept_tick_ms: 1,
         idle_timeout_ms: 10_000,
         drain_ms: 2_000,
         ..ServerConfig::default()
@@ -159,7 +156,6 @@ fn connection_flood_is_shed_with_overloaded_and_recovers() {
 #[test]
 fn mid_analyze_disconnect_leaves_the_session_healthy() {
     let (server, addr, listener) = start_server(ServerConfig {
-        accept_tick_ms: 1,
         drain_ms: 2_000,
         ..ServerConfig::default()
     });

@@ -20,10 +20,13 @@
 //! second type offers a way to analyze around the session's budget and
 //! cancel token. The seventh keeps nests, not handles: every entry point
 //! takes the caller's `&LoopNest`, so no session keeps an interner of
-//! every nest it has seen. The last keeps sweeps free of caches of their
+//! every nest it has seen. The eighth keeps sweeps free of caches of their
 //! own: a sweep's samples run through the pipeline memos and the store's
 //! analysis entries, and with no session state left to mutate, every
-//! `Analyzer` entry point takes `&self`.
+//! `Analyzer` entry point takes `&self`. The last keeps `cme-serve`
+//! waiting only on sockets and its session map's short lock: sessions are
+//! shared `Arc<Analyzer>`s with no lock of their own, and the accept
+//! loops block in `accept` instead of polling on a tick.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -179,46 +182,47 @@ fn only_cme_cache_walks_a_simulator() {
     }
 }
 
-#[test]
-fn one_session_type() {
+/// Fails on the first workspace source whose code contains a needle.
+fn forbid(needles: &[&str], why: &str) {
     for path in workspace_sources() {
         let code = code_of(&path);
-        for needle in [
-            "struct Engine {",
-            "impl Engine {",
-            "Engine::",
-            ".engine()",
-            "engine_mut(",
-        ] {
+        for needle in needles {
             assert!(
                 !code.contains(needle),
-                "{path:?} contains `{needle}`; `Analyzer` is the one session \
-                 type, and every entry point runs its driver under the \
-                 session's budget"
+                "{path:?} contains `{needle}`; {why}"
             );
         }
     }
 }
 
 #[test]
+fn one_session_type() {
+    forbid(
+        &[
+            "struct Engine {",
+            "impl Engine {",
+            "Engine::",
+            ".engine()",
+            "engine_mut(",
+        ],
+        "`Analyzer` is the one session type, and every entry point runs its \
+         driver under the session's budget",
+    );
+}
+
+#[test]
 fn nests_not_handles() {
-    for path in workspace_sources() {
-        let code = code_of(&path);
-        for needle in [
+    forbid(
+        &[
             "ProgramDb",
             "NestId",
             ".intern(",
             "analyze_id(",
             "reuse_vectors_for",
-        ] {
-            assert!(
-                !code.contains(needle),
-                "{path:?} contains `{needle}`; entry points take the caller's \
-                 `&LoopNest`, and the engine keys every memo by the nest's \
-                 structural and layout hashes"
-            );
-        }
-    }
+        ],
+        "entry points take the caller's `&LoopNest`, and the engine keys \
+         every memo by the nest's structural and layout hashes",
+    );
 }
 
 /// Whether an identifier in `code` starts with `needle`, so `get_sweep`
@@ -249,4 +253,19 @@ fn sweeps_keep_no_cache_of_their_own() {
             );
         }
     }
+}
+
+#[test]
+fn serve_shares_sessions_and_blocks_in_accept() {
+    forbid(
+        &[
+            "Mutex<Analyzer>",
+            "Mutex<cme_core::Analyzer>",
+            "set_nonblocking(true)",
+            "accept_tick",
+        ],
+        "every `Analyzer` entry point takes `&self`, so a shared session \
+         needs no lock, and the accept loops block in `accept` and are woken \
+         at shutdown",
+    );
 }

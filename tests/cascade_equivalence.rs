@@ -66,14 +66,12 @@ fn assert_cascade_matches_reference(
     assert_eq!(reference, seq, "sequential cascade diverged: {what}");
     let sharded = Analyzer::new(cache)
         .options(opts.clone())
-        .parallel(true)
         .threads(4)
         .analyze(nest);
     assert_eq!(reference, sharded, "sharded cascade diverged: {what}");
     // Force the no-memo path every Figure-8-scale nest takes.
     let uncached = Analyzer::new(cache)
         .options(opts.clone())
-        .parallel(true)
         .threads(4)
         .max_cached_points(1)
         .analyze(nest);
@@ -148,7 +146,6 @@ proptest! {
         prop_assert_eq!(&reference, &seq, "sequential cascade diverged");
         let sharded = Analyzer::new(cache)
             .options(opts.clone())
-            .parallel(true)
             .threads(3)
             .analyze(&nest);
         prop_assert_eq!(&reference, &sharded, "sharded cascade diverged");

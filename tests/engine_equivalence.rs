@@ -67,7 +67,6 @@ proptest! {
             prop_assert_eq!(&reference, &seq, "sequential engine diverged");
             let par = Analyzer::new(cache)
                 .options(opts.clone())
-                .parallel(true)
                 .threads(3)
                 .analyze(&nest);
             prop_assert_eq!(&reference, &par, "parallel engine diverged");

@@ -263,7 +263,7 @@ fn tiny_budget_truncation_is_visible_in_stats() {
 fn worker_panic_poisons_one_query_not_the_session() {
     let nest = cme::kernels::sor(16);
     let cache = CacheConfig::new(1024, 2, 32, 4).expect("geometry");
-    let analyzer = Analyzer::new(cache).parallel(true).threads(3);
+    let analyzer = Analyzer::new(cache).threads(3);
     let baseline = analyzer.analyze(&nest);
 
     analyzer.inject_worker_panic(0);

@@ -89,7 +89,7 @@ proptest! {
         let a = reference_analysis(&nest, cache, &opts());
         let b = Analyzer::new(cache)
             .options(opts())
-            .parallel(true)
+            .threads(0)
             .analyze(&nest);
         prop_assert_eq!(a, b);
     }
@@ -186,7 +186,7 @@ mod regressions {
             analysis,
             Analyzer::new(cache)
                 .options(opts())
-                .parallel(true)
+                .threads(0)
                 .analyze(nest),
             "parallel analyzer diverged\n{nest}"
         );
