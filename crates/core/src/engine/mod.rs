@@ -102,12 +102,14 @@ enum Plan {
 }
 
 /// One nest's slice of a batch: the caller's nest, its lowered artifact,
-/// and the derived memo-key prefix, `None` when the nest is not memoized
-/// (caching off, or an iteration space above the memo size cap).
+/// the derived memo-key prefix, `None` when the nest is not memoized
+/// (caching off, or an iteration space above the memo size cap), and the
+/// outcome every empty scan set shares.
 struct NestCtx<'a> {
     nest: &'a LoopNest,
     lowered: Arc<LoweredNest>,
     prefix: Option<u128>,
+    no_scan: Arc<CascadeResult>,
 }
 
 impl Analyzer {
@@ -191,10 +193,12 @@ impl Analyzer {
             let lowered = self.lookup_lowered(nest, hashes)?;
             let memoized = self.caching && nest.space().count() <= self.max_cached_points;
             let prefix = memoized.then(|| keys::prefix_key(&cache, options, hashes.0));
+            let no_scan = Arc::new(CascadeResult::empty(lowered.addrs.len()));
             ctxs.push(NestCtx {
                 nest,
                 lowered,
                 prefix,
+                no_scan,
             });
         }
         Counters::add_time(&self.counters.lower_ns, t_lower.elapsed());
@@ -242,8 +246,16 @@ impl Analyzer {
                 stages::solve::build(nest, &ctx.lowered, &cache, ridx, &plan.rvs, options, gov)
             });
             Counters::add_time(&self.counters.solve_ns, t.elapsed());
-            let scans = (0..solve.vectors.len())
-                .map(|vi| {
+            // An empty scan set has nothing to scan: it takes the nest's
+            // shared empty outcome, with no key, lookup or memo entry.
+            let scans = solve
+                .vectors
+                .iter()
+                .enumerate()
+                .map(|(vi, sv)| {
+                    if sv.scan_set.is_empty() {
+                        return ScanSlot::Ready(ctx.no_scan.clone());
+                    }
                     let skey = ctx
                         .prefix
                         .map(|p| keys::scan_key(p, nest, options, ridx, vi, ls));

@@ -11,9 +11,8 @@
 //! functions of the innermost index, so the verdict can only flip at
 //! computable line-boundary crossings — and when the stride divides the
 //! line size those crossings are periodic and advance by pure increments.
-//! Vectors with a constant destination–source address gap are certified
-//! all-cold in O(1) without touching the survivor runs at all
-//! ([`ColdCerts`]).
+//! Vectors that leave every survivor cold are settled without a walk, from
+//! one per-residue-class summary of the set ([`ColdCert`]).
 //!
 //! A [`SolveSet`] depends only on the nest structure, the options, and
 //! the destination's own line offset `B mod Ls` — which is exactly what
@@ -23,7 +22,7 @@
 use cme_cache::CacheConfig;
 use cme_ir::{IterationSpace, LoopNest};
 use cme_math::gcd::{floor_div, gcd, modulo};
-use cme_math::{Affine, Interval};
+use cme_math::Affine;
 use cme_reuse::ReuseVector;
 
 use crate::governor::QueryGovernor;
@@ -104,7 +103,73 @@ struct RunClassifier<'a> {
     src_live: Option<(i64, i64)>,
 }
 
-impl RunClassifier<'_> {
+impl<'a> RunClassifier<'a> {
+    fn new(
+        nest: &'a LoopNest,
+        ls: i64,
+        dest_addr: &'a Affine,
+        src_addr: &'a Affine,
+        rv: &'a ReuseVector,
+        dense: bool,
+    ) -> Self {
+        let depth = nest.depth();
+        let r = rv.vector();
+        RunClassifier {
+            space: nest.space(),
+            ls,
+            dest_addr,
+            src_addr,
+            r,
+            r_in: r[depth - 1],
+            intra: rv.is_intra_iteration(),
+            buf: vec![0i64; depth],
+            sbuf: vec![0i64; depth],
+            p_prefix: vec![0i64; depth - 1],
+            next: SurvivorSet::new(depth, dense),
+            scan: SurvivorSet::new(depth, dense),
+            cold: 0,
+            have_prefix: false,
+            d0: 0,
+            sd: 0,
+            s0: 0,
+            ss: 0,
+            src_live: None,
+        }
+    }
+
+    /// Classifies every point of `set` (`None`: the whole space, one row
+    /// at a time), with a governor checkpoint every 64 rows/runs; `None`
+    /// when the governor abandoned the walk.
+    fn walk(mut self, set: Option<&SurvivorSet>, gov: &QueryGovernor) -> Option<Self> {
+        match set {
+            None => {
+                let inner = self.buf.len() - 1;
+                let space = self.space.clone();
+                let mut rows = 0u64;
+                let mut pfx = space.first().map(|f| f[..inner].to_vec());
+                while let Some(pr) = pfx {
+                    if rows & 63 == 0 && !gov.live() {
+                        return None;
+                    }
+                    rows += 1;
+                    if let Some((lo, hi)) = space.innermost_bounds(&pr) {
+                        self.classify(&pr, lo, hi);
+                    }
+                    pfx = space.prefix_successor(&pr);
+                }
+            }
+            Some(set) => {
+                for (ri, run) in set.runs().enumerate() {
+                    if ri & 63 == 0 && !gov.live() {
+                        return None;
+                    }
+                    self.classify(run.prefix, run.lo, run.hi);
+                }
+            }
+        }
+        Some(self)
+    }
+
     fn classify(&mut self, prefix: &[i64], lo: i64, hi: i64) {
         let inner = self.buf.len() - 1;
         if !self.have_prefix || self.buf[..inner] != *prefix {
@@ -238,132 +303,139 @@ fn const_delta(dest: &Affine, src: &Affine, r: &[i64]) -> Option<i64> {
         .then(|| dest.constant_term() - src.constant_term() + src.delta_along(r))
 }
 
-/// Facts about one survivor set that certify reuse vectors all-cold in
-/// O(1), computed lazily and valid only while the set is unchanged (an
-/// all-cold vector leaves it unchanged, so certified vectors keep the
-/// certificates of the set they were certified against).
-#[derive(Default)]
-struct ColdCerts {
-    /// `max(hi − plo(prefix))` over the runs: a purely-innermost reuse
-    /// distance beyond this puts every source point below its row.
-    reach: Option<i64>,
-    /// Range of `dest_addr mod Ls` over the set's points.
-    mod_range: Option<(i64, i64)>,
-    /// Per-dimension coordinate range over the set's points.
-    coord_ranges: Option<Vec<(i64, i64)>>,
+/// Residues `ρ = dest(i⃗) mod Ls` at which a destination can share its
+/// line with its source. With a constant gap `δ` the source address is
+/// `dest − δ`, on the same `Ls`-aligned line exactly when `ρ ≥ δ`
+/// (`0 ≤ δ < Ls`) resp. `ρ < Ls + δ` (`−Ls < δ < 0`), and never when
+/// `|δ| ≥ Ls`; a varying gap can share at any residue.
+fn shared_residues(delta: Option<i64>, ls: i64) -> std::ops::Range<usize> {
+    let (lo, hi) = match delta {
+        None => (0, ls),
+        Some(d) if d.abs() >= ls => (0, 0),
+        Some(d) if d >= 0 => (d, ls),
+        Some(d) => (0, ls + d),
+    };
+    lo as usize..hi as usize
 }
 
-impl ColdCerts {
-    /// True when some dimension pushes every source point `i⃗ − r⃗` outside
-    /// the space's bounding box — out of the space for certain, so every
-    /// point of `set` is cold.
-    fn source_outside(&mut self, r: &[i64], bbox: &[Interval], set: &SurvivorSet) -> bool {
-        let ranges = self
-            .coord_ranges
-            .get_or_insert_with(|| coord_ranges(set, r.len()));
-        ranges
+/// The all-cold certificate of one reference's refinement: settles a
+/// reuse vector without walking the survivor set when every survivor is
+/// certainly cold along it.
+///
+/// A survivor `i⃗` is cold when its source `i⃗ − r⃗` lies outside the space
+/// or on another line. The space is the conjunction of its `2·depth`
+/// loop-bound constraints `g(x⃗) ≥ 0` (`x_l − lower_l(x⃗)` and
+/// `upper_l(x⃗) − x_l`), and `g(i⃗ − r⃗) = g(i⃗) − lin(g)·r⃗`. So the set is
+/// summarized, per residue class `ρ = dest(i⃗) mod Ls`, by the max of each
+/// constraint over the class's points, and a vector is settled when every
+/// nonempty class at a [`shared_residues`] residue has a constraint whose
+/// max is below `lin(g)·r⃗`: there every source falls outside the space,
+/// and at every other residue the lines differ. A nonempty class's maxima
+/// are all ≥ 0 (its points are in the space), so an intra-iteration
+/// vector (`r⃗ = 0`) is settled only when no shared class is nonempty.
+struct ColdCert<'a> {
+    dest_addr: &'a Affine,
+    ls: i64,
+    bounds: Vec<Affine>,
+    /// `lin(g)·r⃗` per constraint, for the vector being certified.
+    shift: Vec<i64>,
+    /// `class_max[ρ·bounds.len() + k]`: the max of constraint `k` over the
+    /// survivors in class `ρ` (`i64::MIN` when the class is empty). Built
+    /// at most once per survivor set, when a vector first needs it.
+    class_max: Option<Vec<i64>>,
+}
+
+impl<'a> ColdCert<'a> {
+    fn new(nest: &LoopNest, dest_addr: &'a Affine, ls: i64) -> Self {
+        let depth = nest.depth();
+        let bounds: Vec<Affine> = nest
+            .loops()
             .iter()
-            .zip(bbox)
-            .zip(r)
-            .any(|((&(mn, mx), iv), &rd)| mx - rd < iv.lo || mn - rd > iv.hi)
+            .enumerate()
+            .flat_map(|(l, lp)| {
+                let x = Affine::var(depth, l);
+                [x.sub(lp.lower()), lp.upper().sub(&x)]
+            })
+            .collect();
+        ColdCert {
+            dest_addr,
+            ls,
+            shift: vec![0; bounds.len()],
+            bounds,
+            class_max: None,
+        }
     }
 
-    /// True when every point of `set` is certainly cold for a vector whose
-    /// destination–source address gap is the constant `delta`.
-    #[allow(clippy::too_many_arguments)]
-    fn all_cold(
-        &mut self,
-        delta: i64,
-        intra: bool,
-        r: &[i64],
-        ls: i64,
-        space: &IterationSpace,
-        dest_addr: &Affine,
-        set: &SurvivorSet,
-    ) -> bool {
-        if delta == 0 {
-            // Source and destination share a line at every point; cold only
-            // if the source falls out of the space everywhere, decidable
-            // when the vector is purely innermost (row membership becomes
-            // `t − r_in ≥ plo`).
-            let inner = r.len() - 1;
-            if intra || r[inner] <= 0 || r[..inner].iter().any(|&x| x != 0) {
-                return false;
-            }
-            let reach = *self.reach.get_or_insert_with(|| compute_reach(space, set));
-            r[inner] > reach
-        } else if delta.abs() >= ls {
-            // Addresses `a` and `a − δ` can share a `Ls`-aligned line only
-            // when `|δ| < Ls`.
-            true
-        } else {
-            // Same line ⟺ `a mod Ls ≥ δ` (δ > 0) resp. `< Ls + δ` (δ < 0):
-            // cold everywhere when the residue range stays clear of that.
-            let (mn, mx) = *self
-                .mod_range
-                .get_or_insert_with(|| compute_mod_range(dest_addr, set, ls));
-            if delta > 0 {
-                mx < delta
-            } else {
-                mn >= ls + delta
-            }
+    /// True when every point of `set` is certainly cold along `r⃗` from the
+    /// source reference with address `src_addr`.
+    fn settles(&mut self, set: &SurvivorSet, src_addr: &Affine, r: &[i64]) -> bool {
+        let shared = shared_residues(const_delta(self.dest_addr, src_addr, r), self.ls);
+        if shared.is_empty() {
+            return true;
         }
+        for (s, g) in self.shift.iter_mut().zip(&self.bounds) {
+            *s = g.delta_along(r);
+        }
+        let n = self.bounds.len();
+        let class_max = self
+            .class_max
+            .get_or_insert_with(|| summarize(set, self.dest_addr, &self.bounds, self.ls));
+        shared.into_iter().all(|rho| {
+            class_max[rho * n..(rho + 1) * n]
+                .iter()
+                .zip(&self.shift)
+                .any(|(&mx, &s)| mx < s)
+        })
+    }
+
+    /// The survivor set changed: its summary no longer holds.
+    fn invalidate(&mut self) {
+        self.class_max = None;
     }
 }
 
-/// Min/max of every coordinate over the points of `set`.
-fn coord_ranges(set: &SurvivorSet, depth: usize) -> Vec<(i64, i64)> {
-    let inner = depth - 1;
-    let mut ranges = vec![(i64::MAX, i64::MIN); depth];
-    for run in set.runs() {
-        for (range, &x) in ranges[..inner].iter_mut().zip(run.prefix) {
-            range.0 = range.0.min(x);
-            range.1 = range.1.max(x);
-        }
-        ranges[inner].0 = ranges[inner].0.min(run.lo);
-        ranges[inner].1 = ranges[inner].1.max(run.hi);
-    }
-    ranges
-}
-
-/// `max(hi − plo(prefix))` over the runs of `set`, or `i64::MAX` (no
-/// certificate) when a row's bounds are unavailable.
-fn compute_reach(space: &IterationSpace, set: &SurvivorSet) -> i64 {
-    let mut reach = i64::MIN;
-    for run in set.runs() {
-        match space.innermost_bounds(run.prefix) {
-            Some((plo, _)) => reach = reach.max(run.hi - plo),
-            None => return i64::MAX,
-        }
-    }
-    reach
-}
-
-/// Min/max of `addr mod Ls` over the points of `set`, walking at most one
-/// residue period per run.
-fn compute_mod_range(addr: &Affine, set: &SurvivorSet, ls: i64) -> (i64, i64) {
-    let inner = addr.nvars() - 1;
-    let step = modulo(addr.coeff(inner), ls);
+/// The per-class constraint maxima of [`ColdCert`]. Along a run the
+/// residue advances by `dest`'s innermost coefficient mod `Ls`, so it
+/// repeats with a period dividing `Ls`; each of the run's first `period`
+/// points stands for its class's points in the run, of which a
+/// constraint peaks at the last (innermost coefficient > 0) or the first.
+fn summarize(set: &SurvivorSet, dest: &Affine, bounds: &[Affine], ls: i64) -> Vec<i64> {
+    let n = bounds.len();
+    let inner = dest.nvars() - 1;
+    let sd = dest.coeff(inner);
+    let step = modulo(sd, ls);
     let period = if step == 0 { 1 } else { ls / gcd(step, ls) };
-    let mut buf = vec![0i64; addr.nvars()];
-    let (mut mn, mut mx) = (i64::MAX, i64::MIN);
+    let slope: Vec<i64> = bounds.iter().map(|g| g.coeff(inner)).collect();
+    let mut class_max = vec![i64::MIN; ls as usize * n];
+    // Constraint values and destination address at `(prefix, 0)`, kept
+    // across the runs of one row.
+    let mut buf = vec![0i64; inner + 1];
+    let mut at0 = vec![0i64; n];
+    let mut d0 = 0;
+    let mut have_prefix = false;
     for run in set.runs() {
-        buf[..inner].copy_from_slice(run.prefix);
-        buf[inner] = run.lo;
-        let mut m = modulo(addr.eval(&buf), ls);
-        for _ in 0..(run.hi - run.lo + 1).min(period) {
-            mn = mn.min(m);
-            mx = mx.max(m);
-            m += step;
-            if m >= ls {
-                m -= ls;
+        if !have_prefix || buf[..inner] != *run.prefix {
+            have_prefix = true;
+            buf[..inner].copy_from_slice(run.prefix);
+            for (v, g) in at0.iter_mut().zip(bounds) {
+                *v = g.eval(&buf);
+            }
+            d0 = dest.eval(&buf);
+        }
+        let mut rho = modulo(d0 + sd * run.lo, ls);
+        for first in run.lo..=run.hi.min(run.lo + period - 1) {
+            let last = first + (run.hi - first) / period * period;
+            let row = &mut class_max[rho as usize * n..(rho as usize + 1) * n];
+            for ((mx, &v), &c) in row.iter_mut().zip(&at0).zip(&slope) {
+                *mx = (*mx).max(v + c * if c > 0 { last } else { first });
+            }
+            rho += step;
+            if rho >= ls {
+                rho -= ls;
             }
         }
-        if mn == 0 && mx == ls - 1 {
-            break; // saturated: no tighter range possible
-        }
     }
-    (mn, mx)
+    class_max
 }
 
 /// Runs the refinement for one reference. Governor checkpoints sit at the
@@ -381,20 +453,18 @@ pub(crate) fn build(
 ) -> SolveSet {
     let addrs = &lowered.addrs;
     let depth = nest.depth();
-    let inner = depth - 1;
-    let space = nest.space();
     let dest_addr = &addrs[dest_idx];
-    let total_points = space.count();
+    let ls = cache.line_elems();
+    let total_points = nest.space().count();
     let mut c: Option<SurvivorSet> = None;
     let mut vectors = Vec::new();
     let mut early_stopped = false;
     let mut truncated = false;
-    let mut certs = ColdCerts::default();
-    let bbox = space.bounding_box();
+    let mut cert = ColdCert::new(nest, dest_addr, ls);
     for rv in rvs {
         let examined = match &c {
             Some(set) => set.len(),
-            None => space.count(),
+            None => total_points,
         };
         if examined <= options.epsilon {
             early_stopped = c.is_some() && examined > 0;
@@ -410,98 +480,38 @@ pub(crate) fn build(
             gov.note_truncated(examined);
             break;
         }
-        let r = rv.vector();
-        if let Some(set) = &c {
-            let certified = (!rv.is_intra_iteration() && certs.source_outside(r, &bbox, set))
-                || const_delta(dest_addr, &addrs[rv.source().index()], r).is_some_and(|delta| {
-                    certs.all_cold(
-                        delta,
-                        rv.is_intra_iteration(),
-                        r,
-                        cache.line_elems(),
-                        &space,
-                        dest_addr,
-                        set,
-                    )
-                });
-            if certified {
-                // Every survivor misses cold: the set is untouched, so the
-                // certificates stay valid for the next vector too.
-                vectors.push(SolvedVector {
-                    examined,
-                    cold_solutions: examined,
-                    scan_set: SurvivorSet::new(depth, false),
-                });
-                continue;
-            }
+        let src_addr = &addrs[rv.source().index()];
+        if c.as_ref()
+            .is_some_and(|set| cert.settles(set, src_addr, rv.vector()))
+        {
+            // Every survivor misses cold: the set is untouched, so its
+            // summary stays valid for the next vector too.
+            vectors.push(SolvedVector {
+                examined,
+                cold_solutions: examined,
+                scan_set: SurvivorSet::new(depth, false),
+            });
+            continue;
         }
         // Representation choice for this scan's output sets: dense rows
         // once the incoming survivors are at least a 1/Ls fraction of the
         // space — below that, run compression stores the same set in less
         // memory than one bit per space point.
-        let dense = examined.saturating_mul(cache.line_elems() as u64) >= total_points;
-        let mut cls = RunClassifier {
-            space: nest.space(),
-            ls: cache.line_elems(),
-            dest_addr,
-            src_addr: &addrs[rv.source().index()],
-            r,
-            r_in: r[inner],
-            intra: rv.is_intra_iteration(),
-            buf: vec![0i64; depth],
-            sbuf: vec![0i64; depth],
-            p_prefix: vec![0i64; inner],
-            next: SurvivorSet::new(depth, dense),
-            scan: SurvivorSet::new(depth, dense),
-            cold: 0,
-            have_prefix: false,
-            d0: 0,
-            sd: 0,
-            s0: 0,
-            ss: 0,
-            src_live: None,
-        };
-        // Mid-vector checkpoints every 64 rows/runs: an abandoned walk
-        // discards its partial classification (the previous survivor set
-        // stays the final one, every point of it a miss — sound).
-        let mut abandoned = false;
-        match &c {
-            None => {
-                // Whole space, one row at a time.
-                let mut rows = 0u64;
-                let mut pfx = space.first().map(|f| f[..inner].to_vec());
-                while let Some(pr) = pfx {
-                    if rows & 63 == 0 && !gov.live() {
-                        abandoned = true;
-                        break;
-                    }
-                    rows += 1;
-                    if let Some((lo, hi)) = space.innermost_bounds(&pr) {
-                        cls.classify(&pr, lo, hi);
-                    }
-                    pfx = space.prefix_successor(&pr);
-                }
-            }
-            Some(set) => {
-                for (ri, run) in set.runs().enumerate() {
-                    if ri & 63 == 0 && !gov.live() {
-                        abandoned = true;
-                        break;
-                    }
-                    cls.classify(run.prefix, run.lo, run.hi);
-                }
-            }
-        }
-        if abandoned {
+        let dense = examined.saturating_mul(ls as u64) >= total_points;
+        let cls = RunClassifier::new(nest, ls, dest_addr, src_addr, rv, dense);
+        // An abandoned walk discards its partial classification (the
+        // previous survivor set stays the final one, every point of it a
+        // miss — sound).
+        let Some(cls) = cls.walk(c.as_ref(), gov) else {
             truncated = true;
             gov.note_truncated(examined);
             break;
-        }
+        };
         gov.charge(examined);
         // An all-cold walk reproduces the set run for run; anything else
-        // changed it and voids the memoized certificates.
+        // changed it and voids its summary.
         if cls.cold != examined {
-            certs = ColdCerts::default();
+            cert.invalidate();
         }
         vectors.push(SolvedVector {
             examined,
@@ -515,5 +525,137 @@ pub(crate) fn build(
         final_set: c,
         early_stopped,
         truncated,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::governor::Budget;
+    use cme_ir::{NestBuilder, RefId};
+    use cme_reuse::{reuse_vectors, ReuseOptions};
+    use cme_testgen::{random_cache, random_nest, CaseRng, NestDistribution};
+
+    /// Runs the refinement of every reference of `nest` the way [`build`]
+    /// does, but walks each vector the certificate settles anyway and
+    /// asserts that the walk resolves no point. Returns how many vectors
+    /// were settled, and how many of those had a nonempty residue class
+    /// that could share a line (settled by the loop-bound constraints).
+    fn walk_settled_vectors(nest: &LoopNest, cache: &CacheConfig) -> (usize, usize) {
+        let lowered = super::super::lower::lower(nest).expect("nest lowers");
+        let gov = QueryGovernor::new(Budget::unlimited(), None);
+        let ls = cache.line_elems();
+        let (mut settled, mut by_bounds) = (0, 0);
+        for (dest, dest_addr) in lowered.addrs.iter().enumerate() {
+            let mut cert = ColdCert::new(nest, dest_addr, ls);
+            let mut c: Option<SurvivorSet> = None;
+            let rvs = reuse_vectors(
+                nest,
+                cache,
+                RefId::from_index(dest),
+                &ReuseOptions::default(),
+            );
+            for rv in &rvs {
+                let src_addr = &lowered.addrs[rv.source().index()];
+                let cls = RunClassifier::new(nest, ls, dest_addr, src_addr, rv, false)
+                    .walk(c.as_ref(), &gov)
+                    .expect("an unlimited walk is never abandoned");
+                if let Some(set) = &c {
+                    if cert.settles(set, src_addr, rv.vector()) {
+                        assert_eq!(
+                            cls.cold,
+                            set.len(),
+                            "{} on {cache}: reference {dest}, vector {rv} settled, but \
+                             its walk resolves {} of {} points",
+                            nest.name(),
+                            set.len() - cls.cold,
+                            set.len()
+                        );
+                        settled += 1;
+                        let shared =
+                            shared_residues(const_delta(dest_addr, src_addr, rv.vector()), ls);
+                        let n = cert.bounds.len();
+                        if let Some(class_max) = &cert.class_max {
+                            if shared.into_iter().any(|rho| class_max[rho * n] != i64::MIN) {
+                                by_bounds += 1;
+                            }
+                        }
+                        continue;
+                    }
+                    if cls.cold != set.len() {
+                        cert.invalidate();
+                    }
+                }
+                c = Some(cls.next);
+            }
+        }
+        (settled, by_bounds)
+    }
+
+    /// `nest` with each inner loop's lower or upper bound (seeded choice)
+    /// replaced by the enclosing index. `random_nest` starts every loop
+    /// at the same index and sizes every array for the longest loop, so
+    /// every index stays in that loop's range and every subscript in its
+    /// array.
+    fn triangular(nest: &LoopNest, rng: &mut CaseRng) -> LoopNest {
+        let depth = nest.depth();
+        let mut b = NestBuilder::new();
+        b.name("triangular");
+        for (l, lp) in nest.loops().iter().enumerate() {
+            let (mut lo, mut hi) = (lp.lower().clone(), lp.upper().clone());
+            if l > 0 {
+                match rng.below(3) {
+                    0 => lo = Affine::var(depth, l - 1),
+                    1 => hi = Affine::var(depth, l - 1),
+                    _ => {}
+                }
+            }
+            b.affine_loop(lp.name(), lo, hi);
+        }
+        let ids: Vec<_> = nest
+            .arrays()
+            .iter()
+            .map(|a| b.array_with_origins(a.name(), a.dims(), a.origins(), a.base()))
+            .collect();
+        for r in nest.references() {
+            b.reference_affine(ids[r.array().index()], r.kind(), r.subscripts().to_vec());
+        }
+        b.build()
+            .expect("a shrunken space keeps the nest in the model")
+    }
+
+    #[test]
+    fn settled_vectors_leave_every_survivor_cold() {
+        let caches = [
+            CacheConfig::new(1024, 1, 32, 4),
+            CacheConfig::new(1024, 2, 16, 4),
+            CacheConfig::new(2048, 4, 32, 4),
+            CacheConfig::new(2048, 8, 32, 8),
+            CacheConfig::fully_associative(1024, 32, 4),
+        ]
+        .map(|c| c.expect("valid geometry"));
+        let mut settled = 0;
+        for nest in cme_kernels::table1_suite(16) {
+            for cache in &caches {
+                settled += walk_settled_vectors(&nest, cache).0;
+            }
+        }
+        assert!(settled > 0, "the Table-1 suite settled no vector");
+
+        let (mut settled, mut by_bounds) = (0, 0);
+        for seed in 0..120 {
+            let mut rng = CaseRng::new(seed);
+            let nest = random_nest(&mut rng, &NestDistribution::default());
+            let nest = triangular(&nest, &mut rng);
+            let cache = random_cache(&mut rng);
+            let (s, b) = walk_settled_vectors(&nest, &cache);
+            settled += s;
+            by_bounds += b;
+        }
+        assert!(settled > 0, "the seeded nests settled no vector");
+        assert!(
+            by_bounds > 0,
+            "no seeded vector was settled by a loop bound"
+        );
     }
 }

@@ -137,8 +137,12 @@ pub struct EngineStats {
     /// Solve sets answered from the memo.
     pub cascades_reused: u64,
     /// Cascade-stage `(reference, reuse-vector)` scan batches executed.
+    /// Only scan sets with points count: an empty scan set (every point
+    /// of the vector cold, or none left) takes a shared empty outcome with
+    /// no scan, memo lookup or memo entry, and counts in neither this nor
+    /// `scans_reused`.
     pub scans_executed: u64,
-    /// Scan batches answered from the memo.
+    /// Scan batches answered from the memo (scan sets with points only).
     pub scans_reused: u64,
     /// Destination points whose reuse windows were scanned.
     pub scan_points: u64,

@@ -40,10 +40,10 @@ pub fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Starts `server` on an ephemeral TCP port; the handle joins once the
-/// server drains after shutdown.
-pub fn start_tcp(server: &Arc<Server>) -> (SocketAddr, thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+/// Starts `server` on `bind` (an ephemeral port such as `127.0.0.1:0`);
+/// the handle joins once the server drains after shutdown.
+pub fn start_tcp(server: &Arc<Server>, bind: &str) -> (SocketAddr, thread::JoinHandle<()>) {
+    let listener = TcpListener::bind(bind).expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let srv = Arc::clone(server);
     let handle = thread::spawn(move || {
@@ -55,7 +55,7 @@ pub fn start_tcp(server: &Arc<Server>) -> (SocketAddr, thread::JoinHandle<()>) {
 /// An in-process server over the given config, already listening.
 pub fn start_server(config: ServerConfig) -> (Arc<Server>, SocketAddr, thread::JoinHandle<()>) {
     let server = Server::new(config).expect("server");
-    let (addr, handle) = start_tcp(&server);
+    let (addr, handle) = start_tcp(&server, "127.0.0.1:0");
     (server, addr, handle)
 }
 
