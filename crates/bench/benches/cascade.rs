@@ -147,18 +147,18 @@ fn bench_table1_n96(c: &mut Criterion) {
     g.finish();
 }
 
-/// Reads the recorded means and enforces the acceptance bar: one cascade
+/// Reads the recorded medians and enforces the acceptance bar: one cascade
 /// analysis must be at least 3× faster than the reference per-point solver.
 fn check_speedup(c: &mut Criterion) {
-    let mean = |label: &str| {
+    let median = |label: &str| {
         c.results
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, d)| d.as_secs_f64())
     };
     let (Some(fast), Some(slow)) = (
-        mean("full-analysis/cascade"),
-        mean("full-analysis/reference"),
+        median("full-analysis/cascade"),
+        median("full-analysis/reference"),
     ) else {
         return;
     };
@@ -174,14 +174,16 @@ fn check_speedup(c: &mut Criterion) {
 /// solver on the Table-1 matmul at N=96 (measured 11–12× on the dev
 /// machine; the margin absorbs scheduler noise).
 fn check_speedup_n96(c: &mut Criterion) {
-    let mean = |label: &str| {
+    let median = |label: &str| {
         c.results
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, d)| d.as_secs_f64())
     };
-    let (Some(fast), Some(slow)) = (mean("table1-n96/cascade-seq"), mean("table1-n96/reference"))
-    else {
+    let (Some(fast), Some(slow)) = (
+        median("table1-n96/cascade-seq"),
+        median("table1-n96/reference"),
+    ) else {
         return;
     };
     let ratio = slow / fast.max(1e-12);
@@ -197,15 +199,15 @@ fn check_speedup_n96(c: &mut Criterion) {
 /// comparison is meaningless (the \"parallel\" run just pays pool
 /// overhead), so the gate reports and skips.
 fn check_par_beats_seq(c: &mut Criterion) {
-    let mean = |label: &str| {
+    let median = |label: &str| {
         c.results
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, d)| d.as_secs_f64())
     };
     let (Some(seq), Some(par)) = (
-        mean("table1-n96/cascade-seq"),
-        mean("table1-n96/cascade-par"),
+        median("table1-n96/cascade-seq"),
+        median("table1-n96/cascade-par"),
     ) else {
         return;
     };
@@ -228,15 +230,15 @@ fn check_par_beats_seq(c: &mut Criterion) {
 /// budget keeping its accounting live, a cold analysis may cost at most
 /// 2% over the ungoverned run.
 fn check_governor_overhead(c: &mut Criterion) {
-    let mean = |label: &str| {
+    let median = |label: &str| {
         c.results
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, d)| d.as_secs_f64())
     };
     let (Some(plain), Some(governed)) = (
-        mean("full-analysis/cascade"),
-        mean("full-analysis/cascade-governed"),
+        median("full-analysis/cascade"),
+        median("full-analysis/cascade-governed"),
     ) else {
         return;
     };

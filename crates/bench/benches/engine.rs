@@ -314,15 +314,15 @@ fn bench_closed_form_sweep(c: &mut Criterion) {
 /// 4096-candidate padding range must be at least 5× faster than
 /// exhaustive enumeration.
 fn check_sweep_speedup(c: &mut Criterion) {
-    let mean = |label: &str| {
+    let median = |label: &str| {
         c.results
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, d)| d.as_secs_f64())
     };
     let (Some(closed), Some(exhaustive)) = (
-        mean("table1-padding-sweep/closed-form"),
-        mean("table1-padding-sweep/exhaustive"),
+        median("table1-padding-sweep/closed-form"),
+        median("table1-padding-sweep/exhaustive"),
     ) else {
         return;
     };
@@ -338,15 +338,15 @@ fn check_sweep_speedup(c: &mut Criterion) {
 /// The store's acceptance bar: warm-start replay of the Table-1 suite
 /// must be at least 3× faster than the cold start.
 fn check_store_speedup(c: &mut Criterion) {
-    let mean = |label: &str| {
+    let median = |label: &str| {
         c.results
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, d)| d.as_secs_f64())
     };
     let (Some(warm), Some(cold)) = (
-        mean("table1-store-replay/warm-start"),
-        mean("table1-store-replay/cold-start"),
+        median("table1-store-replay/warm-start"),
+        median("table1-store-replay/cold-start"),
     ) else {
         return;
     };
@@ -362,15 +362,15 @@ fn check_store_speedup(c: &mut Criterion) {
 /// one batched session must be at least 1.5× faster than the sequential
 /// per-nest loop.
 fn check_batch_speedup(c: &mut Criterion) {
-    let mean = |label: &str| {
+    let median = |label: &str| {
         c.results
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, d)| d.as_secs_f64())
     };
     let (Some(batch), Some(looped)) = (
-        mean("table1-layout-sweep/batch"),
-        mean("table1-layout-sweep/per-nest-loop"),
+        median("table1-layout-sweep/batch"),
+        median("table1-layout-sweep/per-nest-loop"),
     ) else {
         return;
     };
@@ -382,7 +382,7 @@ fn check_batch_speedup(c: &mut Criterion) {
     );
 }
 
-/// Reads the recorded means and enforces the acceptance bar: a memo-warm
+/// Reads the recorded medians and enforces the acceptance bar: a memo-warm
 /// search must be at least 2× faster than the same search on an uncached
 /// session of the same pipeline.
 fn check_speedup(c: &mut Criterion) {
@@ -393,13 +393,13 @@ fn check_speedup(c: &mut Criterion) {
             "select-tile-and-layout/uncached",
         ),
     ] {
-        let mean = |label: &str| {
+        let median = |label: &str| {
             c.results
                 .iter()
                 .find(|(l, _)| l == label)
                 .map(|(_, d)| d.as_secs_f64())
         };
-        let (Some(e), Some(l)) = (mean(pair.0), mean(pair.1)) else {
+        let (Some(e), Some(l)) = (median(pair.0), median(pair.1)) else {
             continue;
         };
         let ratio = l / e.max(1e-12);

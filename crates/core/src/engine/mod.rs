@@ -72,6 +72,7 @@ pub use stats::EngineStats;
 pub use sweep::{SweepMetric, SweepParameter, SweepRequest, SweepResult};
 
 use crate::governor::{AnalysisError, Budget, GovernedAnalysis, QueryGovernor};
+use crate::pointset::SurvivorSet;
 use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis};
 use cme_ir::{LoopNest, RefId};
 use cme_reuse::ReuseVector;
@@ -110,6 +111,15 @@ struct NestCtx<'a> {
     lowered: Arc<LoweredNest>,
     prefix: Option<u128>,
     no_scan: Arc<CascadeResult>,
+}
+
+/// The scan set behind a `Todo` scan slot: only vectors with scan points
+/// get one.
+fn scan_set_of(solve: &SolveSet, vi: usize) -> &SurvivorSet {
+    let Some(set) = solve.vectors[vi].scan_set.as_deref() else {
+        unreachable!("empty scan sets take no scan slot");
+    };
+    set
 }
 
 impl Analyzer {
@@ -253,7 +263,7 @@ impl Analyzer {
                 .iter()
                 .enumerate()
                 .map(|(vi, sv)| {
-                    if sv.scan_set.is_empty() {
+                    if sv.scan_set.is_none() {
                         return ScanSlot::Ready(ctx.no_scan.clone());
                     }
                     let skey = ctx
@@ -275,8 +285,10 @@ impl Analyzer {
         for plan in &plans {
             if let Plan::Staged { solve, .. } = plan {
                 for sv in &solve.vectors {
-                    self.counters
-                        .note_solved_vector(sv.examined, sv.scan_set.is_dense());
+                    self.counters.note_solved_vector(
+                        sv.examined,
+                        sv.scan_set.as_deref().map(SurvivorSet::is_dense),
+                    );
                 }
             }
         }
@@ -313,7 +325,7 @@ impl Analyzer {
                 let Plan::Staged { solve, .. } = &plans[pi] else {
                     unreachable!("todo items only come from staged plans");
                 };
-                for (run_lo, run_hi) in split_blocks(&solve.vectors[vi].scan_set, threads) {
+                for (run_lo, run_hi) in split_blocks(scan_set_of(solve, vi), threads) {
                     jobs.push((ri, run_lo, run_hi));
                 }
             }
@@ -331,7 +343,7 @@ impl Analyzer {
                         &cache,
                         ridx,
                         &rvs[vi],
-                        &solve.vectors[vi].scan_set,
+                        scan_set_of(solve, vi),
                         run_lo,
                         run_hi,
                         options,

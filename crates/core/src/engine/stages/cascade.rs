@@ -405,7 +405,7 @@ pub(crate) fn scan_run_block(
     // Armed-window chaining: once a run ends at destination `i⃗`, the next
     // run in the same row is reached by a raw [`SlidingWindow::slide_by`]
     // whenever the source endpoint also stays inside its row — skipping
-    // the endpoint re-evaluation and lockstep checks of `begin_segment`.
+    // `begin_segment`'s spans and endpoint re-evaluation.
     // This is the common shape for stepping vectors, whose scan sets are
     // short runs spaced uniformly along whole rows.
     let mut armed: Option<(&[i64], i64)> = None;
@@ -428,7 +428,7 @@ pub(crate) fn scan_run_block(
             for l in 0..depth {
                 p_buf[l] = i_buf[l] - r[l];
             }
-            w.begin_segment(&space, &p_buf, &i_buf, r);
+            w.begin_segment(&space, &i_buf, r);
             src_row_hi = space
                 .innermost_bounds(&p_buf[..inner])
                 .map_or(i64::MIN, |(_, hi)| hi);

@@ -46,10 +46,10 @@ pub(crate) fn classify(
             contentions_per_perpetrator: scan.contentions.clone(),
             cumulative_replacement_misses: replacement_misses,
         });
-        if options.collect_miss_points {
+        if let (true, Some(set)) = (options.collect_miss_points, &sv.scan_set) {
             for &(lo, hi) in &scan.miss_runs {
                 for mi in lo..=hi {
-                    repl_points.push((sv.scan_set.point(mi), vi));
+                    repl_points.push((set.point(mi), vi));
                 }
             }
         }

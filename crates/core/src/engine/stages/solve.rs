@@ -34,12 +34,13 @@ use super::lower::LoweredNest;
 /// One reuse vector's slice of a reference's refinement: how many points
 /// entered, how many stayed indeterminate (cold-CME solutions), and the
 /// set of points whose reuse windows must be scanned (run-compressed or
-/// dense per the density estimate).
+/// dense per the density estimate), `None` exactly when that set is empty
+/// — every settled or all-cold vector, so they hold no set in the memo.
 #[derive(Debug, Clone)]
 pub(crate) struct SolvedVector {
     pub(crate) examined: u64,
     pub(crate) cold_solutions: u64,
-    pub(crate) scan_set: SurvivorSet,
+    pub(crate) scan_set: Option<Box<SurvivorSet>>,
 }
 
 /// A reference's full cold/indeterminate refinement (Figure 6 minus the
@@ -452,7 +453,6 @@ pub(crate) fn build(
     gov: &QueryGovernor,
 ) -> SolveSet {
     let addrs = &lowered.addrs;
-    let depth = nest.depth();
     let dest_addr = &addrs[dest_idx];
     let ls = cache.line_elems();
     let total_points = nest.space().count();
@@ -489,7 +489,7 @@ pub(crate) fn build(
             vectors.push(SolvedVector {
                 examined,
                 cold_solutions: examined,
-                scan_set: SurvivorSet::new(depth, false),
+                scan_set: None,
             });
             continue;
         }
@@ -516,7 +516,7 @@ pub(crate) fn build(
         vectors.push(SolvedVector {
             examined,
             cold_solutions: cls.cold,
-            scan_set: cls.scan,
+            scan_set: (!cls.scan.is_empty()).then(|| Box::new(cls.scan)),
         });
         c = Some(cls.next);
     }
@@ -532,9 +532,9 @@ pub(crate) fn build(
 mod tests {
     use super::*;
     use crate::governor::Budget;
-    use cme_ir::{NestBuilder, RefId};
+    use cme_ir::RefId;
     use cme_reuse::{reuse_vectors, ReuseOptions};
-    use cme_testgen::{random_cache, random_nest, CaseRng, NestDistribution};
+    use cme_testgen::{random_cache, random_nest, triangular, CaseRng, NestDistribution};
 
     /// Runs the refinement of every reference of `nest` the way [`build`]
     /// does, but walks each vector the certificate settles anyway and
@@ -590,38 +590,6 @@ mod tests {
             }
         }
         (settled, by_bounds)
-    }
-
-    /// `nest` with each inner loop's lower or upper bound (seeded choice)
-    /// replaced by the enclosing index. `random_nest` starts every loop
-    /// at the same index and sizes every array for the longest loop, so
-    /// every index stays in that loop's range and every subscript in its
-    /// array.
-    fn triangular(nest: &LoopNest, rng: &mut CaseRng) -> LoopNest {
-        let depth = nest.depth();
-        let mut b = NestBuilder::new();
-        b.name("triangular");
-        for (l, lp) in nest.loops().iter().enumerate() {
-            let (mut lo, mut hi) = (lp.lower().clone(), lp.upper().clone());
-            if l > 0 {
-                match rng.below(3) {
-                    0 => lo = Affine::var(depth, l - 1),
-                    1 => hi = Affine::var(depth, l - 1),
-                    _ => {}
-                }
-            }
-            b.affine_loop(lp.name(), lo, hi);
-        }
-        let ids: Vec<_> = nest
-            .arrays()
-            .iter()
-            .map(|a| b.array_with_origins(a.name(), a.dims(), a.origins(), a.base()))
-            .collect();
-        for r in nest.references() {
-            b.reference_affine(ids[r.array().index()], r.kind(), r.subscripts().to_vec());
-        }
-        b.build()
-            .expect("a shrunken space keeps the nest in the model")
     }
 
     #[test]

@@ -89,16 +89,19 @@ impl Counters {
         slot.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Records one solved vector's survivor peak and which side of the
-    /// density heuristic its scan sets landed on.
-    pub(crate) fn note_solved_vector(&self, examined: u64, dense: bool) {
+    /// Records one solved vector's survivor peak and, when it has a scan
+    /// set (`dense` is `None` for an empty one), which side of the density
+    /// heuristic that set landed on.
+    pub(crate) fn note_solved_vector(&self, examined: u64, dense: Option<bool>) {
         self.peak_survivors.fetch_max(examined, Ordering::Relaxed);
-        let slot = if dense {
-            &self.scan_sets_dense
-        } else {
-            &self.scan_sets_runs
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
+        if let Some(dense) = dense {
+            let slot = if dense {
+                &self.scan_sets_dense
+            } else {
+                &self.scan_sets_runs
+            };
+            slot.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Folds one pooled scan round's worker clocks into the session totals.
@@ -148,18 +151,23 @@ pub struct EngineStats {
     pub scan_points: u64,
     /// Contiguous run blocks the scans were sharded into.
     pub scan_blocks: u64,
-    /// Scan points reached by sliding the window incrementally.
+    /// Points the window's destination moved without a rebuild: in-row
+    /// steps and slides, and the entering spans of windows moved to an
+    /// overlapping or touching position.
     pub window_steps: u64,
-    /// Full window rebuilds (row/prefix boundaries, shard starts).
+    /// Full window rebuilds (shard starts, and jumps to a window that
+    /// does not touch the current one).
     pub window_rebuilds: u64,
-    /// Innermost rows aggregated during those rebuilds.
+    /// Innermost rows aggregated by those rebuilds (rows of span moves
+    /// are not counted).
     pub window_rebuild_rows: u64,
     /// Largest indeterminate set entering any single reuse vector.
     pub peak_survivors: u64,
-    /// Survivor scan sets held in the flat dense representation (picked
-    /// by the density heuristic).
+    /// Nonempty survivor scan sets held in the flat dense representation
+    /// (picked by the density heuristic). A settled or all-cold vector
+    /// keeps no scan set and counts in neither this nor `scan_sets_runs`.
     pub scan_sets_dense: u64,
-    /// Survivor scan sets held run-compressed.
+    /// Nonempty survivor scan sets held run-compressed.
     pub scan_sets_runs: u64,
     /// Worker-summed wall time spent inside cascade scan shards.
     pub time_scan_shards: Duration,

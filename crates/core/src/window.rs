@@ -14,11 +14,14 @@
 //! [`SlidingWindow`] maintains the interior's accesses as a multiset of
 //! memory-line counts plus a per-cache-set tally of *distinct* lines, so a
 //! step costs O(references) and a membership query O(1), independent of
-//! the window size. When the lockstep condition fails (row or prefix
-//! boundary crossed at a different time by the two endpoints, or the scan
-//! jumps over excluded points) the state is rebuilt from scratch — but the
-//! rebuild aggregates whole innermost rows as arithmetic progressions of
-//! addresses, so it costs O(rows × lines), not O(points × references).
+//! the window size. Every longer move is built on one primitive, a *span*:
+//! all accesses of a lexicographic stretch of the space — the tail of its
+//! first row, the whole rows between, the head of its last row — added or
+//! removed as one arithmetic progression of addresses per reference and
+//! row, so it costs O(rows × lines), not O(points × references). A jump to
+//! a window that overlaps or touches the current one enters the span the
+//! destination passed and removes the span the source uncovered; any other
+//! jump rebuilds, which is one span into an empty multiset.
 //!
 //! Unlike [`crate::solve::Scanner`], which tallies only lines conflicting
 //! with one fixed destination set/line, the window state is
@@ -138,9 +141,21 @@ impl LineMultiset {
 
     /// Number of distinct lines present (test support).
     fn distinct_len(&self) -> usize {
+        self.members().len()
+    }
+
+    /// The lines present, ascending (test support).
+    fn members(&self) -> Vec<i64> {
         match self {
-            LineMultiset::Dense { occ, .. } => occ.iter().map(|w| w.count_ones() as usize).sum(),
-            LineMultiset::Sparse(map) => map.len(),
+            LineMultiset::Dense { base, occ, .. } => (0..occ.len() * 64)
+                .filter(|&idx| occ[idx / 64] >> (idx % 64) & 1 == 1)
+                .map(|idx| base + idx as i64)
+                .collect(),
+            LineMultiset::Sparse(map) => {
+                let mut lines: Vec<i64> = map.keys().copied().collect();
+                lines.sort_unstable();
+                lines
+            }
         }
     }
 }
@@ -196,11 +211,14 @@ impl Geom {
 /// after each scan block.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct WindowStats {
-    /// Destination points advanced incrementally (O(refs) each).
+    /// Points the destination moved without a rebuild: one per
+    /// `step_in_segment`, a `slide_by`'s gap, and the points of each span
+    /// move's entering span.
     pub steps: u64,
     /// Full window rebuilds.
     pub rebuilds: u64,
-    /// Innermost rows aggregated during rebuilds.
+    /// Innermost rows aggregated by rebuilds (rows of span moves are not
+    /// counted).
     pub rebuild_rows: u64,
 }
 
@@ -219,10 +237,9 @@ pub(crate) struct SlidingWindow<'a> {
     src: Vec<i64>,
     dst: Vec<i64>,
     valid: bool,
-    next_src: Vec<i64>,
-    next_dst: Vec<i64>,
     /// Target source endpoint scratch for [`SlidingWindow::advance_to`].
     tgt_src: Vec<i64>,
+    /// Row cursor scratch for [`SlidingWindow::span`].
     row_buf: Vec<i64>,
     /// Number of iteration points strictly inside the window. A gap-one
     /// window (`i⃗` the immediate successor of `p⃗`) has zero interior
@@ -237,9 +254,6 @@ pub(crate) struct SlidingWindow<'a> {
     dst_addr: Vec<i64>,
     /// Per-reference innermost-axis address stride (constant per nest).
     stride_in: Vec<i64>,
-    /// Line-count updates performed by the last rebuild; bounds how far a
-    /// step chase may go before rebuilding is the cheaper move.
-    last_rebuild_ops: u64,
     pub(crate) stats: WindowStats,
 }
 
@@ -256,15 +270,12 @@ impl<'a> SlidingWindow<'a> {
             src: vec![0; depth],
             dst: vec![0; depth],
             valid: false,
-            next_src: vec![0; depth],
-            next_dst: vec![0; depth],
             tgt_src: vec![0; depth],
             row_buf: vec![0; depth],
             interior_pts: 0,
             src_addr: vec![0; addrs.len()],
             dst_addr: vec![0; addrs.len()],
             stride_in: addrs.iter().map(|a| a.coeff(depth - 1)).collect(),
-            last_rebuild_ops: 0,
             stats: WindowStats::default(),
         }
     }
@@ -405,12 +416,6 @@ impl<'a> SlidingWindow<'a> {
         }
     }
 
-    /// Removes one access of `line` (the single-step mirror of
-    /// [`SlidingWindow::remove_line`]).
-    fn remove_access(&mut self, line: i64) {
-        self.remove_line(line, 1);
-    }
-
     /// Removes `n` accesses of `line` at once, draining any spilled
     /// overflow before the saturated fast-tier counter is decremented.
     fn remove_line(&mut self, line: i64, n: u64) {
@@ -515,12 +520,10 @@ impl<'a> SlidingWindow<'a> {
             }
         }
         for line in lmin..=lmax {
-            // Accesses q with line·Ls ≤ base + stride·q < (line+1)·Ls;
-            // stride ≤ Ls guarantees every line in the range is hit.
-            let lo = ceil_div(line * ls - base, stride).max(0);
-            let hi = floor_div((line + 1) * ls - 1 - base, stride).min(count - 1);
-            debug_assert!(lo <= hi);
-            let n = (hi - lo + 1) as u64;
+            // Stride ≤ Ls guarantees every line in the range is hit.
+            let n = accesses_on_line(line, ls, base, stride, count);
+            debug_assert!(n > 0);
+            let n = n as u64;
             let c = &mut counts[(line - *dbase) as usize];
             let total = u64::from(*c) + n;
             if total >= u64::from(SAT) {
@@ -540,9 +543,8 @@ impl<'a> SlidingWindow<'a> {
     /// (`count` of them), aggregated per memory line — consecutive
     /// accesses striding less than a line collapse into one count update
     /// per line covered, so a `count`-point batch costs
-    /// `O(count·stride/Ls + 1)` updates instead of `count`. Returns the
-    /// number of line-count updates performed.
-    fn progression(&mut self, base: i64, stride: i64, count: i64, sign: i64) -> u64 {
+    /// `O(count·stride/Ls + 1)` updates instead of `count`.
+    fn progression(&mut self, base: i64, stride: i64, count: i64, sign: i64) {
         #[inline]
         fn apply(w: &mut SlidingWindow<'_>, line: i64, n: u64, sign: i64) {
             if sign > 0 {
@@ -552,12 +554,12 @@ impl<'a> SlidingWindow<'a> {
             }
         }
         if count <= 0 {
-            return 0;
+            return;
         }
         let ls = self.cache.line_elems();
         if stride == 0 || count == 1 {
             apply(self, self.geom.line(base), count as u64, sign);
-            return 1;
+            return;
         }
         // Normalize to a positive stride (the multiset is order-blind).
         let (base, stride) = if stride < 0 {
@@ -572,240 +574,127 @@ impl<'a> SlidingWindow<'a> {
             let lmin = self.geom.line(base);
             let lmax = self.geom.line(base + stride * (count - 1));
             if sign > 0 && self.dense_add_range(lmin, lmax, base, stride, count) {
-                return (lmax - lmin + 1) as u64;
+                return;
             }
             for line in lmin..=lmax {
-                // Accesses q with line·Ls ≤ base + stride·q < (line+1)·Ls.
-                let lo = ceil_div(line * ls - base, stride).max(0);
-                let hi = floor_div((line + 1) * ls - 1 - base, stride).min(count - 1);
-                if lo <= hi {
-                    apply(self, line, (hi - lo + 1) as u64, sign);
+                let n = accesses_on_line(line, ls, base, stride, count);
+                if n > 0 {
+                    apply(self, line, n as u64, sign);
                 }
             }
-            return (lmax - lmin + 1) as u64;
+            return;
         }
         // Stride beyond a line: every access lands on its own line.
         for q in 0..count {
             apply(self, self.geom.line(base + stride * q), 1, sign);
         }
-        count as u64
     }
 
-    /// Adds one reference's accesses over a whole innermost row: addresses
-    /// `base, base+stride, …` (`count` of them), aggregated per memory
-    /// line. Returns the number of line-count updates performed.
-    fn add_progression(&mut self, base: i64, stride: i64, count: i64) -> u64 {
-        self.progression(base, stride, count, 1)
-    }
-
-    /// Adds every reference's accesses over the row `(prefix, lo..=hi)`.
-    fn add_row(&mut self, prefix: &[i64], lo: i64, hi: i64) -> u64 {
-        if lo > hi {
-            return 0;
+    /// Adds (`sign > 0`) or removes (`sign < 0`) every access of the
+    /// lexicographic span of space points from `a` shifted `da` along the
+    /// innermost axis to `b` shifted `db`, both inclusive — the tail of
+    /// `a`'s row, the whole rows between, and the head of `b`'s row, each
+    /// row one arithmetic progression of addresses per reference. `a ≤ b`
+    /// are space points; a shift of `+1` (`da`) or `−1` (`db`) makes that
+    /// endpoint exclusive. Returns the points and rows covered.
+    fn span(
+        &mut self,
+        space: &IterationSpace<'_>,
+        a: &[i64],
+        da: i64,
+        b: &[i64],
+        db: i64,
+        sign: i64,
+    ) -> (u64, u64) {
+        let inner = a.len() - 1;
+        let upper = space.nest().loops()[inner].upper();
+        let mut row = std::mem::take(&mut self.row_buf);
+        row.copy_from_slice(a);
+        row[inner] += da;
+        let (mut points, mut rows) = (0u64, 0u64);
+        loop {
+            debug_assert!(
+                lex_cmp(&row[..inner], &b[..inner]) != Ordering::Greater,
+                "span overran its last row"
+            );
+            let last = row[..inner] == b[..inner];
+            let hi = if last {
+                b[inner] + db
+            } else {
+                upper.eval(&row)
+            };
+            if row[inner] <= hi {
+                let n = hi - row[inner] + 1;
+                for s in 0..self.addrs.len() {
+                    let base = self.addrs[s].eval(&row);
+                    self.progression(base, self.stride_in[s], n, sign);
+                }
+                points += n as u64;
+                rows += 1;
+            }
+            // The successor of a row's last point opens the next nonempty
+            // row.
+            row[inner] = hi;
+            if last || !space.advance(&mut row) {
+                break;
+            }
         }
-        let inner = prefix.len();
-        self.row_buf[..inner].copy_from_slice(prefix);
-        self.row_buf[inner] = lo;
-        self.stats.rebuild_rows += 1;
-        self.interior_pts += (hi - lo + 1) as u64;
-        let mut ops = 0;
-        for s in 0..self.addrs.len() {
-            let base = self.addrs[s].eval(&self.row_buf);
-            let stride = self.addrs[s].coeff(inner);
-            ops += self.add_progression(base, stride, hi - lo + 1);
-        }
-        ops
+        self.row_buf = row;
+        (points, rows)
     }
 
     /// Rebuilds the window state for endpoints `p` (source, exclusive) and
-    /// `i` (destination, exclusive) from scratch, aggregating whole rows.
-    /// Mirrors `scan_interior`'s tail / full-rows / head decomposition.
-    pub(crate) fn rebuild(&mut self, space: &IterationSpace<'_>, p: &[i64], i: &[i64]) {
-        let inner = p.len() - 1;
+    /// `i` (destination, exclusive) from scratch: one span, aggregated row
+    /// by row.
+    fn rebuild(&mut self, space: &IterationSpace<'_>, p: &[i64], i: &[i64]) {
         self.clear_counts();
+        let (points, rows) = self.span(space, p, 1, i, -1, 1);
+        self.interior_pts = points;
         self.stats.rebuilds += 1;
-        self.interior_pts = 0;
-        let mut ops = 0u64;
-        if p[..inner] == i[..inner] {
-            ops += self.add_row(&p[..inner], p[inner] + 1, i[inner] - 1);
-        } else {
-            // Tail of the source's row.
-            if let Some((_, phi)) = space.innermost_bounds(&p[..inner]) {
-                ops += self.add_row(&p[..inner], p[inner] + 1, phi);
-            }
-            // Full rows strictly between the two prefixes.
-            let mut prefix = p[..inner].to_vec();
-            while let Some(next) = space.prefix_successor(&prefix) {
-                if lex_cmp(&next, &i[..inner]) != Ordering::Less {
-                    break;
-                }
-                if let Some((lo, hi)) = space.innermost_bounds(&next) {
-                    ops += self.add_row(&next, lo, hi);
-                }
-                prefix = next;
-            }
-            // Head of the destination's row.
-            if let Some((ilo, _)) = space.innermost_bounds(&i[..inner]) {
-                ops += self.add_row(&i[..inner], ilo, i[inner] - 1);
-            }
-        }
+        self.stats.rebuild_rows += rows;
         self.src.copy_from_slice(p);
         self.dst.copy_from_slice(i);
         self.valid = true;
-        self.last_rebuild_ops = ops.max(1);
     }
 
-    /// Tries to slide the window to the destination `i_next` (source
-    /// `i_next − r`) by advancing the two endpoints independently — the
-    /// destination adds the point it passes over to the interior, the
-    /// source removes the point it uncovers — so windows survive row and
-    /// prefix boundaries the endpoints cross at different times. Returns
-    /// `false` — leaving the state consistent but positioned short — when
-    /// the state is invalid, a target lies behind an endpoint, or stepping
-    /// would cost more than the last rebuild did; the caller then calls
-    /// [`SlidingWindow::rebuild`].
-    pub(crate) fn advance_to(
-        &mut self,
-        space: &IterationSpace<'_>,
-        i_next: &[i64],
-        r: &[i64],
-    ) -> bool {
-        if !self.valid {
-            return false;
-        }
-        if lex_cmp(&self.dst, i_next) == Ordering::Greater {
-            return false;
-        }
+    /// Moves the window to the destination `i_next` (source `i_next − r`).
+    /// When the new window overlaps or touches the current one (its source
+    /// is at most the current destination), the span from the current
+    /// destination up to `i_next` enters and the span past the current
+    /// source through the new source leaves — entering first, so no access
+    /// is removed before it is present. Otherwise, or when the state is
+    /// invalid or a target lies behind an endpoint, it rebuilds.
+    fn advance_to(&mut self, space: &IterationSpace<'_>, i_next: &[i64], r: &[i64]) {
+        let mut tgt = std::mem::take(&mut self.tgt_src);
         for l in 0..i_next.len() {
-            self.tgt_src[l] = i_next[l] - r[l];
+            tgt[l] = i_next[l] - r[l];
         }
-        if lex_cmp(&self.src, &self.tgt_src) == Ordering::Greater {
-            return false;
+        if !self.valid
+            || lex_cmp(&self.dst, i_next) == Ordering::Greater
+            || lex_cmp(&self.src, &tgt) == Ordering::Greater
+            || lex_cmp(&tgt, &self.dst) == Ordering::Greater
+        {
+            self.rebuild(space, &tgt, i_next);
+            self.tgt_src = tgt;
+            return;
         }
-        // An endpoint move costs ~refs line updates; chasing further than
-        // the last rebuild's work is a loss even when every move succeeds.
-        // The budget is denominated in line-count updates so that batched
-        // in-row slides (which collapse many moves into few updates) are
-        // charged what they actually cost.
-        let per_move = self.addrs.len().max(1) as u64;
-        let budget = self.last_rebuild_ops.max(32 * per_move);
-        let inner = i_next.len() - 1;
-        let mut taken = 0u64;
-        loop {
-            let dst_behind = self.dst != i_next;
-            let src_behind = self.src != self.tgt_src;
-            if !dst_behind && !src_behind {
-                return true;
-            }
-            if taken >= budget {
-                return false;
-            }
-            // Batched in-row slide: an endpoint that stays in its current
-            // row for k ≥ 2 moves enters (or uncovers) k consecutive
-            // iteration points whose per-reference accesses form innermost
-            // arithmetic progressions — whole-progression multiset updates
-            // replace k single steps. Priority mirrors the per-step cases:
-            // the destination catches up first (growing the interior is
-            // always safe), the source only once the destination arrived
-            // (its uncovered points are then strictly inside).
-            if self.interior_pts > 0 {
-                let k = if dst_behind && self.dst[..inner] == i_next[..inner] {
-                    let k = i_next[inner] - self.dst[inner];
-                    if k >= 2 {
-                        // Entering points: self.dst, …, self.dst + k − 1.
-                        let mut ops = 0u64;
-                        for s in 0..self.addrs.len() {
-                            let base = self.addrs[s].eval(&self.dst);
-                            ops += self.progression(base, self.stride_in[s], k, 1);
-                        }
-                        self.interior_pts += k as u64;
-                        self.dst[inner] += k;
-                        taken += ops;
-                    }
-                    k
-                } else if !dst_behind && self.src[..inner] == self.tgt_src[..inner] {
-                    let k = self.tgt_src[inner] - self.src[inner];
-                    if k >= 2 {
-                        // Leaving points: self.src + 1, …, self.src + k.
-                        debug_assert!((k as u64) <= self.interior_pts);
-                        let mut ops = 0u64;
-                        self.src[inner] += 1;
-                        for s in 0..self.addrs.len() {
-                            let base = self.addrs[s].eval(&self.src);
-                            ops += self.progression(base, self.stride_in[s], k, -1);
-                        }
-                        self.interior_pts -= k as u64;
-                        self.src[inner] += k - 1;
-                        taken += ops;
-                    }
-                    k
-                } else {
-                    0
-                };
-                if k >= 2 {
-                    self.stats.steps += k as u64;
-                    continue;
-                }
-            }
-            if dst_behind && src_behind && self.interior_pts == 0 {
-                // Empty interior means `succ(p⃗) = i⃗`: the entering point is
-                // the leaving point, so both endpoints move with no
-                // multiset traffic at all (the innermost-spatial fast
-                // path).
-                self.next_dst.copy_from_slice(&self.dst);
-                self.next_src.copy_from_slice(&self.src);
-                if !space.advance(&mut self.next_dst) || !space.advance(&mut self.next_src) {
-                    return false;
-                }
-                std::mem::swap(&mut self.src, &mut self.next_src);
-                std::mem::swap(&mut self.dst, &mut self.next_dst);
-            } else if dst_behind {
-                // The current destination enters the interior.
-                self.next_dst.copy_from_slice(&self.dst);
-                if !space.advance(&mut self.next_dst) {
-                    return false;
-                }
-                for s in 0..self.addrs.len() {
-                    let line = self.geom.line(self.addrs[s].eval(&self.dst));
-                    self.add_line(line, 1);
-                }
-                self.interior_pts += 1;
-                std::mem::swap(&mut self.dst, &mut self.next_dst);
-            } else {
-                // The successor of the current source leaves the interior
-                // (it is strictly inside: `succ(p⃗) ≤ tgt < i⃗`).
-                self.next_src.copy_from_slice(&self.src);
-                if !space.advance(&mut self.next_src) {
-                    return false;
-                }
-                for s in 0..self.addrs.len() {
-                    let line = self.geom.line(self.addrs[s].eval(&self.next_src));
-                    self.remove_access(line);
-                }
-                self.interior_pts -= 1;
-                std::mem::swap(&mut self.src, &mut self.next_src);
-            }
-            self.stats.steps += 1;
-            taken += per_move;
-        }
+        let (src, mut dst) = (std::mem::take(&mut self.src), std::mem::take(&mut self.dst));
+        let (entered, _) = self.span(space, &dst, 0, i_next, -1, 1);
+        let (left, _) = self.span(space, &src, 1, &tgt, 0, -1);
+        self.interior_pts = self.interior_pts + entered - left;
+        self.stats.steps += entered;
+        dst.copy_from_slice(i_next);
+        (self.src, self.dst, self.tgt_src) = (tgt, dst, src);
     }
 
-    /// Positions the window at `(p⃗, i⃗)` — stepping when the state is close,
-    /// rebuilding otherwise — and arms the per-reference address
-    /// accumulators for [`SlidingWindow::step_in_segment`].
-    pub(crate) fn begin_segment(
-        &mut self,
-        space: &IterationSpace<'_>,
-        p: &[i64],
-        i: &[i64],
-        r: &[i64],
-    ) {
-        if !self.advance_to(space, i, r) {
-            self.rebuild(space, p, i);
-        }
+    /// Positions the window at destination `i` (source `i − r`) and arms
+    /// the per-reference address accumulators for
+    /// [`SlidingWindow::step_in_segment`].
+    pub(crate) fn begin_segment(&mut self, space: &IterationSpace<'_>, i: &[i64], r: &[i64]) {
+        self.advance_to(space, i, r);
         for s in 0..self.addrs.len() {
-            self.src_addr[s] = self.addrs[s].eval(p);
-            self.dst_addr[s] = self.addrs[s].eval(i);
+            self.src_addr[s] = self.addrs[s].eval(&self.src);
+            self.dst_addr[s] = self.addrs[s].eval(&self.dst);
         }
     }
 
@@ -854,7 +743,7 @@ impl<'a> SlidingWindow<'a> {
             }
             for s in 0..self.addrs.len() {
                 let line = self.geom.line(self.src_addr[s] + self.stride_in[s]);
-                self.remove_access(line);
+                self.remove_line(line, 1);
             }
         }
         for s in 0..self.addrs.len() {
@@ -865,6 +754,21 @@ impl<'a> SlidingWindow<'a> {
         self.dst[inner] += 1;
         self.stats.steps += 1;
     }
+}
+
+/// Accesses `q ∈ [0, count)` of the progression `base + stride·q`
+/// (`0 < stride ≤ Ls`) that land on `line`, i.e. with
+/// `line·Ls ≤ base + stride·q < (line+1)·Ls`. Unit strides, the common
+/// contiguous case, take no division.
+#[inline]
+fn accesses_on_line(line: i64, ls: i64, base: i64, stride: i64, count: i64) -> i64 {
+    let (first, last) = (line * ls - base, (line + 1) * ls - 1 - base);
+    let (lo, hi) = if stride == 1 {
+        (first, last)
+    } else {
+        (ceil_div(first, stride), floor_div(last, stride))
+    };
+    hi.min(count - 1) - lo.max(0) + 1
 }
 
 /// `⌈a / b⌉` for positive `b`.
@@ -978,13 +882,91 @@ mod tests {
                 if !space.contains(&p) {
                     continue;
                 }
-                if !w.advance_to(&space, &i, &r) {
-                    w.rebuild(&space, &p, &i);
-                }
+                w.advance_to(&space, &i, &r);
                 assert_window_matches(&w, &nest, &cache, &addrs, &p, &i);
             }
             assert!(w.stats.steps > 0, "vector {r:?} never stepped");
         }
+    }
+
+    /// A space whose innermost rows are empty wherever `k > i + 4`
+    /// (`i ∈ [1,6]`, `k ∈ [1,7]`, `j ∈ [k, i+4]`): the first two planes
+    /// end in empty rows.
+    fn ragged_nest() -> LoopNest {
+        let mut b = NestBuilder::new();
+        b.ct_loop("i", 1, 6).ct_loop("k", 1, 7);
+        b.affine_loop("j", Affine::var(3, 1), Affine::var(3, 0).offset(4));
+        let z = b.array("Z", &[12, 12], 0);
+        let x = b.array("X", &[12, 12], 144);
+        b.reference(z, AccessKind::Read, &[("j", 0), ("i", 0)]);
+        b.reference(x, AccessKind::Read, &[("k", 0), ("j", 0)]);
+        b.reference(z, AccessKind::Write, &[("j", 0), ("k", 0)]);
+        b.build().unwrap()
+    }
+
+    /// Windows moved across rows and planes of a triangular and a ragged
+    /// space, every few destinations at a time, on both multiset tiers:
+    /// after every `advance_to` the window matches the census and a window
+    /// rebuilt at the same endpoints, tally for tally and line for line.
+    #[test]
+    fn spans_cross_rows_and_planes_like_rebuilds() {
+        let caches = [
+            CacheConfig::new(256, 1, 16, 4),
+            CacheConfig::new(256, 2, 16, 4),
+            CacheConfig::new(512, 8, 16, 4),
+            CacheConfig::fully_associative(256, 16, 4),
+        ]
+        .map(|c| c.unwrap());
+        let (mut crossed_rows, mut crossed_planes) = (0u64, 0u64);
+        for nest in [cme_kernels::gauss(10), ragged_nest()] {
+            let addrs = addrs_of(&nest);
+            let space = nest.space();
+            let mut pts = Vec::new();
+            let mut sp = nest.space();
+            while let Some(q) = sp.next_point() {
+                pts.push(q);
+            }
+            for cache in &caches {
+                for r in [[0i64, 1, -7], [1, 0, 0], [1, -1, 2], [0, 2, -3]] {
+                    for stride in [1, 3, 7] {
+                        for mut w in [
+                            SlidingWindow::new(cache, &addrs, 3),
+                            SlidingWindow::new_for_space(cache, &addrs, &space),
+                        ] {
+                            let mut fresh = SlidingWindow::new_for_space(cache, &addrs, &space);
+                            for i in pts.iter().step_by(stride) {
+                                let p: Vec<i64> = i.iter().zip(&r).map(|(a, b)| a - b).collect();
+                                if !space.contains(&p) {
+                                    continue;
+                                }
+                                let (rebuilds, from) = (w.stats.rebuilds, w.dst.clone());
+                                w.advance_to(&space, i, &r);
+                                assert_window_matches(&w, &nest, cache, &addrs, &p, i);
+                                fresh.rebuild(&space, &p, i);
+                                assert_eq!(
+                                    w.distinct_per_set, fresh.distinct_per_set,
+                                    "{r:?} at {i:?}"
+                                );
+                                assert_eq!(
+                                    w.counts.members(),
+                                    fresh.counts.members(),
+                                    "{r:?} at {i:?}"
+                                );
+                                assert_eq!(w.interior_pts, fresh.interior_pts, "{r:?} at {i:?}");
+                                if w.stats.rebuilds == rebuilds {
+                                    crossed_rows += u64::from(from[..2] != i[..2]);
+                                    crossed_planes += u64::from(from[0] != i[0]);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            crossed_rows > 0 && crossed_planes > 0,
+            "no span crossed a row and a plane"
+        );
     }
 
     #[test]
@@ -1042,9 +1024,7 @@ mod tests {
             if !space.contains(&p) {
                 continue;
             }
-            if !w.advance_to(&space, &i, &r) {
-                w.rebuild(&space, &p, &i);
-            }
+            w.advance_to(&space, &i, &r);
             let a_dest = dest_addr.eval(&i);
             let (dset, dline) = (cache.cache_set(a_dest), cache.memory_line(a_dest));
             // Exact-mode Scanner over the same interior (no side accesses).
@@ -1104,9 +1084,7 @@ mod tests {
                         continue;
                     }
                     let before = w.stats.steps;
-                    if !w.advance_to(&space, &i, &r) {
-                        w.rebuild(&space, &p, &i);
-                    }
+                    w.advance_to(&space, &i, &r);
                     stepped |= w.stats.steps > before;
                     assert_window_matches(&w, &nest, &cache, &addrs, &p, &i);
                     let a_dest = dest_addr.eval(&i);
@@ -1127,7 +1105,7 @@ mod tests {
 
     mod props {
         use super::*;
-        use cme_testgen::{arb_cache, arb_nest, NestDistribution};
+        use cme_testgen::{arb_cache, arb_nest, triangular, CaseRng, NestDistribution};
         use proptest::prelude::*;
 
         proptest! {
@@ -1150,17 +1128,25 @@ mod tests {
                 prop_assert_eq!(g.set_of_line(line), modulo(line, ns));
             }
 
-            /// On random nests, caches, and reuse vectors, the delta
-            /// scanner's distinct count agrees with both interior scans
-            /// (row-aggregated and pointwise) at every surviving
-            /// destination, across step and rebuild transitions.
+            /// On random nests (rectangular, or made triangular by a seed),
+            /// caches, and reuse vectors, the delta scanner's distinct count
+            /// agrees with both interior scans (row-aggregated and
+            /// pointwise) at every surviving destination, across span
+            /// moves and rebuilds.
             #[test]
             fn delta_scan_matches_interior_scans(
                 nest in arb_nest(NestDistribution::default()),
+                make_triangular in proptest::bool::ANY,
+                shape_seed in 0u64..u64::MAX,
                 cache in arb_cache(),
                 a in 0usize..4096,
                 b in 0usize..4096,
             ) {
+                let nest = if make_triangular {
+                    triangular(&nest, &mut CaseRng::new(shape_seed))
+                } else {
+                    nest
+                };
                 let addrs = addrs_of(&nest);
                 let space = nest.space();
                 let mut pts: Vec<Vec<i64>> = Vec::new();
@@ -1187,9 +1173,7 @@ mod tests {
                     if !space.contains(&p) {
                         continue;
                     }
-                    if !w.advance_to(&space, i, &r) {
-                        w.rebuild(&space, &p, i);
-                    }
+                    w.advance_to(&space, i, &r);
                     let a_dest = dest_addr.eval(i);
                     let (dset, dline) =
                         (cache.cache_set(a_dest), cache.memory_line(a_dest));

@@ -17,6 +17,7 @@ pub use rng::CaseRng;
 
 use cme_cache::CacheConfig;
 use cme_ir::{AccessKind, LoopNest, NestBuilder};
+use cme_math::Affine;
 use proptest::prelude::*;
 
 /// Parameters of the random-nest distribution.
@@ -122,6 +123,39 @@ pub fn random_nest(rng: &mut CaseRng, dist: &NestDistribution) -> LoopNest {
         b.reference(ids[ai], kind, &subs);
     }
     b.build().expect("generated nest is within the model")
+}
+
+/// `nest` with each inner loop's lower or upper bound (seeded choice)
+/// replaced by the enclosing index: a triangular space, with empty
+/// innermost rows wherever a raised lower bound passes the upper one.
+/// [`random_nest`] starts every loop at the same index and sizes every
+/// array for the longest loop, so on its nests every index stays in that
+/// loop's range and every subscript in its array.
+pub fn triangular(nest: &LoopNest, rng: &mut CaseRng) -> LoopNest {
+    let depth = nest.depth();
+    let mut b = NestBuilder::new();
+    b.name("triangular");
+    for (l, lp) in nest.loops().iter().enumerate() {
+        let (mut lo, mut hi) = (lp.lower().clone(), lp.upper().clone());
+        if l > 0 {
+            match rng.below(3) {
+                0 => lo = Affine::var(depth, l - 1),
+                1 => hi = Affine::var(depth, l - 1),
+                _ => {}
+            }
+        }
+        b.affine_loop(lp.name(), lo, hi);
+    }
+    let ids: Vec<_> = nest
+        .arrays()
+        .iter()
+        .map(|a| b.array_with_origins(a.name(), a.dims(), a.origins(), a.base()))
+        .collect();
+    for r in nest.references() {
+        b.reference_affine(ids[r.array().index()], r.kind(), r.subscripts().to_vec());
+    }
+    b.build()
+        .expect("a shrunken space keeps the nest in the model")
 }
 
 /// Whether every pair of same-array references is uniformly generated —
