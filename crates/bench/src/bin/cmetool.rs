@@ -22,8 +22,9 @@
 //! deadline) and `--max-solves N` (equation-evaluation cap). A budgeted run
 //! that exhausts prints its degraded-but-sound result plus the outcome
 //! line (`exhausted (...)`) instead of hanging or dying. With `--stats`,
-//! `analyze` also prints the engine's per-stage accounting (stage wall
-//! times, memo hit/miss counters) after the result. `--store DIR` attaches
+//! `analyze` also prints the engine's per-stage accounting after the
+//! result, as `EngineStats`'s stats-schema JSON (built/reused counters,
+//! stage times in seconds). `--store DIR` attaches
 //! the persistent artifact store, so repeated invocations answer from disk.
 //!
 //! `sweep` replaces the old `assoc_sweep` bin: it evaluates the grid

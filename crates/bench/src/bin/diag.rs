@@ -1,6 +1,7 @@
 //! Developer diagnostic: pointwise CME-vs-simulator diff for one kernel,
-//! plus the incremental engine's work accounting (memo hit rates, phase
-//! timings) over a cold-then-warm re-analysis.
+//! plus the incremental engine's work accounting (`EngineStats` in the
+//! stats schema: built/reused counters, stage times) over a
+//! cold-then-warm re-analysis.
 //! Usage: `diag <kernel> [--n N] [--size B] [--assoc K] [--line B]`
 
 use cme_bench::{resolve_kernel, BenchArgs};

@@ -61,7 +61,5 @@ fn main() {
     eprintln!("# the paper's point: the surface is highly irregular, so only");
     eprintln!("# a precise method can pick the conflict-free (row, dB) pairs.");
     eprintln!("#\n# engine accounting over the sweep:");
-    for line in analyzer.stats().to_string().lines() {
-        eprintln!("#   {line}");
-    }
+    eprintln!("#   {}", analyzer.stats());
 }

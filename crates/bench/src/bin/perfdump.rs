@@ -4,9 +4,10 @@
 //! solver (the `solve` oracle) and through the engine's run-compressed
 //! sliding-window cascade (sequential and sharded), checks the miss counts
 //! are bit-identical, and writes a machine-readable JSON report: wall
-//! times, speedups, per-stage times, points scanned, rows covered
-//! incrementally (window steps) vs fully (rebuild rows), and the peak
-//! survivor-set size.
+//! times and speedups, plus each cascade run's `EngineStats` in the stats
+//! schema (`EngineStats::to_json`: per-stage times in seconds, points
+//! scanned, rows covered incrementally vs by rebuilds, the peak
+//! survivor-set size).
 //!
 //! ```text
 //! cargo run --release -p cme-bench --bin perfdump -- \
@@ -20,10 +21,9 @@
 use std::time::Instant;
 
 use cme_bench::BenchArgs;
+use cme_core::api::json::{obj, Json};
 use cme_core::solve::reference_analysis;
-use cme_core::{
-    AnalysisOptions, Analyzer, EngineStats, NestAnalysis, SweepParameter, SweepRequest,
-};
+use cme_core::{AnalysisOptions, Analyzer, SweepParameter, SweepRequest};
 use cme_ir::ArrayId;
 
 fn main() {
@@ -135,19 +135,68 @@ fn main() {
         exhaustive_s / sweep_s.max(1e-12)
     );
 
-    let json = render_json(
-        n,
-        (seq.thread_count(), par_threads),
-        &reference,
-        reference_s,
-        seq_s,
-        par_s,
-        &seq_stats,
-        &par_stats,
-        &sweep,
-        (&sweep_res, sweep_s, exhaustive_s),
-    );
-    std::fs::write(&out_path, &json).expect("write report");
+    let speedup = |secs: f64| Json::Float(reference_s / secs.max(1e-12));
+    let report = obj([
+        ("kernel", Json::Str("mmult".into())),
+        ("n", Json::Int(n)),
+        (
+            "cache",
+            obj([
+                ("size_bytes", Json::Int(cache.size_bytes())),
+                ("assoc", Json::Int(cache.assoc())),
+                ("line_bytes", Json::Int(cache.line_bytes())),
+                ("elem_bytes", Json::Int(cache.elem_bytes())),
+            ]),
+        ),
+        // The cascade rows ran at different pool widths, recorded from the
+        // sessions' actual `Analyzer::thread_count()`.
+        ("threads_seq", Json::UInt(seq.thread_count() as u64)),
+        ("threads_par", Json::UInt(par_threads as u64)),
+        (
+            "threads_sweep",
+            Json::Arr(
+                sweep
+                    .iter()
+                    .map(|&(threads, secs)| {
+                        obj([
+                            ("threads", Json::UInt(threads as u64)),
+                            ("seconds", Json::Float(secs)),
+                            ("speedup", speedup(secs)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("total_misses", Json::UInt(reference.total_misses())),
+        ("reference_seconds", Json::Float(reference_s)),
+        ("cascade_seq_seconds", Json::Float(seq_s)),
+        ("cascade_par_seconds", Json::Float(par_s)),
+        ("speedup_seq", speedup(seq_s)),
+        ("speedup_par", speedup(par_s)),
+        ("cascade_seq", seq_stats.to_json()),
+        ("cascade_par", par_stats.to_json()),
+        (
+            "sweep",
+            obj([
+                ("candidates", Json::UInt(sweep_res.candidates as u64)),
+                ("evaluations", Json::UInt(sweep_res.evaluations as u64)),
+                ("fitted", Json::Bool(sweep_res.function.is_some())),
+                ("best_k", Json::UInt(sweep_res.best_k as u64)),
+                ("best_misses", Json::UInt(sweep_res.best_misses)),
+                ("sweep_seconds", Json::Float(sweep_s)),
+                ("exhaustive_seconds", Json::Float(exhaustive_s)),
+                ("speedup", Json::Float(exhaustive_s / sweep_s.max(1e-12))),
+            ]),
+        ),
+        (
+            "incremental_fraction",
+            Json::Float(
+                seq_stats.window_steps as f64
+                    / (seq_stats.window_steps + seq_stats.window_rebuild_rows).max(1) as f64,
+            ),
+        ),
+    ]);
+    std::fs::write(&out_path, report.encode() + "\n").expect("write report");
     eprintln!("  wrote {out_path}");
 
     if let Some(expect) = args.value("--expect-misses") {
@@ -185,94 +234,4 @@ fn exhaustive_argmin(
         .enumerate()
         .min_by_key(|&(k, m)| (m, k))
         .expect("non-empty candidate range")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    n: i64,
-    (threads_seq, threads_par): (usize, usize),
-    reference: &NestAnalysis,
-    reference_s: f64,
-    seq_s: f64,
-    par_s: f64,
-    seq: &EngineStats,
-    par: &EngineStats,
-    sweep: &[(usize, f64)],
-    (sweep_res, sweep_s, exhaustive_s): (&cme_core::SweepResult, f64, f64),
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"kernel\": \"mmult\",\n  \"n\": {n},\n"));
-    s.push_str("  \"cache\": {\"size_bytes\": 8192, \"assoc\": 1, \"line_bytes\": 32, \"elem_bytes\": 4},\n");
-    // The cascade rows ran at different pool widths, recorded from the
-    // sessions' actual `Analyzer::thread_count()` (a hard-coded 1 /
-    // requested count used to go stale when the pool clamped).
-    s.push_str(&format!("  \"threads_seq\": {threads_seq},\n"));
-    s.push_str(&format!("  \"threads_par\": {threads_par},\n"));
-    s.push_str("  \"threads_sweep\": [");
-    for (i, (t, secs)) in sweep.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!(
-            "{{\"threads\": {t}, \"seconds\": {secs:.6}, \"speedup\": {:.3}}}",
-            reference_s / secs.max(1e-12)
-        ));
-    }
-    s.push_str("],\n");
-    s.push_str(&format!(
-        "  \"total_misses\": {},\n",
-        reference.total_misses()
-    ));
-    s.push_str(&format!("  \"reference_seconds\": {reference_s:.6},\n"));
-    s.push_str(&format!("  \"cascade_seq_seconds\": {seq_s:.6},\n"));
-    s.push_str(&format!("  \"cascade_par_seconds\": {par_s:.6},\n"));
-    s.push_str(&format!(
-        "  \"speedup_seq\": {:.3},\n  \"speedup_par\": {:.3},\n",
-        reference_s / seq_s.max(1e-12),
-        reference_s / par_s.max(1e-12)
-    ));
-    for (label, st) in [("cascade_seq", seq), ("cascade_par", par)] {
-        s.push_str(&format!(
-            "  \"{label}\": {{\"scan_points\": {}, \"scan_blocks\": {}, \
-             \"window_steps\": {}, \"window_rebuilds\": {}, \
-             \"window_rebuild_rows\": {}, \"peak_survivors\": {}, \
-             \"scan_sets_dense\": {}, \"scan_sets_runs\": {}, \
-             \"shard_busy_seconds\": {:.6}, \"shard_longest_seconds\": {:.6}, \
-             \"merge_seconds\": {:.6}, \
-             \"stage_seconds\": {{\"lower\": {:.6}, \"reuse\": {:.6}, \
-             \"solve\": {:.6}, \"cascade\": {:.6}, \"classify\": {:.6}}}}},\n",
-            st.scan_points,
-            st.scan_blocks,
-            st.window_steps,
-            st.window_rebuilds,
-            st.window_rebuild_rows,
-            st.peak_survivors,
-            st.scan_sets_dense,
-            st.scan_sets_runs,
-            st.time_scan_shards.as_secs_f64(),
-            st.time_scan_longest_shard.as_secs_f64(),
-            st.time_scan_merge.as_secs_f64(),
-            st.time_lower.as_secs_f64(),
-            st.time_reuse.as_secs_f64(),
-            st.time_solve.as_secs_f64(),
-            st.time_cascade.as_secs_f64(),
-            st.time_classify.as_secs_f64()
-        ));
-    }
-    s.push_str(&format!(
-        "  \"sweep\": {{\"candidates\": {}, \"evaluations\": {}, \"fitted\": {}, \
-         \"best_k\": {}, \"best_misses\": {}, \"sweep_seconds\": {sweep_s:.6}, \
-         \"exhaustive_seconds\": {exhaustive_s:.6}, \"speedup\": {:.3}}},\n",
-        sweep_res.candidates,
-        sweep_res.evaluations,
-        sweep_res.function.is_some(),
-        sweep_res.best_k,
-        sweep_res.best_misses,
-        exhaustive_s / sweep_s.max(1e-12)
-    ));
-    s.push_str(&format!(
-        "  \"incremental_fraction\": {:.4}\n}}\n",
-        seq.window_steps as f64 / (seq.window_steps + seq.window_rebuild_rows).max(1) as f64
-    ));
-    s
 }

@@ -73,20 +73,20 @@ fn walk<E>(
 /// at the end when `drain` is set. `keep_going` is asked with the running
 /// access count at the first iteration boundary after every
 /// [`GOVERNED_SIM_CHECK_INTERVAL`] accesses; `false` abandons the replay
-/// and returns `None`.
+/// and returns the per-reference counts of the accesses replayed so far.
 fn replay(
     sim: &mut Simulator,
     nest: &LoopNest,
     drain: bool,
     mut keep_going: impl FnMut(u64) -> bool,
     mut visit: impl FnMut(RefId, &[i64], i64, AccessOutcome),
-) -> Option<NestSimResult> {
+) -> Result<NestSimResult, Vec<MissStats>> {
     let nrefs = nest.references().len();
     let mut per_ref = vec![MissStats::default(); nrefs];
     let writebacks_before = sim.writebacks();
     let mut done: u64 = 0;
     let mut next_check = GOVERNED_SIM_CHECK_INTERVAL;
-    walk(nest, |id, p, addr, is_write| {
+    let walked = walk(nest, |id, p, addr, is_write| {
         let outcome = sim.access_kind(addr, is_write);
         visit(id, p, addr, outcome);
         let s = &mut per_ref[id.index()];
@@ -106,12 +106,14 @@ fn replay(
             }
         }
         Ok(())
-    })
-    .ok()?;
+    });
+    if walked.is_err() {
+        return Err(per_ref);
+    }
     if drain {
         sim.drain_dirty();
     }
-    Some(NestSimResult {
+    Ok(NestSimResult {
         nest_name: nest.name().to_string(),
         per_ref,
         writebacks: sim.writebacks() - writebacks_before,
@@ -120,8 +122,8 @@ fn replay(
 }
 
 /// Unwraps a replay whose `keep_going` never says stop.
-fn complete(result: Option<NestSimResult>) -> NestSimResult {
-    result.unwrap_or_else(|| unreachable!("an always-live check never aborts the replay"))
+fn complete(result: Result<NestSimResult, Vec<MissStats>>) -> NestSimResult {
+    result.unwrap_or_else(|_| unreachable!("an always-live check never aborts the replay"))
 }
 
 /// Replays every access of `nest` (from a cold cache) through an LRU
@@ -173,16 +175,22 @@ pub const GOVERNED_SIM_CHECK_INTERVAL: u64 = 4096;
 /// [`simulate_nest_model`] with a cooperative abort hook: `keep_going` is
 /// called with the running access count every
 /// [`GOVERNED_SIM_CHECK_INTERVAL`] accesses, and a `false` return abandons
-/// the replay (returning `None` — a partial trace classifies nothing
-/// soundly, so no partial counts are exposed). This is what lets the
-/// engine's simulator-backed classify path charge simulation steps against
-/// a query budget and degrade to the analytic bound instead of blowing the
-/// deadline on a huge iteration space.
+/// the replay. This is what lets the engine's simulator-backed classify
+/// path charge simulation steps against a query budget instead of blowing
+/// the deadline on a huge iteration space.
+///
+/// # Errors
+///
+/// An abandoned replay returns the per-reference counts of the accesses
+/// it replayed. Replay runs in program order, so they are exact for that
+/// prefix of the trace under every policy and say nothing about the
+/// accesses after it; counting each of those as a miss gives a sound
+/// overcount. A prefix reports no write traffic or L2 misses.
 pub fn simulate_nest_model_governed(
     nest: &LoopNest,
     model: &CacheModel,
     keep_going: impl FnMut(u64) -> bool,
-) -> Option<NestSimResult> {
+) -> Result<NestSimResult, Vec<MissStats>> {
     let mut sim = Simulator::for_model(model);
     replay(&mut sim, nest, true, keep_going, |_, _, _, _| {})
 }
@@ -509,13 +517,17 @@ mod tests {
             true
         });
         assert_eq!(checks, vec![4098, 8196]);
-        assert_eq!(full, Some(simulate_nest_model(&nest, &model)));
+        assert_eq!(full, Ok(simulate_nest_model(&nest, &model)));
+        // Stopped at the first check, the replay returns the counts of
+        // its 1366-point prefix.
         let mut calls = 0;
         let stopped = simulate_nest_model_governed(&nest, &model, |_| {
             calls += 1;
             false
         });
-        assert_eq!((stopped, calls), (None, 1));
+        let prefix = stopped.expect_err("a false check abandons the replay");
+        let accesses: Vec<u64> = prefix.iter().map(|s| s.accesses).collect();
+        assert_eq!((accesses, calls), (vec![1366; 3], 1));
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub mod json;
 
 use crate::engine::Analyzer;
 use crate::governor::{AnalysisError, Budget, GovernedAnalysis, Outcome};
-use crate::solve::{AnalysisOptions, InvalidOptions, NestAnalysis};
-use cme_cache::{CacheConfig, CacheConfigError, CacheModel, PolicyKind, WritePolicy};
+use crate::solve::{AnalysisOptions, InvalidOptions};
+use cme_cache::{CacheConfig, CacheConfigError, CacheModel, MissStats, PolicyKind, WritePolicy};
 use cme_ir::parse::{parse_nest, to_source, ParseNestError};
 use cme_ir::LoopNest;
 use json::{obj, Json, JsonError};
@@ -657,13 +657,12 @@ impl OutcomeSummary {
 /// usual exact/sound-overcount semantics of [`OutcomeSummary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
-    /// Counts are an exact trace replay through the requested model's
-    /// simulator; `lru_bound` carries the analytic LRU result alongside.
+    /// Counts come from a trace replay through the requested model's
+    /// simulator: exact when `outcome.complete`; otherwise the replayed
+    /// prefix's counts plus every unreplayed access counted as a cold
+    /// miss, a sound overcount. `lru_bound` carries the analytic LRU
+    /// result alongside.
     Simulator,
-    /// The governed replay exhausted its budget, so the counts *are* the
-    /// analytic LRU evaluation — exact only for LRU, a documented bound
-    /// under the requested non-LRU/multi-level model.
-    Analytic,
 }
 
 impl Provenance {
@@ -671,7 +670,6 @@ impl Provenance {
     pub fn as_str(&self) -> &'static str {
         match self {
             Provenance::Simulator => "simulator",
-            Provenance::Analytic => "analytic",
         }
     }
 
@@ -680,7 +678,6 @@ impl Provenance {
     pub fn from_wire(s: &str) -> Option<Provenance> {
         match s {
             "simulator" => Some(Provenance::Simulator),
-            "analytic" => Some(Provenance::Analytic),
             _ => None,
         }
     }
@@ -717,10 +714,10 @@ pub struct AnalyzeResult {
     /// True when the counts were served from the persistent artifact
     /// store instead of recomputed.
     pub store_hit: bool,
-    /// Memory write traffic observed by the model simulator (simulator
-    /// provenance only).
+    /// Memory write traffic observed by the model simulator (complete
+    /// replays only).
     pub writebacks: Option<u64>,
-    /// Total L2 misses (two-level models with simulator provenance only).
+    /// Total L2 misses (two-level models, complete replays only).
     pub l2_misses: Option<u64>,
     /// The analytic LRU total-miss count attached to a model-aware
     /// result: for non-LRU policies the LRU stack-distance criterion is
@@ -735,11 +732,7 @@ pub struct AnalyzeResult {
 impl AnalyzeResult {
     /// Summarizes a governed analysis.
     pub fn of(governed: &GovernedAnalysis, store_hit: bool) -> Self {
-        AnalyzeResult::of_parts(&governed.analysis, &governed.outcome, store_hit)
-    }
-
-    /// Summarizes raw counts plus an outcome tag.
-    pub fn of_parts(analysis: &NestAnalysis, outcome: &Outcome, store_hit: bool) -> Self {
+        let analysis = &governed.analysis;
         AnalyzeResult {
             nest_name: analysis.nest_name.clone(),
             total_misses: analysis.total_misses(),
@@ -755,7 +748,7 @@ impl AnalyzeResult {
                     vectors_used: r.vectors_used() as u64,
                 })
                 .collect(),
-            outcome: OutcomeSummary::of(outcome),
+            outcome: OutcomeSummary::of(&governed.outcome),
             store_hit,
             writebacks: None,
             l2_misses: None,
@@ -995,48 +988,53 @@ impl Analyzer {
         }
         // Non-baseline model: the analytic counts above are the LRU
         // *bound* (and performed the address-overflow validation); the
-        // exact answer comes from the governed trace replay.
+        // answer comes from the governed trace replay.
         let lru_bound = governed.analysis.total_misses();
         let classification = self.classify_model(&nest, budget);
-        Ok(match classification.sim {
-            Some(sim) => {
-                let per_ref = governed
-                    .analysis
-                    .per_ref
-                    .iter()
-                    .zip(&sim.per_ref)
-                    .map(|(r, s)| RefSummary {
-                        label: r.label.clone(),
-                        cold_misses: s.cold,
-                        replacement_misses: s.replacement,
-                        vectors_used: r.vectors_used() as u64,
+        let (counts, writebacks, l2_misses) = match classification.sim {
+            Ok(sim) => (sim.per_ref, Some(sim.writebacks), sim.l2_misses),
+            // Replay runs in program order, so the replayed prefix is exact
+            // under every policy; counting every unreplayed access as a cold
+            // miss makes the answer a sound overcount. Write traffic and L2
+            // misses have no stated bound here, so they are left out.
+            Err(prefix) => {
+                let points = nest.space().count();
+                let counts = prefix
+                    .into_iter()
+                    .map(|s| MissStats {
+                        accesses: points,
+                        cold: s.cold + (points - s.accesses),
+                        ..s
                     })
                     .collect();
-                let total = sim.total();
-                AnalyzeResult {
-                    nest_name: sim.nest_name.clone(),
-                    total_misses: total.misses(),
-                    total_cold: total.cold,
-                    total_replacement: total.replacement,
-                    per_ref,
-                    outcome: OutcomeSummary::of(&classification.outcome),
-                    store_hit,
-                    writebacks: Some(sim.writebacks),
-                    l2_misses: sim.l2_misses,
-                    lru_bound: Some(lru_bound),
-                    provenance: Some(Provenance::Simulator),
-                }
+                (counts, None, None)
             }
-            None => {
-                // Replay exhausted: degrade to the analytic LRU bound,
-                // tagged with the replay's exhaustion outcome so the
-                // client sees why the counts are not model-exact.
-                let mut result =
-                    AnalyzeResult::of_parts(&governed.analysis, &classification.outcome, store_hit);
-                result.lru_bound = Some(lru_bound);
-                result.provenance = Some(Provenance::Analytic);
-                result
-            }
+        };
+        let per_ref = governed
+            .analysis
+            .per_ref
+            .iter()
+            .zip(&counts)
+            .map(|(r, s)| RefSummary {
+                label: r.label.clone(),
+                cold_misses: s.cold,
+                replacement_misses: s.replacement,
+                vectors_used: r.vectors_used() as u64,
+            })
+            .collect();
+        let total: MissStats = counts.into_iter().sum();
+        Ok(AnalyzeResult {
+            nest_name: nest.name().to_string(),
+            total_misses: total.misses(),
+            total_cold: total.cold,
+            total_replacement: total.replacement,
+            per_ref,
+            outcome: OutcomeSummary::of(&classification.outcome),
+            store_hit,
+            writebacks,
+            l2_misses,
+            lru_bound: Some(lru_bound),
+            provenance: Some(Provenance::Simulator),
         })
     }
 }

@@ -14,30 +14,31 @@
 //!
 //! Simulation is governed like solving: every simulated access charges
 //! the query budget one step (the same unit as an equation evaluation),
-//! the deadline/cancel checkpoints fire every
-//! [`cme_cache::GOVERNED_SIM_CHECK_INTERVAL`] accesses, and an exhausted
-//! replay yields **no counts at all** — a partial trace classifies
-//! nothing soundly — so the caller degrades to the analytic bound,
-//! tagged with the exhaustion outcome.
+//! and the deadline/cancel checkpoints fire every
+//! [`cme_cache::GOVERNED_SIM_CHECK_INTERVAL`] accesses. An exhausted
+//! replay yields the counts of the prefix it replayed. Replay runs in
+//! program order, so that prefix is exact under every policy, though it
+//! classifies nothing after it; the caller counts every unreplayed access
+//! as a miss, a sound overcount tagged with the exhaustion outcome.
 
 use super::Analyzer;
 use crate::governor::{Budget, Outcome, QueryGovernor};
-use cme_cache::{simulate_nest_model_governed, NestSimResult};
+use cme_cache::{simulate_nest_model_governed, MissStats, NestSimResult};
 use cme_ir::LoopNest;
 use std::sync::atomic::Ordering;
 
-/// The outcome of one governed model-simulation query: either the exact
-/// per-reference replay, or the exhaustion tag telling the caller to fall
-/// back to the analytic LRU bound.
+/// The outcome of one governed model-simulation query: the exact
+/// per-reference replay, or the replayed prefix with the exhaustion tag.
 #[derive(Debug, Clone)]
 pub(crate) struct ModelClassification {
-    /// Exact per-reference counts from the trace replay, with the model's
-    /// memory write traffic and (two-level models) L2 misses — the same
-    /// [`NestSimResult`] as [`cme_cache::simulate_nest_model`]; `None` when
-    /// the budget exhausted mid-replay (partial traces are never exposed).
-    pub(crate) sim: Option<NestSimResult>,
+    /// `Ok`: exact per-reference counts from the trace replay, with the
+    /// model's memory write traffic and (two-level models) L2 misses — the
+    /// same [`NestSimResult`] as [`cme_cache::simulate_nest_model`].
+    /// `Err`: the per-reference counts of the prefix replayed before the
+    /// budget exhausted.
+    pub(crate) sim: Result<NestSimResult, Vec<MissStats>>,
     /// How the governed replay ended. [`Outcome::Complete`] iff `sim` is
-    /// `Some`.
+    /// `Ok`.
     pub(crate) outcome: Outcome,
 }
 
@@ -45,10 +46,10 @@ impl Analyzer {
     /// Classifies `nest` under the session's [`cme_cache::CacheModel`] by
     /// exact trace replay, governed by `budget` and the session's cancel
     /// token: each simulated access charges one budget step, and
-    /// exhaustion abandons the replay (returning no counts) instead of
-    /// blowing the deadline on a huge iteration space. Counters land in
-    /// [`crate::EngineStats`] (`sim_classifications`, `sim_accesses`,
-    /// `sim_writebacks`, `sim_exhausted`).
+    /// exhaustion abandons the replay (returning the replayed prefix's
+    /// counts) instead of blowing the deadline on a huge iteration space.
+    /// Counters land in [`crate::EngineStats`] (`sim_classifications`,
+    /// `sim_accesses`, `sim_writebacks`, `sim_exhausted`).
     ///
     /// The caller is responsible for address-overflow validation — in the
     /// serve path the analytic bound runs first and performs it.
@@ -68,7 +69,7 @@ impl Analyzer {
             gov.live()
         });
         match &sim {
-            Some(result) => {
+            Ok(result) => {
                 let total = result.per_ref.iter().fold(0u64, |acc, s| acc + s.accesses);
                 self.counters
                     .sim_accesses
@@ -77,14 +78,14 @@ impl Analyzer {
                     .sim_writebacks
                     .fetch_add(result.writebacks, Ordering::Relaxed);
             }
-            None => {
+            Err(_) => {
                 self.counters
                     .sim_accesses
                     .fetch_add(charged, Ordering::Relaxed);
                 self.counters.sim_exhausted.fetch_add(1, Ordering::Relaxed);
-                // Everything not replayed is indeterminate — the caller's
-                // fallback (the analytic LRU bound) treats those points
-                // under the paper's `ε > 0` semantics.
+                // Everything not replayed is indeterminate: the caller
+                // counts those accesses as misses, the paper's `ε > 0`
+                // semantics.
                 gov.note_truncated(total_accesses.saturating_sub(charged));
             }
         }
@@ -120,7 +121,7 @@ mod tests {
         let analyzer = Analyzer::with_model(model);
         let got = analyzer.classify_model(&nest, Budget::unlimited());
         assert!(got.outcome.is_complete());
-        assert_eq!(got.sim.unwrap(), simulate_nest_model(&nest, &model));
+        assert_eq!(got.sim, Ok(simulate_nest_model(&nest, &model)));
         let stats = analyzer.stats();
         assert_eq!(stats.sim_classifications, 1);
         assert_eq!(stats.sim_accesses, 8 * 16 * 2);
@@ -135,9 +136,14 @@ mod tests {
         let nest = conflict_nest(8192);
         let analyzer = Analyzer::with_model(model);
         let got = analyzer.classify_model(&nest, Budget::unlimited().with_max_solves(5000));
-        assert!(got.sim.is_none());
         assert!(got.outcome.is_exhausted(), "{:?}", got.outcome);
-        assert_eq!(analyzer.stats().sim_exhausted, 1);
+        // The replay stops at the first checkpoint past the cap: the
+        // prefix covers 8192 of 131,072 accesses, 4096 per reference.
+        let prefix = got.sim.expect_err("the replay exhausted");
+        let accesses: Vec<u64> = prefix.iter().map(|s| s.accesses).collect();
+        let stats = analyzer.stats();
+        assert_eq!((accesses, stats.sim_accesses), (vec![4096, 4096], 8192));
+        assert_eq!(stats.sim_exhausted, 1);
     }
 
     #[test]
@@ -149,7 +155,9 @@ mod tests {
         token.cancel();
         let analyzer = Analyzer::with_model(model).cancel_token(token);
         let got = analyzer.classify_model(&nest, Budget::unlimited());
-        assert!(got.sim.is_none());
         assert!(got.outcome.is_exhausted());
+        // Cancelled before the replay began, it stops at the first check.
+        let prefix = got.sim.expect_err("the replay was cancelled");
+        assert_eq!(prefix.iter().map(|s| s.accesses).sum::<u64>(), 4096);
     }
 }

@@ -22,9 +22,11 @@
 //! items), so on a multi-threaded session they can exceed wall time.
 
 use std::fmt;
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::api::json::{obj, Json};
 use crate::window::WindowStats;
 
 use super::Analyzer;
@@ -200,7 +202,8 @@ pub struct EngineStats {
     /// Memory write traffic observed by completed model replays.
     pub sim_writebacks: u64,
     /// Model replays abandoned by budget exhaustion or cancellation (the
-    /// query degraded to the analytic LRU bound).
+    /// query answered the replayed prefix's counts, with every unreplayed
+    /// access counted as a miss).
     pub sim_exhausted: u64,
     /// Parametric sweeps answered by a certified closed form (see
     /// [`crate::SweepResult`]).
@@ -247,85 +250,111 @@ impl EngineStats {
             hits as f64 / total as f64
         }
     }
+
+    /// The stats schema: one key per field, under its Rust name, with
+    /// durations in seconds. The `stats` op, `perfdump` and `Display` all
+    /// print this encoding.
+    pub fn to_json(&self) -> Json {
+        let secs = |d: Duration| Json::Float(d.as_secs_f64());
+        obj([
+            ("analyses", Json::UInt(self.analyses)),
+            ("passthroughs", Json::UInt(self.passthroughs)),
+            ("lowered_built", Json::UInt(self.lowered_built)),
+            ("lowered_reused", Json::UInt(self.lowered_reused)),
+            ("reuse_built", Json::UInt(self.reuse_built)),
+            ("reuse_reused", Json::UInt(self.reuse_reused)),
+            ("cascades_built", Json::UInt(self.cascades_built)),
+            ("cascades_reused", Json::UInt(self.cascades_reused)),
+            ("scans_executed", Json::UInt(self.scans_executed)),
+            ("scans_reused", Json::UInt(self.scans_reused)),
+            ("scan_points", Json::UInt(self.scan_points)),
+            ("scan_blocks", Json::UInt(self.scan_blocks)),
+            ("window_steps", Json::UInt(self.window_steps)),
+            ("window_rebuilds", Json::UInt(self.window_rebuilds)),
+            ("window_rebuild_rows", Json::UInt(self.window_rebuild_rows)),
+            ("peak_survivors", Json::UInt(self.peak_survivors)),
+            ("scan_sets_dense", Json::UInt(self.scan_sets_dense)),
+            ("scan_sets_runs", Json::UInt(self.scan_sets_runs)),
+            ("time_scan_shards", secs(self.time_scan_shards)),
+            (
+                "time_scan_longest_shard",
+                secs(self.time_scan_longest_shard),
+            ),
+            ("time_scan_merge", secs(self.time_scan_merge)),
+            ("truncated_points", Json::UInt(self.truncated_points)),
+            ("exhausted_analyses", Json::UInt(self.exhausted_analyses)),
+            ("worker_panics", Json::UInt(self.worker_panics)),
+            ("store_hits", Json::UInt(self.store_hits)),
+            ("store_misses", Json::UInt(self.store_misses)),
+            ("store_writes", Json::UInt(self.store_writes)),
+            ("sim_classifications", Json::UInt(self.sim_classifications)),
+            ("sim_accesses", Json::UInt(self.sim_accesses)),
+            ("sim_writebacks", Json::UInt(self.sim_writebacks)),
+            ("sim_exhausted", Json::UInt(self.sim_exhausted)),
+            ("sweeps_fitted", Json::UInt(self.sweeps_fitted)),
+            ("sweeps_fallback", Json::UInt(self.sweeps_fallback)),
+            ("sweep_samples", Json::UInt(self.sweep_samples)),
+            ("time_lower", secs(self.time_lower)),
+            ("time_reuse", secs(self.time_reuse)),
+            ("time_solve", secs(self.time_solve)),
+            ("time_cascade", secs(self.time_cascade)),
+            ("time_classify", secs(self.time_classify)),
+        ])
+    }
+}
+
+/// Folds another session's accounting into this one (the `stats` op's
+/// totals over evicted sessions): every field sums, except the two peaks,
+/// `peak_survivors` and `time_scan_longest_shard`, which keep the max.
+impl AddAssign<&EngineStats> for EngineStats {
+    fn add_assign(&mut self, other: &EngineStats) {
+        self.analyses += other.analyses;
+        self.passthroughs += other.passthroughs;
+        self.lowered_built += other.lowered_built;
+        self.lowered_reused += other.lowered_reused;
+        self.reuse_built += other.reuse_built;
+        self.reuse_reused += other.reuse_reused;
+        self.cascades_built += other.cascades_built;
+        self.cascades_reused += other.cascades_reused;
+        self.scans_executed += other.scans_executed;
+        self.scans_reused += other.scans_reused;
+        self.scan_points += other.scan_points;
+        self.scan_blocks += other.scan_blocks;
+        self.window_steps += other.window_steps;
+        self.window_rebuilds += other.window_rebuilds;
+        self.window_rebuild_rows += other.window_rebuild_rows;
+        self.peak_survivors = self.peak_survivors.max(other.peak_survivors);
+        self.scan_sets_dense += other.scan_sets_dense;
+        self.scan_sets_runs += other.scan_sets_runs;
+        self.time_scan_shards += other.time_scan_shards;
+        self.time_scan_longest_shard = self
+            .time_scan_longest_shard
+            .max(other.time_scan_longest_shard);
+        self.time_scan_merge += other.time_scan_merge;
+        self.truncated_points += other.truncated_points;
+        self.exhausted_analyses += other.exhausted_analyses;
+        self.worker_panics += other.worker_panics;
+        self.store_hits += other.store_hits;
+        self.store_misses += other.store_misses;
+        self.store_writes += other.store_writes;
+        self.sim_classifications += other.sim_classifications;
+        self.sim_accesses += other.sim_accesses;
+        self.sim_writebacks += other.sim_writebacks;
+        self.sim_exhausted += other.sim_exhausted;
+        self.sweeps_fitted += other.sweeps_fitted;
+        self.sweeps_fallback += other.sweeps_fallback;
+        self.sweep_samples += other.sweep_samples;
+        self.time_lower += other.time_lower;
+        self.time_reuse += other.time_reuse;
+        self.time_solve += other.time_solve;
+        self.time_cascade += other.time_cascade;
+        self.time_classify += other.time_classify;
+    }
 }
 
 impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "engine: {} analyses ({} uncached references)",
-            self.analyses, self.passthroughs
-        )?;
-        writeln!(
-            f,
-            "  lowered nests: {} built, {} reused",
-            self.lowered_built, self.lowered_reused
-        )?;
-        writeln!(
-            f,
-            "  reuse vectors: {} built, {} reused",
-            self.reuse_built, self.reuse_reused
-        )?;
-        writeln!(
-            f,
-            "  solve sets:    {} built, {} reused",
-            self.cascades_built, self.cascades_reused
-        )?;
-        writeln!(
-            f,
-            "  window scans:  {} executed, {} reused",
-            self.scans_executed, self.scans_reused
-        )?;
-        writeln!(
-            f,
-            "  scan points:   {} in {} blocks ({} stepped, {} rebuilds over {} rows)",
-            self.scan_points,
-            self.scan_blocks,
-            self.window_steps,
-            self.window_rebuilds,
-            self.window_rebuild_rows
-        )?;
-        writeln!(f, "  peak survivors: {} points", self.peak_survivors)?;
-        writeln!(
-            f,
-            "  scan sets:     {} dense, {} run-compressed",
-            self.scan_sets_dense, self.scan_sets_runs
-        )?;
-        writeln!(
-            f,
-            "  scan shards:   {:.1?} busy (longest {:.1?}), merge {:.1?}",
-            self.time_scan_shards, self.time_scan_longest_shard, self.time_scan_merge
-        )?;
-        writeln!(
-            f,
-            "  degraded:      {} exhausted analyses ({} points truncated-as-miss), {} worker panics",
-            self.exhausted_analyses, self.truncated_points, self.worker_panics
-        )?;
-        writeln!(
-            f,
-            "  artifact store: {} hits, {} misses, {} writes",
-            self.store_hits, self.store_misses, self.store_writes
-        )?;
-        writeln!(
-            f,
-            "  model sim:     {} classifications ({} accesses, {} writebacks), {} exhausted",
-            self.sim_classifications, self.sim_accesses, self.sim_writebacks, self.sim_exhausted
-        )?;
-        writeln!(
-            f,
-            "  sweeps:        {} fitted, {} fallback, {} samples",
-            self.sweeps_fitted, self.sweeps_fallback, self.sweep_samples
-        )?;
-        writeln!(f, "  memo hit rate: {:.1}%", self.memo_hit_rate() * 100.0)?;
-        write!(
-            f,
-            "  stages: lower {:.1?}, reuse {:.1?}, solve {:.1?}, cascade {:.1?}, classify {:.1?}",
-            self.time_lower,
-            self.time_reuse,
-            self.time_solve,
-            self.time_cascade,
-            self.time_classify
-        )
+        f.write_str(&self.to_json().encode())
     }
 }
 

@@ -35,6 +35,7 @@
 //! I/O failures never fail an analysis: a read error is a miss, a write
 //! error is counted ([`StoreStats::write_errors`]) and dropped.
 
+use crate::api::json::{obj, Json};
 use crate::faults::{FaultPlan, ReadFault, WriteFault};
 use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis, VectorReport};
 use cme_cache::{CacheConfig, CacheModel};
@@ -244,20 +245,26 @@ pub struct StoreStats {
     pub write_errors: u64,
 }
 
+impl StoreStats {
+    /// The stats schema: one key per field, under its Rust name. The
+    /// `stats` op and `Display` print this encoding.
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("hits", Json::UInt(self.hits)),
+            ("misses", Json::UInt(self.misses)),
+            ("writes", Json::UInt(self.writes)),
+            ("corrupt_evicted", Json::UInt(self.corrupt_evicted)),
+            ("version_evicted", Json::UInt(self.version_evicted)),
+            ("lru_evicted", Json::UInt(self.lru_evicted)),
+            ("skipped_large", Json::UInt(self.skipped_large)),
+            ("write_errors", Json::UInt(self.write_errors)),
+        ])
+    }
+}
+
 impl fmt::Display for StoreStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "store: {} hits, {} misses, {} writes; evicted {} corrupt, {} version, {} lru; {} skipped large, {} write errors",
-            self.hits,
-            self.misses,
-            self.writes,
-            self.corrupt_evicted,
-            self.version_evicted,
-            self.lru_evicted,
-            self.skipped_large,
-            self.write_errors
-        )
+        f.write_str(&self.to_json().encode())
     }
 }
 

@@ -151,6 +151,40 @@ pub struct ServerStats {
     pub worker_panics: u64,
 }
 
+impl ServerStats {
+    /// The stats schema: one key per field, under its Rust name.
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("requests", Json::UInt(self.requests)),
+            ("errors", Json::UInt(self.errors)),
+            ("sessions", Json::UInt(self.sessions)),
+            ("connections", Json::UInt(self.connections)),
+            ("active_connections", Json::UInt(self.active_connections)),
+            ("shed_connections", Json::UInt(self.shed_connections)),
+            (
+                "timed_out_connections",
+                Json::UInt(self.timed_out_connections),
+            ),
+            ("oversized_lines", Json::UInt(self.oversized_lines)),
+            ("sessions_evicted", Json::UInt(self.sessions_evicted)),
+            ("worker_panics", Json::UInt(self.worker_panics)),
+        ])
+    }
+}
+
+/// `object` with `pairs` added: the `stats` op nests the stats schemas
+/// and adds the store's gauges to its counters.
+fn extend(mut object: Json, pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+    if let Json::Obj(map) = &mut object {
+        map.extend(
+            pairs
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value)),
+        );
+    }
+    object
+}
+
 /// One per-geometry analyzer session plus its LRU stamp.
 #[derive(Debug)]
 struct SessionSlot {
@@ -158,35 +192,12 @@ struct SessionSlot {
     last_used: u64,
 }
 
-/// The engine counters the `stats` op reports, under its names.
-type EngineCounters = [(&'static str, u64); 8];
-
-fn engine_counters(s: &EngineStats) -> EngineCounters {
-    [
-        ("analyses", s.analyses),
-        ("store_hits", s.store_hits),
-        ("store_misses", s.store_misses),
-        ("store_writes", s.store_writes),
-        ("exhausted", s.exhausted_analyses),
-        ("sim_classifications", s.sim_classifications),
-        ("writebacks", s.sim_writebacks),
-        ("sim_exhausted", s.sim_exhausted),
-    ]
-}
-
-/// Adds one session's engine counters to `totals`.
-fn add_engine_counters(totals: &mut EngineCounters, analyzer: &Analyzer) {
-    for (total, (_, n)) in totals.iter_mut().zip(engine_counters(&analyzer.stats())) {
-        total.1 += n;
-    }
-}
-
 /// The live sessions, plus the engine counters of the sessions the LRU
 /// cap has evicted, so the `stats` op's totals never go backwards.
 #[derive(Debug)]
 struct Sessions {
     live: HashMap<CacheModel, SessionSlot>,
-    evicted: EngineCounters,
+    evicted: EngineStats,
 }
 
 /// A duplicate of one accept loop's listening socket, held as a stream
@@ -309,7 +320,7 @@ impl Server {
             store,
             sessions: Mutex::new(Sessions {
                 live: HashMap::new(),
-                evicted: engine_counters(&EngineStats::default()),
+                evicted: EngineStats::default(),
             }),
             session_clock: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -394,7 +405,7 @@ impl Server {
                 .map(|(k, _)| *k)
             {
                 let slot = sessions.live.remove(&lru).expect("the LRU key is live");
-                add_engine_counters(&mut sessions.evicted, &slot.analyzer);
+                sessions.evicted += &slot.analyzer.stats();
                 self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -498,51 +509,33 @@ impl Server {
         )
     }
 
-    /// The `stats` op payload: server, engine, and store counters. The
-    /// engine counters sum the live sessions and the evicted ones; session
-    /// counters are atomics, so no read waits on an analysis.
+    /// The `stats` op payload: the server's, engine's and store's stats
+    /// schemas, nested. The engine counters sum the live sessions and the
+    /// evicted ones; session counters are atomics, so no read waits on an
+    /// analysis.
     fn stats_json(&self) -> Json {
-        let server = self.stats();
         let engine = {
             let sessions = lock(&self.sessions);
-            let mut totals = sessions.evicted;
+            let mut totals = sessions.evicted.clone();
             for slot in sessions.live.values() {
-                add_engine_counters(&mut totals, &slot.analyzer);
+                totals += &slot.analyzer.stats();
             }
-            obj(totals.map(|(key, n)| (key, Json::UInt(n))))
+            totals
         };
-        let store = self.store.as_ref().map(|store| {
-            let s = store.stats();
-            obj([
-                ("dir", Json::Str(store.dir().display().to_string())),
-                ("entries", Json::UInt(store.entry_count() as u64)),
-                ("bytes", Json::UInt(store.total_bytes())),
-                ("hits", Json::UInt(s.hits)),
-                ("misses", Json::UInt(s.misses)),
-                ("writes", Json::UInt(s.writes)),
-                ("lru_evicted", Json::UInt(s.lru_evicted)),
-                ("corrupt_evicted", Json::UInt(s.corrupt_evicted)),
-                ("version_evicted", Json::UInt(s.version_evicted)),
-                ("write_errors", Json::UInt(s.write_errors)),
-            ])
+        let store = self.store.as_ref().map_or(Json::Null, |store| {
+            extend(
+                store.stats().to_json(),
+                [
+                    ("dir", Json::Str(store.dir().display().to_string())),
+                    ("entries", Json::UInt(store.entry_count() as u64)),
+                    ("bytes", Json::UInt(store.total_bytes())),
+                ],
+            )
         });
-        obj([
-            ("requests", Json::UInt(server.requests)),
-            ("errors", Json::UInt(server.errors)),
-            ("sessions", Json::UInt(server.sessions)),
-            ("connections", Json::UInt(server.connections)),
-            ("active_connections", Json::UInt(server.active_connections)),
-            ("shed_connections", Json::UInt(server.shed_connections)),
-            (
-                "timed_out_connections",
-                Json::UInt(server.timed_out_connections),
-            ),
-            ("oversized_lines", Json::UInt(server.oversized_lines)),
-            ("sessions_evicted", Json::UInt(server.sessions_evicted)),
-            ("worker_panics", Json::UInt(server.worker_panics)),
-            ("engine", engine),
-            ("store", store.unwrap_or(Json::Null)),
-        ])
+        extend(
+            self.stats().to_json(),
+            [("engine", engine.to_json()), ("store", store)],
+        )
     }
 
     /// Drives one connection: reads newline-framed requests under the
@@ -710,6 +703,8 @@ impl Server {
 mod tests {
     use super::*;
     use cme_core::api::CacheSpec;
+    use cme_core::StoreStats;
+    use std::collections::BTreeSet;
 
     /// An analyze request for `cme_kernels::mmult(n)` on a 2-way cache
     /// of `size` bytes with 32 B lines.
@@ -758,9 +753,62 @@ mod tests {
         let req = mmult_request("again", 4, 1024);
         let resp = AnalyzeResponse::decode(&server.handle_line(&req.encode())).unwrap();
         assert!(resp.result.is_ok());
-        // Two evictions later, the engine counters still count all four.
-        let stats = server.handle_line(r#"{"op":"stats","id":"s"}"#);
-        assert!(stats.contains(r#""engine":{"analyses":4,"#), "{stats}");
+        // Two evictions later, the engine totals still count all four
+        // analyses: counters sum, and the peak keeps the max.
+        let alone = [1024i64, 2048, 4096, 1024].map(|size| {
+            let request = mmult_request("alone", 4, size);
+            let session = Analyzer::with_model(request.cache_model().unwrap()).threads(1);
+            assert!(session.serve(&request).result.is_ok());
+            session.stats()
+        });
+        let stats = json::parse(&server.handle_line(r#"{"op":"stats","id":"s"}"#)).unwrap();
+        let engine = stats.get("ok").and_then(|ok| ok.get("engine")).unwrap();
+        let count = |key| engine.get(key).and_then(Json::as_u64);
+        assert_eq!(count("analyses"), Some(4));
+        let scan_points = alone.iter().map(|s| s.scan_points).sum::<u64>();
+        assert_eq!(count("scan_points"), Some(scan_points));
+        let peak = alone.iter().map(|s| s.peak_survivors).max();
+        assert_eq!(count("peak_survivors"), peak);
+    }
+
+    /// A struct's field names, read from the `Debug` form of its default.
+    fn field_names(debug: &str) -> BTreeSet<String> {
+        let (_, body) = debug.split_once('{').expect("a struct with named fields");
+        body.split(',')
+            .filter_map(|field| field.split_once(':'))
+            .map(|(name, _)| name.trim().to_string())
+            .collect()
+    }
+
+    fn keys(object: &Json) -> BTreeSet<String> {
+        object
+            .as_obj()
+            .expect("an object")
+            .keys()
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn stats_op_reports_every_field() {
+        let dir = std::env::temp_dir().join(format!("cme-serve-stats-{}", std::process::id()));
+        let server = Server::new(ServerConfig {
+            store_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let reply = json::parse(&server.handle_line(r#"{"op":"stats","id":"s"}"#)).unwrap();
+        let ok = reply.get("ok").unwrap();
+        let mut top = field_names(&format!("{:?}", ServerStats::default()));
+        top.extend(["engine", "store"].map(String::from));
+        assert_eq!(keys(ok), top);
+        let engine = field_names(&format!("{:?}", EngineStats::default()));
+        assert_eq!(engine.len(), 39);
+        assert_eq!(keys(ok.get("engine").unwrap()), engine);
+        let mut store = field_names(&format!("{:?}", StoreStats::default()));
+        store.extend(["dir", "entries", "bytes"].map(String::from));
+        assert_eq!(keys(ok.get("store").unwrap()), store);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

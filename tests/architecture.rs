@@ -23,10 +23,12 @@
 //! every nest it has seen. The eighth keeps sweeps free of caches of their
 //! own: a sweep's samples run through the pipeline memos and the store's
 //! analysis entries, and with no session state left to mutate, every
-//! `Analyzer` entry point takes `&self`. The last keeps `cme-serve`
+//! `Analyzer` entry point takes `&self`. The ninth keeps `cme-serve`
 //! waiting only on sockets and its session map's short lock: sessions are
 //! shared `Arc<Analyzer>`s with no lock of their own, and the accept
-//! loops block in `accept` instead of polling on a tick.
+//! loops block in `accept` instead of polling on a tick. The last keeps
+//! one stats schema: each stats type encodes itself once, and the `stats`
+//! op and `perfdump` print that encoding instead of hand-built copies.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -267,5 +269,15 @@ fn serve_shares_sessions_and_blocks_in_accept() {
         "every `Analyzer` entry point takes `&self`, so a shared session \
          needs no lock, and the accept loops block in `accept` and are woken \
          at shutdown",
+    );
+}
+
+#[test]
+fn one_stats_schema() {
+    forbid(
+        &["engine_counters", "shard_busy_seconds", "stage_seconds"],
+        "`EngineStats`, `StoreStats` and `ServerStats` each encode \
+         themselves once (`to_json`, keyed by field name, durations in \
+         seconds), and every report prints that encoding",
     );
 }

@@ -8,9 +8,12 @@
 //! path: exhausted (governor-truncated) analyses are never persisted, and
 //! the LRU size bound actually bounds the directory. A store hit carries
 //! the caller's names, and on a session shared between threads every
-//! served request reports its own store hit.
+//! served request reports its own store hit. A non-LRU request whose
+//! replay runs out of budget after a store hit still overcounts the
+//! simulator.
 
-use cme::api::{AnalyzeRequest, CacheSpec};
+use cme::api::{AnalyzeRequest, CacheSpec, Provenance};
+use cme::cache::{simulate_nest_model, PolicyKind};
 use cme::core::solve::reference_analysis;
 use cme::core::store::{ArtifactKey, ArtifactStore};
 use cme::core::{Analyzer, Budget};
@@ -295,5 +298,39 @@ fn a_shared_session_reports_each_requests_own_store_hit() {
             }
         });
     });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The store answers a FIFO request's analytic part with the exact LRU
+/// count, which undercounts FIFO on mmult(16) at 512 B 4-way, and then the
+/// model replay runs out of budget. The degraded answer must still bound
+/// the simulator from above: the replayed prefix plus every unreplayed
+/// access counted as a miss.
+#[test]
+fn exhausted_fifo_replays_overcount_after_a_store_hit() {
+    let dir = temp_dir("fifo");
+    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+    let nest = cme::kernels::mmult(16);
+    for line in [32, 16] {
+        let mut spec = CacheSpec::new(512, 4, line, 4);
+        spec.policy = PolicyKind::Fifo;
+        let model = spec.model().unwrap();
+        let session = || Analyzer::with_model(model).store(Arc::clone(&store));
+        let mut request = AnalyzeRequest::from_nest("fifo", &nest, spec).unwrap();
+        let primed = session().serve(&request).result.unwrap();
+        assert!(primed.outcome.complete && !primed.store_hit);
+        request.max_solves = Some(1000);
+        let degraded = session().serve(&request).result.unwrap();
+        let simulated = simulate_nest_model(&nest, &model).total().misses();
+        assert!(degraded.lru_bound < Some(simulated), "{degraded:?}");
+        assert!(degraded.store_hit && !degraded.outcome.complete);
+        assert!(
+            degraded.total_misses >= simulated,
+            "{line} B lines: {} misses answered, {simulated} simulated",
+            degraded.total_misses
+        );
+        assert_eq!(degraded.provenance, Some(Provenance::Simulator));
+        assert_eq!((degraded.writebacks, degraded.l2_misses), (None, None));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
