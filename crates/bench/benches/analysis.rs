@@ -122,11 +122,7 @@ fn bench_reuse_scope_ablation(c: &mut Criterion) {
     ] {
         g.bench_function(label, |b| {
             let opts = AnalysisOptions {
-                reuse: ReuseOptions {
-                    group,
-                    extended,
-                    ..ReuseOptions::default()
-                },
+                reuse: ReuseOptions { group, extended },
                 ..AnalysisOptions::default()
             };
             b.iter(|| black_box(reference_analysis(&nest, cache, &opts)))

@@ -3,6 +3,11 @@
 //! stats schema: built/reused counters, stage times) over a
 //! cold-then-warm re-analysis.
 //! Usage: `diag <kernel> [--n N] [--size B] [--assoc K] [--line B]`
+//!
+//! Exits nonzero when the simulator misses at a point the CME counts as a
+//! hit: under LRU a CME hit implies a simulated hit, so every simulated
+//! miss point must be among the CME's (extra CME points are the
+//! conservative overcount and pass).
 
 use cme_bench::{resolve_kernel, BenchArgs};
 use cme_cache::simulate_nest_outcomes;
@@ -37,6 +42,7 @@ fn main() {
     let opts = AnalysisOptions::builder().collect_miss_points(true).build();
     let analyzer = Analyzer::new(cache).options(opts.clone());
     let analysis = analyzer.analyze(&nest);
+    let mut unsound = 0usize;
     for (r, ra) in analysis.per_ref.iter().enumerate() {
         let mut cme_points: HashSet<Vec<i64>> = ra.cold_miss_points.iter().cloned().collect();
         for (p, _) in &ra.replacement_miss_points {
@@ -52,6 +58,14 @@ fn main() {
             extra.len(),
             missing.len()
         );
+        if !missing.is_empty() {
+            unsound += 1;
+            let mut missing_sorted = missing.clone();
+            missing_sorted.sort();
+            for p in missing_sorted.iter().take(6) {
+                println!("   missing {p:?}");
+            }
+        }
         let mut extra_sorted: Vec<_> = extra.iter().map(|p| (*p).clone()).collect();
         extra_sorted.sort();
         for p in extra_sorted.iter().take(6) {
@@ -81,4 +95,8 @@ fn main() {
     let warm = analyzer.analyze(&nest);
     assert_eq!(warm, analysis, "warm re-analysis differs from cold");
     println!("\n{}", analyzer.stats());
+    if unsound > 0 {
+        eprintln!("diag: {unsound} reference(s) miss in the simulator where the CME counts a hit");
+        std::process::exit(1);
+    }
 }

@@ -60,11 +60,7 @@ pub(crate) fn lower_key((structural, layout): (u128, u128)) -> u128 {
 pub(crate) fn prefix_key(cache: &CacheConfig, options: &AnalysisOptions, structural: u128) -> u128 {
     let mut h = KeyHasher::new(0x9e37);
     h.feed(cache);
-    h.feed(&options.reuse.group)
-        .feed(&options.reuse.extended)
-        .feed(&options.reuse.max_vectors)
-        .feed(&options.reuse.candidate_budget)
-        .feed(&options.reuse.prune_dominated);
+    h.feed(&options.reuse.group).feed(&options.reuse.extended);
     h.feed(&(structural as u64))
         .feed(&((structural >> 64) as u64));
     h.finish()

@@ -77,7 +77,6 @@ use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis};
 use cme_ir::{LoopNest, RefId};
 use cme_reuse::ReuseVector;
 use stages::cascade::{scan_run_block, split_blocks, CascadeResult};
-use stages::classify::Classification;
 use stages::lower::LoweredNest;
 use stages::solve::SolveSet;
 use stats::Counters;
@@ -94,7 +93,7 @@ enum ScanSlot {
 }
 
 enum Plan {
-    Done(Classification),
+    Done(RefAnalysis),
     Staged {
         rvs: Arc<Vec<ReuseVector>>,
         solve: Arc<SolveSet>,
@@ -422,7 +421,7 @@ impl Analyzer {
         for (pi, plan) in plans.into_iter().enumerate() {
             let (ni, ridx) = item_of[pi];
             let result = match plan {
-                Plan::Done(c) => c.result,
+                Plan::Done(result) => result,
                 Plan::Staged { rvs, solve, scans } => {
                     let resolved: Vec<Arc<CascadeResult>> = scans
                         .into_iter()
@@ -440,7 +439,6 @@ impl Analyzer {
                         &resolved,
                         options,
                     )
-                    .result
                 }
             };
             per_nest[ni].push(result);

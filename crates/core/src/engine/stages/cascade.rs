@@ -9,20 +9,20 @@
 //! merged back in block order — so the merged outcome entering the memo
 //! tables is independent of the sharding.
 //!
-//! The default mode slides a [`SlidingWindow`] along each run, paying
-//! O(references) per point instead of O(window); exact-count mode falls
-//! back to the per-point [`Scanner`] (its verdicts need per-perpetrator
-//! detail the window multiset does not keep), which still shards fine —
-//! contentions are per-point sums.
+//! A block's scan is one governed walk over its runs ([`walk_runs`]);
+//! the exact-count, segment and stepping paths ([`scan_run_block`]) differ
+//! only in the code each run piece is handed to, and the two fast paths
+//! share one verdict rule ([`misses`]). Exact-count contentions are
+//! per-point sums, so that path shards like the others.
 
 use cme_cache::CacheConfig;
 use cme_ir::LoopNest;
 use cme_reuse::ReuseVector;
 
 use crate::governor::QueryGovernor;
-use crate::pointset::SurvivorSet;
+use crate::pointset::{Run, SurvivorSet};
 use crate::solve::{scan_interior, AnalysisOptions, Scanner};
-use crate::window::{Geom, SlidingWindow, WindowStats};
+use crate::window::{next_line_crossing, Geom, SlidingWindow, WindowStats};
 
 use super::super::stats::Counters;
 use super::lower::LoweredNest;
@@ -58,6 +58,14 @@ impl CascadeResult {
             truncated: 0,
         }
     }
+
+    /// Records the `n ≥ 1` points from global scan-set index `g` on as
+    /// replacement misses.
+    #[inline]
+    fn miss(&mut self, g: u64, n: u64) {
+        self.replacement_misses += n;
+        push_miss_span(&mut self.miss_runs, g, g + n - 1);
+    }
 }
 
 /// Appends the inclusive index span `[lo, hi]` to a canonical miss-run
@@ -73,17 +81,6 @@ pub(crate) fn push_miss_span(runs: &mut Vec<(u64, u64)>, lo: u64, hi: u64) {
         }
     }
     runs.push((lo, hi));
-}
-
-/// Number of innermost steps (≥ 1) for which `addr + stride·Δ` stays on
-/// `line = ⌊addr/Ls⌋`; `i64::MAX` for temporal (stride-0) references.
-#[inline]
-fn line_span(addr: i64, stride: i64, line: i64, ls: i64) -> i64 {
-    match stride.cmp(&0) {
-        std::cmp::Ordering::Equal => i64::MAX,
-        std::cmp::Ordering::Greater => crate::window::ceil_div((line + 1) * ls - addr, stride),
-        std::cmp::Ordering::Less => crate::window::ceil_div(addr + 1 - line * ls, -stride),
-    }
 }
 
 /// Minimum points per scan block: below this the dispatch overhead beats
@@ -119,10 +116,27 @@ pub(crate) fn split_blocks(set: &SurvivorSet, threads: usize) -> Vec<(usize, usi
     blocks
 }
 
+/// Points per governed piece of a run: a budgeted walk checks and
+/// charges the governor at most this many points apart.
+const GOVERNED_PIECE: i64 = 4096;
+
 /// Scans the reuse windows of the survivors in chunks `chunk_lo..chunk_hi`
 /// of `points` along `rv` — the verdict half of Figure 6, with miss
 /// indices reported in the scan set's global order so per-block outcomes
 /// concatenate into the unsharded result.
+///
+/// Three paths share one governed walk ([`walk_runs`]) and one epilogue:
+///
+/// - **Exact** (`exact_equation_counts`): the per-point [`Scanner`],
+///   whose per-perpetrator contentions the window multiset does not keep.
+/// - **Segment**: intra scans and gap-one scans (vector `(0,…,0,1)`) have
+///   an *empty* window interior, so a point's verdict depends only on its
+///   endpoint side accesses, each an affine function of the innermost
+///   index. Their lines are constant between computable line crossings,
+///   so one verdict settles a whole segment (~Ls points for stride-1
+///   references), pushed as one miss span.
+/// - **Stepping**: every other vector keeps a live interior; a
+///   [`SlidingWindow`] slides along each run at O(references) per point.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_run_block(
     nest: &LoopNest,
@@ -141,133 +155,59 @@ pub(crate) fn scan_run_block(
     let depth = nest.depth();
     let inner = depth - 1;
     let space = nest.space();
-    let k = cache.assoc() as usize;
+    let k = cache.assoc() as u64;
     let nrefs = addrs.len();
     let dest_addr = &addrs[dest_idx];
     let src_idx = rv.source().index();
     let r = rv.vector();
     let intra = rv.is_intra_iteration();
-    let geom = Geom::new(cache);
-    let mut contentions = vec![0u64; nrefs];
-    let mut replacement_misses = 0u64;
-    let mut miss_runs: Vec<(u64, u64)> = Vec::new();
-    let mut i_buf = vec![0i64; depth];
-    let mut block_points = 0u64;
-    let mut truncated = 0u64;
-    // Global point index one past this block — the truncation paths
-    // degrade everything from the cut point to here in O(1).
-    let block_end = points.chunk_start(chunk_hi);
-    // Governed runs check the budget every `chunk` points; at full budget
-    // the chunk spans the whole run, so the per-point loops below run
-    // exactly as before (one extra comparison per run).
-    let chunk: i64 = if gov.unlimited() { i64::MAX } else { 4096 };
-
-    if options.exact_equation_counts {
-        // Per-point scan.
-        let mut scanner = Scanner::new(cache, addrs, k, true);
-        let mut p = vec![0i64; depth];
-        'runs_exact: for run in points.runs_in(chunk_lo, chunk_hi) {
-            i_buf[..inner].copy_from_slice(run.prefix);
-            let mut seg = run.lo;
-            while seg <= run.hi {
-                let seg_hi = run.hi.min(seg.saturating_add(chunk - 1));
-                if !gov.live() {
-                    truncated += degrade_tail(
-                        run.start + (seg - run.lo) as u64,
-                        block_end,
-                        &mut miss_runs,
-                        &mut replacement_misses,
-                    );
-                    break 'runs_exact;
-                }
-                block_points += (seg_hi - seg + 1) as u64;
-                gov.charge((seg_hi - seg + 1) as u64);
-                for t in seg..=seg_hi {
-                    i_buf[inner] = t;
-                    let i = &i_buf;
-                    for l in 0..depth {
-                        p[l] = i[l] - r[l];
-                    }
-                    let a_dest = dest_addr.eval(i);
-                    let dline = geom.line(a_dest);
-                    scanner.reset(geom.set_of_line(dline), dline);
-                    let mut go = true;
-                    if intra {
-                        for s in (src_idx + 1)..dest_idx {
-                            if !scanner.check(i, s) {
-                                break;
-                            }
-                        }
-                    } else {
-                        // Tail of the source iteration (statements after the
-                        // source).
-                        for s in (src_idx + 1)..nrefs {
-                            if !scanner.check(&p, s) {
-                                go = false;
-                                break;
-                            }
-                        }
-                        // Whole iterations strictly between, row by row.
-                        if go {
-                            go = scan_interior(&mut scanner, &space, &p, i);
-                        }
-                        // Head of the destination iteration (statements before
-                        // dest).
-                        if go {
-                            for s in 0..dest_idx {
-                                if !scanner.check(i, s) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    for (s, v) in scanner.per_perp.iter().enumerate() {
-                        contentions[s] += v.len() as u64;
-                    }
-                    if scanner.distinct.len() >= k {
-                        replacement_misses += 1;
-                        let g = run.start + (t - run.lo) as u64;
-                        push_miss_span(&mut miss_runs, g, g);
-                    }
-                }
-                seg = seg_hi + 1;
-            }
-        }
-        counters.absorb_scan(block_points, WindowStats::default());
-        gov.note_truncated(truncated);
-        return CascadeResult {
-            replacement_misses,
-            contentions,
-            miss_runs,
-            truncated,
-        };
-    }
-
-    // Fast mode. Two sub-paths:
-    //
-    // **Affine segment path** — intra scans and gap-one scans (vector
-    // `(0,…,0,1)`) have an *empty* reuse-window interior, so the verdict
-    // at a point depends only on the endpoint side accesses, each an
-    // affine function of the innermost index. Their memory lines are
-    // floors of affine functions, constant between computable
-    // line-boundary crossings, so one verdict settles a whole segment
-    // (~Ls points for stride-1 references) pushed as a single miss run.
-    //
-    // **Stepping path** — every other vector keeps a live window
-    // interior; slide a [`SlidingWindow`] along the run, paying
-    // O(references) per point.
-    let mut p_buf = vec![0i64; depth];
-    let mut side: Vec<i64> = Vec::new();
-    let kk = k as u64;
-    let ls = cache.line_elems();
     let gap_one = !intra && r[inner] == 1 && r[..inner].iter().all(|&c| c == 0);
+    let geom = Geom::new(cache);
+    let mut out = CascadeResult::empty(nrefs);
+    let mut i_buf = vec![0i64; depth];
+    let mut p_buf = vec![0i64; depth];
+    let mut seen: Vec<i64> = Vec::new();
+    let block = (chunk_lo, chunk_hi);
 
-    if intra || gap_one {
+    let (scanned, window) = if options.exact_equation_counts {
+        let mut scanner = Scanner::new(cache, addrs, k as usize, true);
+        let scanned = walk_runs(points, block, gov, &mut out, |run, lo, hi, out| {
+            i_buf[..inner].copy_from_slice(run.prefix);
+            for t in lo..=hi {
+                i_buf[inner] = t;
+                let i = &i_buf;
+                for l in 0..depth {
+                    p_buf[l] = i[l] - r[l];
+                }
+                let dline = geom.line(dest_addr.eval(i));
+                scanner.reset(geom.set_of_line(dline), dline);
+                // Probe the window in access order: for intra, the
+                // statements between source and destination; otherwise
+                // the tail of the source iteration, the whole iterations
+                // strictly between (row by row), then the head of the
+                // destination iteration. A probe returning false ends it.
+                let _ = if intra {
+                    ((src_idx + 1)..dest_idx).all(|s| scanner.check(i, s))
+                } else {
+                    ((src_idx + 1)..nrefs).all(|s| scanner.check(&p_buf, s))
+                        && scan_interior(&mut scanner, &space, &p_buf, i)
+                        && (0..dest_idx).all(|s| scanner.check(i, s))
+                };
+                for (s, v) in scanner.per_perp.iter().enumerate() {
+                    out.contentions[s] += v.len() as u64;
+                }
+                if scanner.distinct.len() as u64 >= k {
+                    out.miss(run.start + (t - run.lo) as u64, 1);
+                }
+            }
+        });
+        (scanned, WindowStats::default())
+    } else if intra || gap_one {
         // Side references: for intra, the statements strictly between the
         // source and the destination, at i⃗ itself; for gap-one, the tail
         // of the source iteration at p⃗ then the head of the destination
-        // iteration at i⃗ (matching the stepping path's probe order).
-        let specs: Vec<(usize, bool)> = if intra {
+        // iteration at i⃗ (the stepping path's probe order).
+        let side: Vec<(usize, bool)> = if intra {
             ((src_idx + 1)..dest_idx).map(|s| (s, false)).collect()
         } else {
             ((src_idx + 1)..nrefs)
@@ -275,245 +215,198 @@ pub(crate) fn scan_run_block(
                 .chain((0..dest_idx).map(|s| (s, false)))
                 .collect()
         };
+        // Each side reference adds at most one line per point, so with
+        // fewer than k of them every point hits; such a scan is still
+        // walked, so it is charged and counted like any other.
+        let can_miss = side.len() as u64 >= k;
+        let ls = cache.line_elems();
         let dest_stride = dest_addr.coeff(inner);
-        let strides: Vec<i64> = specs.iter().map(|&(s, _)| addrs[s].coeff(inner)).collect();
-        // Segment only when every involved reference crosses lines at
-        // most every other step (average segment ≥ 2); a reference
-        // striding a whole line per step would degrade segmentation to
-        // per-point work plus the crossing arithmetic.
-        let segmented = 2 * dest_stride.unsigned_abs() <= ls as u64
-            && strides.iter().all(|s| 2 * s.unsigned_abs() <= ls as u64);
-        let mut side_a: Vec<i64> = vec![0; specs.len()];
-        'runs_affine: for run in points.runs_in(chunk_lo, chunk_hi) {
-            i_buf[..inner].copy_from_slice(run.prefix);
-            i_buf[inner] = run.lo;
-            let mut dest_a = dest_addr.eval(&i_buf);
-            for l in 0..depth {
-                p_buf[l] = i_buf[l] - r[l];
+        let strides: Vec<i64> = side.iter().map(|&(s, _)| addrs[s].coeff(inner)).collect();
+        // A segment runs to the first line crossing of any reference it
+        // examines. When some reference strides more than half a line per
+        // step, segments would average under two points, so each point is
+        // a segment of its own and the crossings are not computed.
+        let segmented = std::iter::once(&dest_stride)
+            .chain(&strides)
+            .all(|s| 2 * s.unsigned_abs() <= ls as u64);
+        let mut dest_a = 0i64;
+        let mut side_a = vec![0i64; side.len()];
+        let scanned = walk_runs(points, block, gov, &mut out, |run, lo, hi, out| {
+            if !can_miss {
+                return;
             }
-            for (slot, &(s, at_src)) in side_a.iter_mut().zip(&specs) {
-                *slot = addrs[s].eval(if at_src { &p_buf } else { &i_buf });
+            if lo == run.lo {
+                i_buf[..inner].copy_from_slice(run.prefix);
+                i_buf[inner] = run.lo;
+                for l in 0..depth {
+                    p_buf[l] = i_buf[l] - r[l];
+                }
+                dest_a = dest_addr.eval(&i_buf);
+                for (a, &(s, at_src)) in side_a.iter_mut().zip(&side) {
+                    *a = addrs[s].eval(if at_src { &p_buf } else { &i_buf });
+                }
             }
-            let mut seg = run.lo;
-            while seg <= run.hi {
-                let seg_hi = run.hi.min(seg.saturating_add(chunk - 1));
-                if !gov.live() {
-                    truncated += degrade_tail(
-                        run.start + (seg - run.lo) as u64,
-                        block_end,
-                        &mut miss_runs,
-                        &mut replacement_misses,
-                    );
-                    break 'runs_affine;
-                }
-                block_points += (seg_hi - seg + 1) as u64;
-                gov.charge((seg_hi - seg + 1) as u64);
-                if specs.is_empty() {
-                    // No interference source at all: the run is all hits.
-                    // (Still charged above — budget use is path-independent.)
-                    seg = seg_hi + 1;
-                    continue;
-                }
-                if segmented {
-                    let mut t = seg;
-                    while t <= seg_hi {
-                        let dline = geom.line(dest_a);
-                        let dset = geom.set_of_line(dline);
-                        let mut span =
-                            (seg_hi - t + 1).min(line_span(dest_a, dest_stride, dline, ls));
-                        let mut conflicts = 0u64;
-                        side.clear();
-                        for (j, &addr) in side_a.iter().enumerate() {
-                            if conflicts >= kk {
-                                // Unexamined references cannot lower the
-                                // verdict: the examined prefix alone keeps
-                                // `conflicts ≥ k` for the whole span.
-                                break;
-                            }
-                            let line = geom.line(addr);
-                            span = span.min(line_span(addr, strides[j], line, ls));
-                            if geom.set_of_line(line) == dset
-                                && line != dline
-                                && !side.contains(&line)
-                            {
-                                side.push(line);
-                                conflicts += 1;
-                            }
-                        }
-                        if conflicts >= kk {
-                            let g = run.start + (t - run.lo) as u64;
-                            replacement_misses += span as u64;
-                            push_miss_span(&mut miss_runs, g, g + span as u64 - 1);
-                        }
-                        dest_a += dest_stride * span;
-                        for (a, st) in side_a.iter_mut().zip(&strides) {
-                            *a += st * span;
-                        }
-                        t += span;
-                    }
+            let mut t = lo;
+            while t <= hi {
+                let dline = geom.line(dest_a);
+                let mut span = if segmented {
+                    (hi - t + 1).min(next_line_crossing(dest_a, dest_stride, dline, ls))
                 } else {
-                    for t in seg..=seg_hi {
-                        let dline = geom.line(dest_a);
-                        let dset = geom.set_of_line(dline);
-                        let mut conflicts = 0;
-                        side.clear();
-                        for &addr in &side_a {
-                            if conflicts >= kk {
-                                break;
-                            }
-                            let line = geom.line(addr);
-                            if geom.set_of_line(line) == dset
-                                && line != dline
-                                && !side.contains(&line)
-                            {
-                                side.push(line);
-                                conflicts += 1;
-                            }
-                        }
-                        if conflicts >= kk {
-                            replacement_misses += 1;
-                            let g = run.start + (t - run.lo) as u64;
-                            push_miss_span(&mut miss_runs, g, g);
-                        }
-                        dest_a += dest_stride;
-                        for (a, st) in side_a.iter_mut().zip(&strides) {
-                            *a += st;
-                        }
+                    1
+                };
+                let lines = side_a.iter().zip(&strides).map(|(&a, &stride)| {
+                    let line = geom.line(a);
+                    if segmented {
+                        span = span.min(next_line_crossing(a, stride, line, ls));
                     }
+                    line
+                });
+                if misses(geom, dline, k, None, lines, &mut seen) {
+                    out.miss(run.start + (t - run.lo) as u64, span as u64);
                 }
-                seg = seg_hi + 1;
+                dest_a += dest_stride * span;
+                for (a, stride) in side_a.iter_mut().zip(&strides) {
+                    *a += stride * span;
+                }
+                t += span;
             }
-        }
-        counters.absorb_scan(block_points, WindowStats::default());
-        gov.note_truncated(truncated);
-        return CascadeResult {
-            replacement_misses,
-            contentions,
-            miss_runs,
-            truncated,
-        };
-    }
-
-    // Stepping path: slide the window along each run. Inside one run the
-    // lockstep condition holds by construction, so the loop steps through
-    // per-reference address accumulators — no affine evaluation and no
-    // space checks per point; the endpoint side accesses fall out of the
-    // same accumulators (`w.src_addr(s)` is reference `s` at `p⃗`,
-    // `w.dst_addr(s)` at `i⃗`) and are deduplicated against the window and
-    // each other.
-    let mut w = SlidingWindow::new_for_space(cache, addrs, &space);
-    // Armed-window chaining: once a run ends at destination `i⃗`, the next
-    // run in the same row is reached by a raw [`SlidingWindow::slide_by`]
-    // whenever the source endpoint also stays inside its row — skipping
-    // `begin_segment`'s spans and endpoint re-evaluation.
-    // This is the common shape for stepping vectors, whose scan sets are
-    // short runs spaced uniformly along whole rows.
-    let mut armed: Option<(&[i64], i64)> = None;
-    let mut src_row_hi = i64::MIN;
-    'runs: for run in points.runs_in(chunk_lo, chunk_hi) {
-        let fast = match armed {
-            Some((pfx, dst_inner)) if pfx == run.prefix => {
-                let delta = run.lo - dst_inner;
-                (delta > 0 && dst_inner - r[inner] + delta <= src_row_hi).then_some(delta)
+        });
+        (scanned, WindowStats::default())
+    } else {
+        // Inside one run the lockstep condition holds by construction, so
+        // the window steps through per-reference address accumulators —
+        // no affine evaluation and no space checks per point; the endpoint
+        // side accesses fall out of the same accumulators
+        // (`w.src_addr(s)` is reference `s` at `p⃗`, `w.dst_addr(s)` at
+        // `i⃗`).
+        let mut w = SlidingWindow::new_for_space(cache, addrs, &space);
+        // Armed-window chaining: once a run ends at destination `i⃗`, the
+        // next run in the same row is reached by a raw
+        // [`SlidingWindow::slide_by`] whenever the source endpoint also
+        // stays inside its row — skipping `begin_segment`'s spans and
+        // endpoint re-evaluation. This is the common shape for stepping
+        // vectors, whose scan sets are short runs spaced uniformly along
+        // whole rows.
+        let mut armed: Option<(&[i64], i64)> = None;
+        let mut src_row_hi = i64::MIN;
+        let scanned = walk_runs(points, block, gov, &mut out, |run, lo, hi, out| {
+            if lo == run.lo {
+                let slide = match armed {
+                    Some((pfx, dst_inner)) if pfx == run.prefix => {
+                        let delta = run.lo - dst_inner;
+                        (delta > 0 && dst_inner - r[inner] + delta <= src_row_hi).then_some(delta)
+                    }
+                    _ => None,
+                };
+                if let Some(delta) = slide {
+                    w.slide_by(delta);
+                } else {
+                    i_buf[..inner].copy_from_slice(run.prefix);
+                    i_buf[inner] = run.lo;
+                    for l in 0..depth {
+                        p_buf[l] = i_buf[l] - r[l];
+                    }
+                    w.begin_segment(&space, &i_buf, r);
+                    src_row_hi = space
+                        .innermost_bounds(&p_buf[..inner])
+                        .map_or(i64::MIN, |(_, hi)| hi);
+                }
+                armed = Some((run.prefix, run.hi));
             }
-            _ => None,
-        };
-        if let Some(delta) = fast {
-            w.slide_by(delta);
-        } else {
-            i_buf[..inner].copy_from_slice(run.prefix);
-            // Position the window at the run's first point; every further
-            // point is one guaranteed-lockstep step.
-            i_buf[inner] = run.lo;
-            for l in 0..depth {
-                p_buf[l] = i_buf[l] - r[l];
-            }
-            w.begin_segment(&space, &i_buf, r);
-            src_row_hi = space
-                .innermost_bounds(&p_buf[..inner])
-                .map_or(i64::MIN, |(_, hi)| hi);
-        }
-        armed = Some((run.prefix, run.hi));
-        let mut seg = run.lo;
-        while seg <= run.hi {
-            let seg_hi = run.hi.min(seg.saturating_add(chunk - 1));
-            if !gov.live() {
-                truncated += degrade_tail(
-                    run.start + (seg - run.lo) as u64,
-                    block_end,
-                    &mut miss_runs,
-                    &mut replacement_misses,
-                );
-                break 'runs;
-            }
-            block_points += (seg_hi - seg + 1) as u64;
-            gov.charge((seg_hi - seg + 1) as u64);
-            for t in seg..=seg_hi {
+            for t in lo..=hi {
                 if t > run.lo {
                     w.step_in_segment();
                 }
-                let a_dest = w.dst_addr(dest_idx);
-                let dline = geom.line(a_dest);
-                let dset = geom.set_of_line(dline);
-                let mut conflicts = w.distinct_excluding(dset, dline);
-                side.clear();
-                // Tail of the source iteration, then head of the destination
-                // iteration.
-                for (at_src, lo_s, hi_s) in [(true, src_idx + 1, nrefs), (false, 0, dest_idx)] {
-                    for s in lo_s..hi_s {
-                        if conflicts >= kk {
-                            break;
-                        }
-                        let addr = if at_src { w.src_addr(s) } else { w.dst_addr(s) };
-                        let line = geom.line(addr);
-                        if geom.set_of_line(line) == dset
-                            && line != dline
-                            && !w.contains_line(line)
-                            && !side.contains(&line)
-                        {
-                            side.push(line);
-                            conflicts += 1;
-                        }
-                    }
-                }
-                if conflicts >= kk {
-                    replacement_misses += 1;
-                    let g = run.start + (t - run.lo) as u64;
-                    push_miss_span(&mut miss_runs, g, g);
+                let dline = geom.line(w.dst_addr(dest_idx));
+                let lines = ((src_idx + 1)..nrefs)
+                    .map(|s| w.src_addr(s))
+                    .chain((0..dest_idx).map(|s| w.dst_addr(s)))
+                    .map(|a| geom.line(a));
+                if misses(geom, dline, k, Some(&w), lines, &mut seen) {
+                    out.miss(run.start + (t - run.lo) as u64, 1);
                 }
             }
-            seg = seg_hi + 1;
-        }
-    }
-    counters.absorb_scan(block_points, w.stats);
-    gov.note_truncated(truncated);
-    CascadeResult {
-        replacement_misses,
-        contentions,
-        miss_runs,
-        truncated,
-    }
+        });
+        (scanned, w.stats)
+    };
+    counters.absorb_scan(scanned, window);
+    gov.note_truncated(out.truncated);
+    out
 }
 
-/// Degrades the unscanned tail of a block — every scan-set point from
-/// global index `g_from` up to the block's end `g_end` — by counting it
-/// as a replacement miss (indeterminate-treated-as-miss). Survivor runs
-/// are contiguous in the global index space, so the whole tail is one
-/// fused miss span: O(1), independent of how many runs or points the
-/// budget cut off. Returns the number of points degraded.
-fn degrade_tail(
-    g_from: u64,
-    g_end: u64,
-    miss_runs: &mut Vec<(u64, u64)>,
-    replacement_misses: &mut u64,
+/// The one governed walk over the runs of chunks `chunk_lo..chunk_hi`:
+/// hands each run to `scan` in pieces `lo..=hi` (the whole run at an
+/// unlimited budget, [`GOVERNED_PIECE`] points otherwise), checking and
+/// charging the governor once per piece, and returns the points handed
+/// over. When the budget dies, the unscanned tail of the block becomes
+/// one fused miss span (indeterminate-treated-as-miss, a sound
+/// overcount): survivor runs are contiguous in the global index space, so
+/// this is O(1) however many runs the cut leaves.
+fn walk_runs<'p>(
+    points: &'p SurvivorSet,
+    (chunk_lo, chunk_hi): (usize, usize),
+    gov: &QueryGovernor,
+    out: &mut CascadeResult,
+    mut scan: impl FnMut(&Run<'p>, i64, i64, &mut CascadeResult),
 ) -> u64 {
-    if g_from >= g_end {
-        return 0;
+    let piece = if gov.unlimited() {
+        i64::MAX
+    } else {
+        GOVERNED_PIECE
+    };
+    let mut scanned = 0u64;
+    for run in points.runs_in(chunk_lo, chunk_hi) {
+        let mut lo = run.lo;
+        while lo <= run.hi {
+            if !gov.live() {
+                let cut = run.start + (lo - run.lo) as u64;
+                out.truncated = points.chunk_start(chunk_hi) - cut;
+                out.miss(cut, out.truncated);
+                return scanned;
+            }
+            let hi = run.hi.min(lo.saturating_add(piece - 1));
+            let n = (hi - lo + 1) as u64;
+            scanned += n;
+            gov.charge(n);
+            scan(&run, lo, hi, out);
+            lo = hi + 1;
+        }
     }
-    push_miss_span(miss_runs, g_from, g_end - 1);
-    let n = g_end - g_from;
-    *replacement_misses += n;
-    n
+    scanned
+}
+
+/// The verdict rule of Eq. 4 at one point, in §4.2's k-way form: the
+/// point misses when at least `k` distinct lines other than its own line
+/// `dline` map into its cache set inside its reuse window — the window's
+/// interior lines, when there is a window, then the endpoint `side`
+/// lines in probe order, each counted once (`seen` is scratch). Reading
+/// stops at `k`: the unread lines cannot undo a miss.
+#[inline]
+fn misses(
+    geom: Geom,
+    dline: i64,
+    k: u64,
+    window: Option<&SlidingWindow<'_>>,
+    mut side: impl Iterator<Item = i64>,
+    seen: &mut Vec<i64>,
+) -> bool {
+    let dset = geom.set_of_line(dline);
+    let mut conflicts = window.map_or(0, |w| w.distinct_excluding(dset, dline));
+    seen.clear();
+    while conflicts < k {
+        let Some(line) = side.next() else {
+            return false;
+        };
+        if geom.set_of_line(line) == dset
+            && line != dline
+            && !window.is_some_and(|w| w.contains_line(line))
+            && !seen.contains(&line)
+        {
+            seen.push(line);
+            conflicts += 1;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -563,5 +456,71 @@ mod tests {
             }
         }
         assert!(split_blocks(&SurvivorSet::new(2, false), 4).is_empty());
+    }
+
+    /// Cuts one block of each scan path (exact, segment, stepping) after
+    /// its first governed piece and checks the degraded outcome against
+    /// the unlimited scan of the same block.
+    #[test]
+    fn a_budget_cut_degrades_the_rest_of_the_block_on_every_path() {
+        use crate::governor::Budget;
+        use cme_ir::RefId;
+        use cme_reuse::reuse_vectors;
+        let nest = cme_kernels::mmult(16);
+        let cache = CacheConfig::new(1024, 1, 32, 4).expect("valid geometry");
+        let lowered = super::super::lower::lower(&nest).expect("nest lowers");
+        let inner = nest.depth() - 1;
+        let unlimited = QueryGovernor::new(Budget::unlimited(), None);
+        let mut seen = [false; 3]; // exact, segment, stepping
+        for exact in [true, false] {
+            let options = AnalysisOptions::builder()
+                .exact_equation_counts(exact)
+                .build();
+            for dest in 0..lowered.addrs.len() {
+                let rvs = reuse_vectors(&nest, &cache, RefId::from_index(dest), &options.reuse);
+                let solve = super::super::solve::build(
+                    &nest, &lowered, &cache, dest, &rvs, &options, &unlimited,
+                );
+                for (rv, sv) in rvs.iter().zip(&solve.vectors) {
+                    let Some(set) = sv.scan_set.as_deref() else {
+                        continue;
+                    };
+                    let r = rv.vector();
+                    let gap_one = r[inner] == 1 && r[..inner].iter().all(|&c| c == 0);
+                    let path = match (exact, rv.is_intra_iteration() || gap_one) {
+                        (true, _) => 0,
+                        (false, true) => 1,
+                        (false, false) => 2,
+                    };
+                    let first = set.runs().next().map_or(0, |run| run.len());
+                    let first = first.min(GOVERNED_PIECE as u64);
+                    if seen[path] || first == set.len() {
+                        continue;
+                    }
+                    let scan = |gov: &QueryGovernor| {
+                        let (counters, chunks) = (Counters::default(), set.chunk_count());
+                        scan_run_block(
+                            &nest, &lowered, &cache, dest, rv, set, 0, chunks, &options, &counters,
+                            gov,
+                        )
+                    };
+                    let full = scan(&unlimited);
+                    // A zero-solve budget lets the first piece through,
+                    // charges it, and dies at the next check.
+                    let cut = scan(&QueryGovernor::new(
+                        Budget::unlimited().with_max_solves(0),
+                        None,
+                    ));
+                    assert!(cut.replacement_misses >= full.replacement_misses, "{rv}");
+                    assert_eq!(cut.truncated, set.len() - first, "{rv}");
+                    assert_eq!(cut.miss_runs.last().map(|m| m.1), Some(set.len() - 1));
+                    seen[path] = true;
+                }
+            }
+        }
+        assert_eq!(
+            seen, [true; 3],
+            "a block of each of exact, segment, stepping"
+        );
     }
 }

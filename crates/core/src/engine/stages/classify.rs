@@ -18,13 +18,8 @@ use crate::solve::{AnalysisOptions, RefAnalysis, VectorReport};
 use super::cascade::CascadeResult;
 use super::solve::SolveSet;
 
-/// The finished per-reference artifact of the pipeline.
-#[derive(Debug)]
-pub(crate) struct Classification {
-    pub(crate) result: RefAnalysis,
-}
-
-/// Composes the final per-reference result from the upstream artifacts.
+/// Composes the finished per-reference artifact of the pipeline from the
+/// upstream artifacts.
 pub(crate) fn classify(
     nest: &LoopNest,
     dest: RefId,
@@ -32,7 +27,7 @@ pub(crate) fn classify(
     solve: &SolveSet,
     scans: &[Arc<CascadeResult>],
     options: &AnalysisOptions,
-) -> Classification {
+) -> RefAnalysis {
     let mut vectors = Vec::with_capacity(solve.vectors.len());
     let mut replacement_misses = 0u64;
     let mut repl_points: Vec<(Vec<i64>, usize)> = Vec::new();
@@ -76,19 +71,17 @@ pub(crate) fn classify(
             (nest.space().count(), pts)
         }
     };
-    Classification {
-        result: RefAnalysis {
-            dest,
-            label: nest.reference(dest).label().to_string(),
-            vectors,
-            cold_misses,
-            replacement_misses,
-            // A truncated solve set reports as early-stopped: the remaining
-            // survivors were counted as misses, exactly like ε stopping.
-            early_stopped: solve.early_stopped || solve.truncated,
-            replacement_miss_points: repl_points,
-            cold_miss_points: cold_points,
-        },
+    RefAnalysis {
+        dest,
+        label: nest.reference(dest).label().to_string(),
+        vectors,
+        cold_misses,
+        replacement_misses,
+        // A truncated solve set reports as early-stopped: the remaining
+        // survivors were counted as misses, exactly like ε stopping.
+        early_stopped: solve.early_stopped || solve.truncated,
+        replacement_miss_points: repl_points,
+        cold_miss_points: cold_points,
     }
 }
 
@@ -101,7 +94,7 @@ pub(crate) fn truncated(
     dest: RefId,
     options: &AnalysisOptions,
     gov: &QueryGovernor,
-) -> Classification {
+) -> RefAnalysis {
     let count = nest.space().count();
     gov.note_truncated(count);
     let cold_points = if options.collect_miss_points {
@@ -114,16 +107,14 @@ pub(crate) fn truncated(
     } else {
         Vec::new()
     };
-    Classification {
-        result: RefAnalysis {
-            dest,
-            label: nest.reference(dest).label().to_string(),
-            vectors: Vec::new(),
-            cold_misses: count,
-            replacement_misses: 0,
-            early_stopped: true,
-            replacement_miss_points: Vec::new(),
-            cold_miss_points: cold_points,
-        },
+    RefAnalysis {
+        dest,
+        label: nest.reference(dest).label().to_string(),
+        vectors: Vec::new(),
+        cold_misses: count,
+        replacement_misses: 0,
+        early_stopped: true,
+        replacement_miss_points: Vec::new(),
+        cold_miss_points: cold_points,
     }
 }

@@ -6,7 +6,7 @@
 //!                                                │
 //!                                              solve
 //!                                                ▼
-//!   Classification ◀──classify── CascadeResult ◀──cascade── SolveSet
+//!      RefAnalysis ◀──classify── CascadeResult ◀──cascade── SolveSet
 //! ```
 //!
 //! Every stage also reads the caller's `&LoopNest` itself; no artifact
@@ -19,7 +19,7 @@
 //! | `reuse`    | §2.2, §3.3 reuse vectors              | [`reuse::ReusePlan`]   |
 //! | `solve`    | §3.1 cold CMEs, Fig. 6 classification | [`solve::SolveSet`]    |
 //! | `cascade`  | §3.2 Eq. 4 replacement, §4.2 k-way    | [`cascade::CascadeResult`] |
-//! | `classify` | Fig. 6 composition, ε early stop      | [`classify::Classification`] |
+//! | `classify` | Fig. 6 composition, ε early stop      | [`crate::RefAnalysis`] |
 //!
 //! Layering rule (enforced by `tests/architecture.rs`): a stage may use
 //! artifacts of *upstream* stages only — `lower < reuse < solve < cascade

@@ -28,6 +28,7 @@ use cme_reuse::ReuseVector;
 use crate::governor::QueryGovernor;
 use crate::pointset::SurvivorSet;
 use crate::solve::AnalysisOptions;
+use crate::window::next_line_crossing;
 
 use super::lower::LoweredNest;
 
@@ -56,19 +57,6 @@ pub(crate) struct SolveSet {
     /// The governor stopped the refinement early; the entry is a sound
     /// overcount and must never enter the memo tables.
     pub(crate) truncated: bool,
-}
-
-/// First innermost index `t' > t` at which `⌊(base + stride·t')/Ls⌋`
-/// differs from `cur_line`, or `i64::MAX` when the line never changes.
-fn next_line_crossing(base: i64, stride: i64, t: i64, cur_line: i64, ls: i64) -> i64 {
-    match stride.cmp(&0) {
-        std::cmp::Ordering::Equal => i64::MAX,
-        // Increasing: first t' with base + stride·t' ≥ (cur+1)·Ls.
-        std::cmp::Ordering::Greater => crate::window::ceil_div((cur_line + 1) * ls - base, stride),
-        // Decreasing: first t' with base + stride·t' ≤ cur·Ls − 1.
-        std::cmp::Ordering::Less => crate::window::ceil_div(base + 1 - cur_line * ls, -stride),
-    }
-    .max(t + 1)
 }
 
 /// Splits the cold/scan verdict of one survivor run into maximal
@@ -242,8 +230,8 @@ impl<'a> RunClassifier<'a> {
         let mut t = a;
         let mut ld = floor_div(d0 + sd * t, self.ls);
         let mut lsrc = floor_div(s0 + ss * t, self.ls);
-        let mut nd = next_line_crossing(d0, sd, t, ld, self.ls);
-        let mut ns = next_line_crossing(s0, ss, t, lsrc, self.ls);
+        let mut nd = next_line_crossing(d0, sd, ld, self.ls);
+        let mut ns = next_line_crossing(s0, ss, lsrc, self.ls);
         // A stride dividing Ls crosses a line boundary exactly every
         // Ls/|stride| steps, moving the line by ±1 — crossings after the
         // first advance by pure increments, no divisions (the common
@@ -276,7 +264,7 @@ impl<'a> RunClassifier<'a> {
                     nd += pd;
                 } else {
                     ld = floor_div(d0 + sd * t, self.ls);
-                    nd = next_line_crossing(d0, sd, t, ld, self.ls);
+                    nd = next_line_crossing(d0, sd, ld, self.ls);
                 }
             }
             if t == ns {
@@ -285,7 +273,7 @@ impl<'a> RunClassifier<'a> {
                     ns += ps;
                 } else {
                     lsrc = floor_div(s0 + ss * t, self.ls);
-                    ns = next_line_crossing(s0, ss, t, lsrc, self.ls);
+                    ns = next_line_crossing(s0, ss, lsrc, self.ls);
                 }
             }
         }

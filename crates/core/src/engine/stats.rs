@@ -9,7 +9,7 @@
 //! | reuse    | `ReusePlan`                  | `reuse_built/-reused`          |
 //! | solve    | `SolveSet`                   | `cascades_built/-reused`       |
 //! | cascade  | `CascadeResult`              | `scans_executed/scans_reused`  |
-//! | classify | `Classification`             | — (pure assembly, never cached)|
+//! | classify | `RefAnalysis`                | — (pure assembly, never cached)|
 //!
 //! (The `cascades_*`/`scans_*` names predate the stage split and are kept
 //! for output stability: a "cascade" counter counts solve-stage

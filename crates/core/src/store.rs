@@ -154,16 +154,17 @@ impl ArtifactKey {
 /// side data, like collected miss points) must land here.
 pub fn options_fingerprint(options: &AnalysisOptions) -> u128 {
     let mut h = KeyHasher::new(0x09f5);
-    // The constant `false` fills the slot of a removed option, so every
-    // key persisted before its removal stays valid.
+    // Constants fill the slots of removed options with the values every
+    // analysis used (`false`; reuse generation's vector cap and candidate
+    // budget), so every key persisted before their removal stays valid.
     h.feed(&options.epsilon)
         .feed(&options.exact_equation_counts)
         .feed(&options.collect_miss_points)
         .feed(&false)
         .feed(&options.reuse.group)
         .feed(&options.reuse.extended)
-        .feed(&options.reuse.max_vectors)
-        .feed(&options.reuse.candidate_budget);
+        .feed(&16_384usize)
+        .feed(&400_000usize);
     h.finish()
 }
 
@@ -378,12 +379,19 @@ impl ArtifactStore {
 
     /// Live entries on disk right now (diagnostics and tests).
     pub fn entry_count(&self) -> usize {
-        self.entries().len()
+        self.usage().0
     }
 
     /// Total bytes of live entries on disk right now.
     pub fn total_bytes(&self) -> u64 {
-        self.entries().iter().map(|e| e.len).sum()
+        self.usage().1
+    }
+
+    /// [`Self::entry_count`] and [`Self::total_bytes`] from one listing
+    /// of the store directory.
+    pub fn usage(&self) -> (usize, u64) {
+        let entries = self.entries();
+        (entries.len(), entries.iter().map(|e| e.len).sum())
     }
 
     /// Looks up a persisted analysis. `None` is a miss for *any* reason —
@@ -905,6 +913,19 @@ mod tests {
             options_fingerprint(&counts),
             0xee82955268c69ca5668ac758362f4608
         );
+        // Every remaining option lands in the key.
+        let mut no_group = AnalysisOptions::default();
+        no_group.reuse.group = false;
+        let mut no_extended = AnalysisOptions::default();
+        no_extended.reuse.extended = false;
+        let points = AnalysisOptions::builder().collect_miss_points(true).build();
+        for changed in [no_group, no_extended, points] {
+            assert_ne!(
+                options_fingerprint(&changed),
+                options_fingerprint(&exact),
+                "{changed:?}"
+            );
+        }
         let cfg = CacheConfig::new(1024, 2, 32, 4).unwrap();
         let a = ArtifactKey::new(1, 2, &cfg, &exact);
         let b = ArtifactKey::new(1, 2, &cfg, &eps);

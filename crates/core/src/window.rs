@@ -771,8 +771,22 @@ fn accesses_on_line(line: i64, ls: i64, base: i64, stride: i64, count: i64) -> i
     hi.min(count - 1) - lo.max(0) + 1
 }
 
+/// First step `q` at which the progression `base + stride·q` has left
+/// `line` in its direction of travel (`≥ (line+1)·Ls` climbing, `< line·Ls`
+/// descending), or `i64::MAX` for a temporal (stride-0) reference. When
+/// `line` is the line at step `t`, the result is the first step after `t`
+/// on another line; at `t = 0` it is the number of steps spent on `line`.
+#[inline]
+pub(crate) fn next_line_crossing(base: i64, stride: i64, line: i64, ls: i64) -> i64 {
+    match stride.cmp(&0) {
+        Ordering::Equal => i64::MAX,
+        Ordering::Greater => ceil_div((line + 1) * ls - base, stride),
+        Ordering::Less => ceil_div(base + 1 - line * ls, -stride),
+    }
+}
+
 /// `⌈a / b⌉` for positive `b`.
-pub(crate) fn ceil_div(a: i64, b: i64) -> i64 {
+fn ceil_div(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0);
     -floor_div(-a, b)
 }

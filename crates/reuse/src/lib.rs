@@ -150,31 +150,13 @@ impl fmt::Display for ReuseVector {
     }
 }
 
-/// Tuning knobs for reuse-vector generation.
+/// Which reuse vectors to generate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReuseOptions {
     /// Generate group reuse between uniformly generated references.
     pub group: bool,
     /// Generate the paper's extended vectors (`t⃗ + m·s⃗`).
     pub extended: bool,
-    /// Hard cap on the number of vectors returned (lexicographically
-    /// smallest — i.e. most recent — vectors win). This is the
-    /// precision-vs-time knob of Section 4.1.
-    pub max_vectors: usize,
-    /// Cap on candidate vectors *examined* during generation; enumeration
-    /// visits small (recent) lattice shifts first, so exhausting the budget
-    /// drops only long-distance reuse.
-    pub candidate_budget: usize,
-    /// Drop vectors that are provably redundant for the lex-ordered
-    /// miss-finding refinement (Figure 6): over a **rectangular** iteration
-    /// space, a vector `r₂` whose constant address gap equals that of an
-    /// earlier (lex-smaller) vector `r₁` lying componentwise between `0⃗`
-    /// and `r₂` can never classify a point the earlier vector did not —
-    /// same gap means the same same-line condition, and betweenness makes
-    /// `i⃗ − r₂ ∈ space ⇒ i⃗ − r₁ ∈ space`. Pruning such vectors changes no
-    /// miss count; it only skips dead refinement walks. Ignored (never
-    /// applied) for non-rectangular spaces, where the implication fails.
-    pub prune_dominated: bool,
 }
 
 impl Default for ReuseOptions {
@@ -182,12 +164,19 @@ impl Default for ReuseOptions {
         ReuseOptions {
             group: true,
             extended: true,
-            max_vectors: 16_384,
-            candidate_budget: 400_000,
-            prune_dominated: true,
         }
     }
 }
+
+/// Cap on the number of vectors returned (lexicographically smallest —
+/// i.e. most recent — vectors win): the precision-vs-time bound of
+/// Section 4.1.
+const MAX_VECTORS: usize = 16_384;
+
+/// Cap on candidate vectors *examined* during generation; enumeration
+/// visits small (recent) lattice shifts first, so exhausting the budget
+/// drops only long-distance reuse.
+const CANDIDATE_BUDGET: usize = 400_000;
 
 /// Computes the reuse vectors of `dest`, sorted in lexicographically
 /// increasing order (the processing order of the miss-finding algorithm,
@@ -197,11 +186,32 @@ impl Default for ReuseOptions {
 /// The returned set is *sound but not necessarily complete*: every returned
 /// vector is a genuine reuse direction; directions not returned only make
 /// the downstream miss count conservative.
+///
+/// Over a **rectangular** iteration space, vectors that are provably
+/// redundant for the lex-ordered refinement (Figure 6) are dropped: a
+/// vector `r₂` whose constant address gap equals that of an earlier
+/// (lex-smaller) vector `r₁` lying componentwise between `0⃗` and `r₂` can
+/// never classify a point the earlier vector did not — same gap means the
+/// same same-line condition, and betweenness makes
+/// `i⃗ − r₂ ∈ space ⇒ i⃗ − r₁ ∈ space`. Dropping them changes no miss
+/// count; it only skips dead refinement walks. Other spaces keep every
+/// vector, since there the implication fails.
 pub fn reuse_vectors(
     nest: &LoopNest,
     cache: &CacheConfig,
     dest: RefId,
     options: &ReuseOptions,
+) -> Vec<ReuseVector> {
+    generate(nest, cache, dest, options, nest.space().is_rectangular())
+}
+
+/// [`reuse_vectors`], dropping dominated vectors exactly when `prune`.
+fn generate(
+    nest: &LoopNest,
+    cache: &CacheConfig,
+    dest: RefId,
+    options: &ReuseOptions,
+    prune: bool,
 ) -> Vec<ReuseVector> {
     let depth = nest.depth();
     let line = cache.line_elems();
@@ -219,14 +229,13 @@ pub fn reuse_vectors(
     // are rare by construction — one vector solves `lin·v = d − shift`
     // for exactly one `d` per source.
     let mut out: Vec<ReuseVector> = Vec::new();
-    let mut budget = options.candidate_budget;
+    let mut budget = CANDIDATE_BUDGET;
     // Every vector emitted for one `(source, d)` pair shares the constant
     // gap `d` (the lattice shifts lie in the kernel of the address form),
     // so the dominance rule applies within the family as candidates
     // stream by — the spiral visits near-zero shifts first, which are
     // exactly the dominators, keeping the family list tiny and skipping
     // the allocation for the O(extent) dominated tail.
-    let prune_inline = options.prune_dominated && nest.space().is_rectangular();
     let mut family: Vec<Vec<i64>> = Vec::new();
 
     for src in nest.references() {
@@ -255,7 +264,7 @@ pub fn reuse_vectors(
             };
             family.clear();
             let mut emit = |v: &[i64]| -> bool {
-                let dominated = prune_inline
+                let dominated = prune
                     && family
                         .iter()
                         .any(|r1| lex_cmp(r1, v) == Ordering::Less && componentwise_between(r1, v));
@@ -270,7 +279,7 @@ pub fn reuse_vectors(
                         v,
                         &mut out,
                     )
-                    && prune_inline
+                    && prune
                 {
                     family.push(v.to_vec());
                 }
@@ -288,15 +297,15 @@ pub fn reuse_vectors(
 
     sort_reuse_vectors(&mut out);
     out.dedup_by(|a, b| a.vector == b.vector && a.source == b.source);
-    if options.prune_dominated && nest.space().is_rectangular() {
+    if prune {
         prune_dominated(&mut out);
     }
-    out.truncate(options.max_vectors);
+    out.truncate(MAX_VECTORS);
     out
 }
 
 /// Removes vectors dominated under the rectangular-space rule documented
-/// on [`ReuseOptions::prune_dominated`]. `out` must already be in final
+/// on [`reuse_vectors`]. `out` must already be in final
 /// processing order: the refinement examines a shrinking survivor chain,
 /// so an earlier vector with the same constant gap sees a superset of any
 /// later vector's points — every point the later vector would send to a
@@ -560,12 +569,14 @@ mod tests {
         let nest = matmul(32);
         let z_load = nest.references()[0].id();
         // Pruning keeps only the most recent source of each constant-gap
-        // family; disable it here to inspect the full classification.
-        let full = ReuseOptions {
-            prune_dominated: false,
-            ..ReuseOptions::default()
-        };
-        let rvs = reuse_vectors(&nest, &table1_cache(), z_load, &full);
+        // family; skip it here to inspect the full classification.
+        let rvs = generate(
+            &nest,
+            &table1_cache(),
+            z_load,
+            &ReuseOptions::default(),
+            false,
+        );
         let kind_of = |v: &[i64], src: RefId| {
             rvs.iter()
                 .find(|r| r.vector() == v && r.source() == src)
@@ -588,14 +599,12 @@ mod tests {
         let z_load = nest.references()[0].id();
         let z_store = nest.references()[3].id();
         let pruned = reuse_vectors(&nest, &table1_cache(), z_load, &ReuseOptions::default());
-        let full = reuse_vectors(
+        let full = generate(
             &nest,
             &table1_cache(),
             z_load,
-            &ReuseOptions {
-                prune_dominated: false,
-                ..ReuseOptions::default()
-            },
+            &ReuseOptions::default(),
+            false,
         );
         assert!(
             pruned.len() < full.len(),
@@ -675,18 +684,6 @@ mod tests {
                 .any(|r| r.vector() == [0, 2] && r.source() == right && r.delta() == 0),
             "A(i,j-1) at j reuses A(i,j+1) from j-2: {rvs:?}"
         );
-    }
-
-    #[test]
-    fn max_vectors_caps_output() {
-        let nest = matmul(32);
-        let z_load = nest.references()[0].id();
-        let opts = ReuseOptions {
-            max_vectors: 2,
-            ..ReuseOptions::default()
-        };
-        let rvs = reuse_vectors(&nest, &table1_cache(), z_load, &opts);
-        assert_eq!(rvs.len(), 2);
     }
 
     #[test]

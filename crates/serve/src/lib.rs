@@ -523,12 +523,13 @@ impl Server {
             totals
         };
         let store = self.store.as_ref().map_or(Json::Null, |store| {
+            let (entries, bytes) = store.usage();
             extend(
                 store.stats().to_json(),
                 [
                     ("dir", Json::Str(store.dir().display().to_string())),
-                    ("entries", Json::UInt(store.entry_count() as u64)),
-                    ("bytes", Json::UInt(store.total_bytes())),
+                    ("entries", Json::UInt(entries as u64)),
+                    ("bytes", Json::UInt(bytes)),
                 ],
             )
         });
